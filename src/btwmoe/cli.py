@@ -26,7 +26,7 @@ from .config import (
 from .errors import BtwError, ConfigParseError, TrainingFailureError
 from .reports import export_result, metric_columns
 from .synthetic import generate, save_dataset, split
-from .training import run_experiment
+from .training import VARIANTS, run_experiment
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -127,6 +127,11 @@ def cmd_compare(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         if not variants or not seeds:
             raise ConfigParseError("need at least one variant and one seed")
+        for variant in variants:
+            if variant not in VARIANTS:
+                raise ConfigParseError(
+                    f"unknown variant {variant!r} (choose from {', '.join(VARIANTS)})"
+                )
     except (ConfigParseError, BtwError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -27,7 +27,6 @@ _EXPERIMENT_KEYS = {
     "split.fractions": "floats",
     "hooks.force_uniform_mi": "bool",
     "hooks.force_unit_weights": "bool",
-    "hooks.bilevel_prenormalize": "bool",
     "moe.embed_dim": int,
     "moe.n_experts": int,
     "moe.top_k": int,
@@ -146,7 +145,6 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         "split.fractions": "split_fractions",
         "hooks.force_uniform_mi": "force_uniform_mi",
         "hooks.force_unit_weights": "force_unit_weights",
-        "hooks.bilevel_prenormalize": "bilevel_prenormalize",
         "data.path": "data_path",
     }
     for key, attr in mapping.items():

@@ -81,12 +81,39 @@ def _series_jitter(x: np.ndarray, jitter_seed: int) -> np.ndarray:
     return rng.uniform(-amp, amp, size=x.shape[0])
 
 
+def _marginal_counts(v: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """For each i, how many j != i have |v_j - v_i| <= radius_i.
+
+    Sorted values put every neighborhood in one contiguous run. searchsorted
+    at v_i -/+ radius_i only guesses its ends, since the rounded bounds may
+    disagree with the rounded differences; each end then steps one place at a
+    time, judged by the actual |v_j - v_i|, until no end moves. The run holds
+    v_i itself, so it is never empty and the steps stay in range.
+    """
+    s = np.sort(v)
+    n = s.shape[0]
+    lo = np.searchsorted(s, v - radius, side="left")
+    hi = np.searchsorted(s, v + radius, side="right")
+    while True:
+        grow_lo = (lo > 0) & (np.abs(s[np.maximum(lo - 1, 0)] - v) <= radius)
+        shrink_lo = np.abs(s[lo] - v) > radius
+        grow_hi = (hi < n) & (np.abs(s[np.minimum(hi, n - 1)] - v) <= radius)
+        shrink_hi = np.abs(s[hi - 1] - v) > radius
+        step_lo = shrink_lo.astype(np.intp) - grow_lo
+        step_hi = grow_hi.astype(np.intp) - shrink_hi
+        if not (step_lo.any() or step_hi.any()):
+            return hi - lo - 1
+        lo += step_lo
+        hi += step_hi
+
+
 def ksg_mi(x: np.ndarray, y: np.ndarray, k: int = 3, jitter_seed: int = 0) -> float:
     """KSG (variant 1) mutual information estimate between two score series.
 
     MI ~= psi(k) + psi(N) - mean_i[psi(n_x(i)+1) + psi(n_y(i)+1)], where
     n_x(i) counts points strictly inside the Chebyshev distance to the k-th
-    joint-space neighbor of point i. Negative estimates are clamped to 0.
+    joint-space neighbor of point i. Negative estimates are clamped to 0. A
+    constant series carries no information: the estimate is exactly 0.0.
 
     Args:
         x, y: one-dimensional series of equal length N >= k + 2.
@@ -106,19 +133,21 @@ def ksg_mi(x: np.ndarray, y: np.ndarray, k: int = 3, jitter_seed: int = 0) -> fl
         raise InsufficientDataError(f"need at least k+2={k + 2} samples, got {n}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InvalidInputError("score series must be finite")
+    # Jitter would turn a constant series into noise, and two equal constant
+    # series into the same noise, which looks perfectly dependent.
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return 0.0
 
-    xj = (x + _series_jitter(x, jitter_seed))[:, None]
-    yj = (y + _series_jitter(y, jitter_seed))[:, None]
-    joint = np.hstack([xj, yj])
+    xj = x + _series_jitter(x, jitter_seed)
+    yj = y + _series_jitter(y, jitter_seed)
+    joint = np.column_stack([xj, yj])
 
-    tree_joint = cKDTree(joint)
     # k+1 because the query point is its own nearest neighbor at distance 0.
-    dist, _ = tree_joint.query(joint, k=k + 1, p=np.inf)
-    eps = dist[:, k]
-    # Strictly-inside counts: shrink the radius by one ulp, then drop self.
-    radius = np.nextafter(eps, 0.0)
-    n_x = cKDTree(xj).query_ball_point(xj, radius, p=np.inf, return_length=True) - 1
-    n_y = cKDTree(yj).query_ball_point(yj, radius, p=np.inf, return_length=True) - 1
+    dist, _ = cKDTree(joint).query(joint, k=k + 1, p=np.inf)
+    # Strictly-inside counts: shrink the radius by one ulp.
+    radius = np.nextafter(dist[:, k], 0.0)
+    n_x = _marginal_counts(xj, radius)
+    n_y = _marginal_counts(yj, radius)
 
     mi = float(digamma(k) + digamma(n) - np.mean(digamma(n_x + 1) + digamma(n_y + 1)))
     return max(mi, 0.0)

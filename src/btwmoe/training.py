@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distributions import residual_variance
+from .distributions import residual_variance_array
 from .errors import IncompleteInputError, InvalidInputError, TrainingFailureError
 from .metrics import classification_bundle, regression_bundle
 from .mi import discrete_mi, ksg_mi
@@ -84,7 +84,6 @@ class ExperimentConfig:
     # applies all-ones weights while the weight pipeline still runs.
     force_uniform_mi: bool = False
     force_unit_weights: bool = False
-    bilevel_prenormalize: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -206,10 +205,7 @@ def _collect_predictions(params, batch: DataBatch, task: str, weights=None, moda
     """(mean, residual variance) for regression, a probability matrix otherwise."""
     preds = _predict(params, batch, weights=weights, modality=modality)
     if task == REGRESSION:
-        variances = np.array(
-            [residual_variance(float(t), float(p)) for t, p in zip(batch.targets, preds)]
-        )
-        return preds, variances
+        return preds, residual_variance_array(batch.targets, preds)
     return preds
 
 
@@ -361,7 +357,7 @@ def _combine(config: ExperimentConfig, raw: np.ndarray, mi: np.ndarray | None) -
         return combine_global_kl(raw)
     if config.variant == "btw_global_mi":
         return combine_global_mi(mi, raw.shape[0])
-    return combine_bilevel(raw, mi, prenormalize=config.bilevel_prenormalize)
+    return combine_bilevel(raw, mi)
 
 
 def run_weighted_phase(

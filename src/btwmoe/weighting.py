@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
-from .distributions import CategoricalDist, GaussianParams, categorical_kl, gaussian_kl
+from .distributions import categorical_kl_array, gaussian_kl_array
 from .errors import InvalidInputError, ShapeError
 from .predictions import REGRESSION, PredictionSet
 
@@ -60,23 +61,14 @@ def instance_kl_weights(preds: PredictionSet) -> np.ndarray:
     """Raw per-instance weights: KL(unimodal_i^(m) || multimodal_i), (N, M).
 
     Regression compares the per-instance Gaussians (means with residual
-    variances); classification compares full class-probability vectors.
+    variances); classification compares full class-probability vectors. One
+    broadcast kernel call covers every instance and modality.
     """
-    n, m = preds.n_instances, preds.n_modalities
-    raw = np.zeros((n, m))
     if preds.task == REGRESSION:
-        for j in range(m):
-            for i in range(n):
-                p = GaussianParams(float(preds.uni_mean[j, i]), float(preds.uni_var[j, i]))
-                q = GaussianParams(float(preds.multi_mean[i]), float(preds.multi_var[i]))
-                raw[i, j] = gaussian_kl(p, q)
+        raw = gaussian_kl_array(preds.uni_mean, preds.uni_var, preds.multi_mean, preds.multi_var)
     else:
-        for j in range(m):
-            for i in range(n):
-                p = CategoricalDist(preds.uni_probs[j, i])
-                q = CategoricalDist(preds.multi_probs[i])
-                raw[i, j] = categorical_kl(p, q)
-    return raw
+        raw = categorical_kl_array(preds.uni_probs, preds.multi_probs)
+    return np.ascontiguousarray(raw.T)
 
 
 def combine_local(raw: np.ndarray) -> np.ndarray:
@@ -84,22 +76,15 @@ def combine_local(raw: np.ndarray) -> np.ndarray:
     return _normalize_rows(raw)
 
 
-def combine_bilevel(raw: np.ndarray, mi: np.ndarray, prenormalize: bool = False) -> np.ndarray:
-    """Bi-level weights: raw KL entries rescaled by modality MI, then row-normalized.
-
-    With prenormalize=True the raw rows are L1-normalized before the MI
-    rescaling; the default multiplies the raw divergences directly, which is
-    equivalent after the final normalization but kept selectable for
-    comparison.
-    """
+def combine_bilevel(raw: np.ndarray, mi: np.ndarray) -> np.ndarray:
+    """Bi-level weights: raw KL entries rescaled by modality MI, then row-normalized."""
     raw = np.asarray(raw, dtype=np.float64)
     mi = np.asarray(mi, dtype=np.float64)
     if mi.ndim != 1 or raw.ndim != 2 or mi.shape[0] != raw.shape[1]:
         raise ShapeError(f"MI length {mi.shape} does not match raw columns {raw.shape}")
     if np.any(mi < 0) or not np.all(np.isfinite(mi)):
         raise InvalidInputError("MI entries must be finite and non-negative")
-    base = _normalize_rows(raw) if prenormalize else raw
-    return _normalize_rows(base * mi[None, :])
+    return _normalize_rows(raw * mi[None, :])
 
 
 def combine_global_kl(raw: np.ndarray) -> np.ndarray:
@@ -190,14 +175,19 @@ def smooth_update(
 
 
 def write_weight_trajectory_csv(path, epochs, matrices) -> None:
-    """Write per-epoch weight matrices as rows of (epoch, instance, modality, weight)."""
+    """Write per-epoch weight matrices as rows of (epoch, instance, modality, weight).
+
+    The bytes are those csv.writer gives (no field needs quoting, every row
+    ends in CRLF); each matrix is formatted in one pass over its values.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "instance", "modality", "weight"])
+        fh.write("epoch,instance,modality,weight\r\n")
         for epoch, w in zip(epochs, matrices):
-            for i in range(w.shape[0]):
-                for m in range(w.shape[1]):
-                    writer.writerow([epoch, i, m, repr(float(w[i, m]))])
+            n, m = w.shape
+            fh.writelines(
+                f"{epoch},{i},{j},{value!r}\r\n"
+                for (i, j), value in zip(product(range(n), range(m)), w.ravel().tolist())
+            )
 
 
 def write_alpha_trajectory_csv(path, epochs, alphas) -> None:

@@ -187,6 +187,15 @@ class TestCompare:
         assert len(rows) == 3
         assert (out / "btw_local" / "seed_1" / "records.csv").exists()
 
+    def test_unknown_variant_is_a_usage_error(self, experiment_cfg, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert main([
+            "compare", "--config", str(experiment_cfg),
+            "--variants", "btw,bogus", "--seeds", "0", "--out", str(out),
+        ]) == EXIT_PARSE
+        assert "error: unknown variant 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_partial_failure_exits_5_but_finishes_others(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
         # Four train instances are enough to fit on but too few for the kNN

@@ -1,9 +1,12 @@
 """KL-divergence primitives: frozen examples, oracle agreement, and properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from btwmoe.distributions import (
     PROB_FLOOR,
@@ -11,9 +14,12 @@ from btwmoe.distributions import (
     CategoricalDist,
     GaussianParams,
     categorical_kl,
+    categorical_kl_array,
     gaussian_kl,
+    gaussian_kl_array,
     kl_quadrature_oracle,
     residual_variance,
+    residual_variance_array,
 )
 from btwmoe.errors import InvalidInputError, ShapeError
 
@@ -170,3 +176,159 @@ def test_categorical_kl_nonnegative_property(raw_p, raw_q):
     p = np.array(raw_p[:n]) / np.sum(raw_p[:n])
     q = np.array(raw_q[:n]) / np.sum(raw_q[:n])
     assert categorical_kl(CategoricalDist(p), CategoricalDist(q)) >= -1e-12
+
+
+# Array kernels against independent references.
+
+means = st.floats(-10, 10)
+variances = st.floats(VARIANCE_FLOOR, 100)
+
+
+@st.composite
+def gaussian_batches(draw):
+    """(p_mean, p_var) of shape (M, N) and (q_mean, q_var) of shape (N,)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    return (
+        draw(hnp.arrays(np.float64, (m, n), elements=means)),
+        draw(hnp.arrays(np.float64, (m, n), elements=variances)),
+        draw(hnp.arrays(np.float64, n, elements=means)),
+        draw(hnp.arrays(np.float64, n, elements=variances)),
+    )
+
+
+@given(gaussian_batches())
+@settings(max_examples=200, deadline=None)
+def test_gaussian_kl_array_equals_scalar_closed_form_bitwise(batch):
+    p_mean, p_var, q_mean, q_var = batch
+    got = gaussian_kl_array(p_mean, p_var, q_mean, q_var)
+    assert got.shape == p_mean.shape
+    for (j, i), value in np.ndenumerate(got):
+        mp, vp, mq, vq = (float(v) for v in (p_mean[j, i], p_var[j, i], q_mean[i], q_var[i]))
+        expected = math.log(math.sqrt(vq) / math.sqrt(vp)) + (vp + (mp - mq) ** 2) / (2.0 * vq) - 0.5
+        assert value == expected
+        assert gaussian_kl(GaussianParams(mp, vp), GaussianParams(mq, vq)) == expected
+
+
+def test_gaussian_kernels_equal_scalar_formula_on_many_values():
+    # NumPy's x*x and log differ from Python's ** and math.log in the last ulp
+    # on a few values in ten thousand; this batch holds such values, and
+    # training results depend on the kernels matching bit for bit.
+    rng = np.random.default_rng(2024)
+    n = 20_000
+    p_mean, q_mean = rng.normal(0, 3, n), rng.normal(0, 3, n)
+    p_var, q_var = rng.uniform(VARIANCE_FLOOR, 20, n), rng.uniform(VARIANCE_FLOOR, 20, n)
+    kl = gaussian_kl_array(p_mean, p_var, q_mean, q_var).tolist()
+    var = residual_variance_array(p_mean, q_mean).tolist()
+    for i, (mp, vp, mq, vq) in enumerate(zip(p_mean.tolist(), p_var.tolist(), q_mean.tolist(), q_var.tolist())):
+        assert kl[i] == math.log(math.sqrt(vq) / math.sqrt(vp)) + (vp + (mp - mq) ** 2) / (2.0 * vq) - 0.5
+        assert var[i] == max((mp - mq) ** 2, VARIANCE_FLOOR)
+
+
+@given(gaussian_batches())
+@settings(max_examples=100, deadline=None)
+def test_gaussian_kl_array_identical_inputs_are_exactly_zero(batch):
+    p_mean, p_var, _, _ = batch
+    assert np.all(gaussian_kl_array(p_mean, p_var, p_mean, p_var) == 0.0)
+
+
+def reference_categorical_kl(pv, qv):
+    """The per-row categorical KL the array kernel replaced, kept as the reference."""
+    if np.array_equal(pv, qv):
+        return 0.0
+    qv = np.clip(qv, PROB_FLOOR, 1.0)
+    qv = qv / qv.sum()
+    mask = pv > 0
+    kl = float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))
+    return max(kl, 0.0)
+
+
+@st.composite
+def prob_rows(draw, shape):
+    """Probability rows of the given (..., C) shape, with exact zeros mixed in."""
+    raw = draw(hnp.arrays(
+        np.float64, shape, elements=st.floats(0, 1) | st.just(0.0) | st.just(1.0),
+    ))
+    raw[raw.sum(axis=-1) == 0, 0] = 1.0
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def categorical_batches(draw):
+    """p of shape (M, N, C) and q of shape (N, C), some p rows equal to q."""
+    m, n, c = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(2, 10))
+    p = draw(prob_rows((m, n, c)))
+    q = draw(prob_rows((n, c)))
+    same = draw(hnp.arrays(np.bool_, (m, n)))
+    p[same] = np.broadcast_to(q, p.shape)[same]
+    return p, q
+
+
+@given(categorical_batches())
+@settings(max_examples=300, deadline=None)
+def test_categorical_kl_array_equals_per_row_formula_bitwise(batch):
+    p, q = batch
+    got = categorical_kl_array(p, q)
+    assert got.shape == p.shape[:2]
+    for (j, i), value in np.ndenumerate(got):
+        assert value == reference_categorical_kl(p[j, i], q[i])
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_residual_variance_array_matches_scalar(data):
+    n = data.draw(st.integers(1, 20))
+    y = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    mu = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    got = residual_variance_array(y, mu)
+    assert residual_variance_array(y, y).tolist() == [VARIANCE_FLOOR] * n
+    for i in range(n):
+        expected = max((float(y[i]) - float(mu[i])) ** 2, VARIANCE_FLOOR)
+        assert got[i] == expected
+        assert residual_variance(float(y[i]), float(mu[i])) == expected
+
+
+@given(gaussian_batches(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_gaussian_kl_array_rejects_what_the_params_reject(batch, data):
+    arrays = [a.copy() for a in batch]
+    which = data.draw(st.integers(0, 3))
+    bad = data.draw(st.sampled_from(
+        [np.nan, np.inf, -np.inf] + ([0.0, VARIANCE_FLOOR / 2, -1.0] if which % 2 else [])
+    ))
+    arrays[which].flat[data.draw(st.integers(0, arrays[which].size - 1))] = bad
+    with pytest.raises(InvalidInputError):
+        gaussian_kl_array(*arrays)
+
+
+@given(categorical_batches(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_categorical_kl_array_rejects_what_the_dist_rejects(batch, data):
+    p, q = (a.copy() for a in batch)
+    target = data.draw(st.sampled_from([p, q]))
+    target.flat[data.draw(st.integers(0, target.size - 1))] = data.draw(
+        st.sampled_from([np.nan, np.inf, -0.5, 1.5])
+    )
+    with pytest.raises(InvalidInputError):
+        categorical_kl_array(p, q)
+
+
+class TestArrayKernelErrors:
+    def test_probabilities_not_summing_to_one(self):
+        with pytest.raises(InvalidInputError):
+            categorical_kl_array(np.full((3, 2), 0.5), np.array([[0.5, 0.5], [0.6, 0.6], [0.5, 0.5]]))
+
+    def test_class_count_mismatch(self):
+        with pytest.raises(ShapeError):
+            categorical_kl_array(np.full((2, 4, 2), 0.5), np.full((4, 3), 1 / 3))
+
+    def test_single_class_rejected(self):
+        with pytest.raises(ShapeError):
+            categorical_kl_array(np.ones((3, 1)), np.ones((3, 1)))
+
+    def test_unbroadcastable_shapes(self):
+        with pytest.raises(ShapeError):
+            categorical_kl_array(np.full((2, 4, 2), 0.5), np.full((3, 2), 0.5))
+
+    def test_residual_variance_rejects_non_finite(self):
+        with pytest.raises(InvalidInputError):
+            residual_variance_array(np.array([0.0, np.nan]), np.zeros(2))

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from btwmoe.errors import InsufficientDataError, InvalidInputError, ShapeError
-from btwmoe.mi import discrete_mi, empirical_entropy, gaussian_mi_analytic, ksg_mi
+from btwmoe.mi import (
+    _marginal_counts,
+    discrete_mi,
+    empirical_entropy,
+    gaussian_mi_analytic,
+    ksg_mi,
+)
 
 
 def bivariate_normal(rho, n, seed):
@@ -104,6 +113,15 @@ class TestKsgMi:
         mi = ksg_mi(x, y, k=3)
         assert np.isfinite(mi) and mi >= 0.0
 
+    def test_constant_series_carry_no_information(self):
+        # Equal constant series used to get equal jitter, which looked like
+        # perfect dependence (4.38 nats here).
+        ones = np.ones(200)
+        assert ksg_mi(ones, ones, k=3) == 0.0
+        x = np.random.default_rng(4).standard_normal(200)
+        assert ksg_mi(ones, x, k=3) == 0.0
+        assert ksg_mi(x, np.full(200, -2.5), k=3, jitter_seed=7) == 0.0
+
     def test_too_few_samples_raises(self):
         with pytest.raises(InsufficientDataError):
             ksg_mi(np.arange(4.0), np.arange(4.0), k=3)
@@ -113,6 +131,32 @@ class TestKsgMi:
             ksg_mi(np.zeros((5, 2)), np.zeros(5), k=1)
         with pytest.raises(ShapeError):
             ksg_mi(np.zeros(5), np.zeros(6), k=1)
+
+
+@st.composite
+def series_with_radii(draw):
+    """A series with duplicates, and per-point radii that often tie a gap exactly."""
+    grid = draw(st.sampled_from([1.0, 0.1, 1e-10, 3.7]))
+    n = draw(st.integers(1, 60))
+    v = np.array(draw(st.lists(
+        st.integers(-8, 8).map(lambda i: i * grid) | st.floats(-10, 10), min_size=n, max_size=n,
+    )))
+    partners = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    eps = np.abs(v[partners] - v)
+    bump = draw(st.lists(st.sampled_from([0, 0, 1, -1]), min_size=n, max_size=n))
+    eps = np.where(np.array(bump) > 0, np.nextafter(eps, np.inf), eps)
+    eps = np.where(np.array(bump) < 0, np.nextafter(eps, 0.0), eps)
+    return v, eps
+
+
+@given(series_with_radii())
+@settings(max_examples=300, deadline=None)
+def test_marginal_counts_match_kd_tree_ball_counts(case):
+    v, eps = case
+    radius = np.nextafter(eps, 0.0)
+    column = v[:, None]
+    expected = cKDTree(column).query_ball_point(column, radius, p=np.inf, return_length=True) - 1
+    np.testing.assert_array_equal(_marginal_counts(v, radius), expected)
 
 
 class TestGaussianMiAnalytic:

@@ -1,6 +1,7 @@
 """Weight combinators and adaptive EMA smoothing."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -96,18 +97,6 @@ class TestCombinators:
     def test_bilevel_shape_mismatch(self):
         with pytest.raises(ShapeError):
             combine_bilevel(np.ones((2, 3)), np.ones(2))
-
-    def test_bilevel_prenormalize_flag_is_value_equivalent(self):
-        # Normalizing the raw rows first cancels in the final ratio, so the
-        # two readings agree up to float rounding on non-degenerate rows.
-        rng = np.random.default_rng(8)
-        raw = rng.uniform(0.05, 5.0, size=(12, 4))
-        mi = rng.uniform(0.1, 2.0, size=4)
-        np.testing.assert_allclose(
-            combine_bilevel(raw, mi, prenormalize=True),
-            combine_bilevel(raw, mi, prenormalize=False),
-            atol=1e-12,
-        )
 
     def test_global_kl_uses_column_means(self):
         raw = np.array([[1.0, 3.0], [3.0, 1.0]])
@@ -253,6 +242,31 @@ class TestCsvExport:
         assert len(rows) == 1 + 2 * 4
         assert float(rows[1][3]) == 0.25
         assert rows[1][:3] == ["1", "0", "0"]
+
+    @given(
+        matrices=st.lists(
+            hnp.arrays(
+                dtype=np.float64,
+                shape=st.tuples(st.integers(0, 5), st.integers(1, 4)),
+                elements=st.floats(0, 1) | st.sampled_from([0.0, 1.0, 0.1, 1e-300, 5e-324]),
+            ),
+            max_size=4,
+        ),
+        first_epoch=st.integers(0, 1000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_weight_trajectory_bytes_match_csv_writer(self, tmp_path_factory, matrices, first_epoch):
+        epochs = list(range(first_epoch, first_epoch + len(matrices)))
+        path = tmp_path_factory.mktemp("csv") / "weights_trajectory.csv"
+        write_weight_trajectory_csv(path, epochs, matrices)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["epoch", "instance", "modality", "weight"])
+        for epoch, w in zip(epochs, matrices):
+            for i in range(w.shape[0]):
+                for m in range(w.shape[1]):
+                    writer.writerow([epoch, i, m, repr(float(w[i, m]))])
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_alpha_trajectory_header(self, tmp_path):
         path = tmp_path / "alpha.csv"
