@@ -33,8 +33,12 @@ batch = DataBatch(
 
 print("=== Per-modality routing ===")
 predictions, trace = forward(params, batch)
-for m, caches in enumerate(trace.layer_caches):
-    counts = np.bincount(caches[0].selected.ravel(), minlength=config.n_experts)
+# One cache per layer, holding every modality stream's rows stacked in order.
+selected = trace.layer_caches[0].selected.reshape(
+    config.n_modalities, batch.n_instances, config.top_k
+)
+for m in range(config.n_modalities):
+    counts = np.bincount(selected[m].ravel(), minlength=config.n_experts)
     print(f"modality {m}: expert usage counts {counts.tolist()} "
           f"(top-{config.top_k} of {config.n_experts})")
 print()

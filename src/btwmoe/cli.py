@@ -1,7 +1,7 @@
 """Command-line entry point: generate data, train variants, compare runs.
 
-Exit codes: 0 success, 2 parse error, 3 output-safety refusal, 4 training
-failure, 5 partial comparison failure.
+Exit codes: 0 success, 2 parse error or invalid data/config, 3 output-safety
+refusal, 4 training failure, 5 partial comparison failure.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .config import (
     _build_data_spec,
 )
 from .errors import BtwError, ConfigParseError, TrainingFailureError
+from .moe import CLASSIFICATION, REGRESSION
 from .reports import export_result, metric_columns
 from .synthetic import generate, save_dataset, split
 from .training import VARIANTS, run_experiment
@@ -100,6 +101,9 @@ def cmd_train(args) -> int:
     except TrainingFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
+    except BtwError as exc:  # data or config the run cannot use, e.g. a split too small
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     export_result(result, args.out)
     _write_manifest(args.out, "train", args.config, {"seed": config.seed,
                                                      "variant": config.variant})
@@ -159,7 +163,7 @@ def cmd_compare(args) -> int:
             bundles.setdefault(variant, []).append(bundle)
 
     first_bundle = next((b for rows in bundles.values() for b in rows), None)
-    task = "regression" if first_bundle is None or "mae" in first_bundle else "classification"
+    task = REGRESSION if first_bundle is None or "mae" in first_bundle else CLASSIFICATION
     cols = metric_columns(task)
     summary_path = Path(args.out) / "summary.csv"
     with open(summary_path, "w", newline="") as fh:

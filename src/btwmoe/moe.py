@@ -6,6 +6,15 @@ with the gate softmax taken over the selected logits only; expert outputs
 are gate-weighted and added back through a residual connection. Modality
 embeddings are mean-pooled before the task head.
 
+Parameters live in one contiguous float64 buffer (`ModelParams.flat`) with
+named views, the experts stacked as (L, E, D, H); gradients use the same
+layout, so an SGD step is one vector update. The forward pass stacks the
+active modality streams into one (S*B, D) batch per layer. Routers run per
+modality block; then one stable argsort of the selected expert indices
+groups the (row, slot) pairs by expert (sort-based dispatch, as in GShard
+and Switch Transformer), so each layer runs E expert matmul pairs over the
+shared pool instead of S*E.
+
 Backpropagation is written out analytically (reverse mode), with the top-k
 selection treated as a constant and the gate softmax differentiated exactly.
 A finite-difference gradient checker guards the whole thing.
@@ -15,8 +24,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import erf
@@ -73,6 +84,22 @@ class MoeConfig:
     def head_dim(self) -> int:
         return 1 if self.task == REGRESSION else self.n_classes
 
+    @cached_property
+    def layout(self) -> tuple[int, tuple[tuple[int, int, tuple[int, ...]], ...]]:
+        """(buffer size, (start, stop, shape) per view) of the flat parameter buffer.
+
+        Views in order: enc_w[m] for each modality, then enc_b, router_w,
+        exp_w1, exp_b1, exp_w2, exp_b2, head_w, head_b (see ModelParams).
+        """
+        m, d, e, h, n_layers = (self.n_modalities, self.embed_dim, self.n_experts,
+                                self.expert_hidden, self.n_moe_layers)
+        shapes = [(dim, d) for dim in self.input_dims] + [
+            (m, d), (n_layers, m, d, e), (n_layers, e, d, h), (n_layers, e, h),
+            (n_layers, e, h, d), (n_layers, e, d), (d, self.head_dim), (self.head_dim,),
+        ]
+        stops = np.cumsum([math.prod(s) for s in shapes]).tolist()
+        return stops[-1], tuple(zip([0] + stops[:-1], stops, shapes))
+
     def to_dict(self) -> dict:
         return {
             "input_dims": list(self.input_dims),
@@ -111,68 +138,42 @@ class DataBatch:
         )
 
 
-@dataclass
 class ModelParams:
-    config: MoeConfig
-    enc_w: list[np.ndarray]
-    enc_b: list[np.ndarray]
-    router_w: list[list[np.ndarray]]  # [layer][modality] (D, E)
-    exp_w1: list[list[np.ndarray]]  # [layer][expert] (D, H)
-    exp_b1: list[list[np.ndarray]]
-    exp_w2: list[list[np.ndarray]]  # [layer][expert] (H, D)
-    exp_b2: list[list[np.ndarray]]
-    head_w: np.ndarray
-    head_b: np.ndarray
-    version: int = 0
+    """Every parameter in one contiguous float64 buffer, exposed as named views.
+
+    enc_w is a list of (d_m, D) views, one per modality; enc_b is (M, D),
+    router_w (L, M, D, E), exp_w1 (L, E, D, H), exp_b1 (L, E, H),
+    exp_w2 (L, E, H, D), exp_b2 (L, E, D), head_w (D, C) and head_b (C,).
+    Gradients are ModelParams of the same layout. Without flat, all zeros.
+    """
+
+    def __init__(self, config: MoeConfig, flat: np.ndarray | None = None, version: int = 0):
+        size, views = config.layout
+        self.config = config
+        self.flat = np.zeros(size) if flat is None else flat
+        self.version = version
+        arrays = [self.flat[start:stop].reshape(shape) for start, stop, shape in views]
+        n_mod = config.n_modalities
+        self.enc_w = arrays[:n_mod]
+        (self.enc_b, self.router_w, self.exp_w1, self.exp_b1,
+         self.exp_w2, self.exp_b2, self.head_w, self.head_b) = arrays[n_mod:]
 
     def tensors(self):
-        """(name, array) pairs in fixed declaration order."""
+        """(name, view) pairs in the checkpoint's fixed order."""
         cfg = self.config
         for m in range(cfg.n_modalities):
             yield f"enc_w[{m}]", self.enc_w[m]
             yield f"enc_b[{m}]", self.enc_b[m]
         for layer in range(cfg.n_moe_layers):
             for m in range(cfg.n_modalities):
-                yield f"router_w[{layer}][{m}]", self.router_w[layer][m]
+                yield f"router_w[{layer}][{m}]", self.router_w[layer, m]
             for e in range(cfg.n_experts):
-                yield f"exp_w1[{layer}][{e}]", self.exp_w1[layer][e]
-                yield f"exp_b1[{layer}][{e}]", self.exp_b1[layer][e]
-                yield f"exp_w2[{layer}][{e}]", self.exp_w2[layer][e]
-                yield f"exp_b2[{layer}][{e}]", self.exp_b2[layer][e]
+                yield f"exp_w1[{layer}][{e}]", self.exp_w1[layer, e]
+                yield f"exp_b1[{layer}][{e}]", self.exp_b1[layer, e]
+                yield f"exp_w2[{layer}][{e}]", self.exp_w2[layer, e]
+                yield f"exp_b2[{layer}][{e}]", self.exp_b2[layer, e]
         yield "head_w", self.head_w
         yield "head_b", self.head_b
-
-    def map_tensors(self, fn) -> "ModelParams":
-        """Structural copy with fn(name, array) applied to every tensor."""
-        cfg = self.config
-        return ModelParams(
-            config=cfg,
-            enc_w=[fn(f"enc_w[{m}]", self.enc_w[m]) for m in range(cfg.n_modalities)],
-            enc_b=[fn(f"enc_b[{m}]", self.enc_b[m]) for m in range(cfg.n_modalities)],
-            router_w=[
-                [fn(f"router_w[{l}][{m}]", self.router_w[l][m]) for m in range(cfg.n_modalities)]
-                for l in range(cfg.n_moe_layers)
-            ],
-            exp_w1=[
-                [fn(f"exp_w1[{l}][{e}]", self.exp_w1[l][e]) for e in range(cfg.n_experts)]
-                for l in range(cfg.n_moe_layers)
-            ],
-            exp_b1=[
-                [fn(f"exp_b1[{l}][{e}]", self.exp_b1[l][e]) for e in range(cfg.n_experts)]
-                for l in range(cfg.n_moe_layers)
-            ],
-            exp_w2=[
-                [fn(f"exp_w2[{l}][{e}]", self.exp_w2[l][e]) for e in range(cfg.n_experts)]
-                for l in range(cfg.n_moe_layers)
-            ],
-            exp_b2=[
-                [fn(f"exp_b2[{l}][{e}]", self.exp_b2[l][e]) for e in range(cfg.n_experts)]
-                for l in range(cfg.n_moe_layers)
-            ],
-            head_w=fn("head_w", self.head_w),
-            head_b=fn("head_b", self.head_b),
-            version=self.version,
-        )
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -181,41 +182,28 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
 
 
 def init_params(config: MoeConfig, seed: int | np.random.Generator) -> ModelParams:
-    """Glorot-uniform weights, zero biases, in declaration order from one stream."""
+    """Glorot-uniform weights and zero biases, drawn from one stream in a fixed order.
+
+    Per layer the routers come first, then every expert's first and then
+    every expert's second matrix; a stacked draw equals the per-tensor draws.
+    """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    d, h, e_n = config.embed_dim, config.expert_hidden, config.n_experts
-    enc_w = [_glorot(rng, dim, d, (dim, d)) for dim in config.input_dims]
-    enc_b = [np.zeros(d) for _ in config.input_dims]
-    router_w, exp_w1, exp_b1, exp_w2, exp_b2 = [], [], [], [], []
-    for _ in range(config.n_moe_layers):
-        router_w.append([_glorot(rng, d, e_n, (d, e_n)) for _ in range(config.n_modalities)])
-        exp_w1.append([_glorot(rng, d, h, (d, h)) for _ in range(e_n)])
-        exp_b1.append([np.zeros(h) for _ in range(e_n)])
-        exp_w2.append([_glorot(rng, h, d, (h, d)) for _ in range(e_n)])
-        exp_b2.append([np.zeros(d) for _ in range(e_n)])
-    head_w = _glorot(rng, d, config.head_dim, (d, config.head_dim))
-    head_b = np.zeros(config.head_dim)
-    return ModelParams(
-        config=config,
-        enc_w=enc_w,
-        enc_b=enc_b,
-        router_w=router_w,
-        exp_w1=exp_w1,
-        exp_b1=exp_b1,
-        exp_w2=exp_w2,
-        exp_b2=exp_b2,
-        head_w=head_w,
-        head_b=head_b,
-    )
+    d, h, e_n, n_mod = config.embed_dim, config.expert_hidden, config.n_experts, config.n_modalities
+    params = ModelParams(config)
+    for m, dim in enumerate(config.input_dims):
+        params.enc_w[m][...] = _glorot(rng, dim, d, (dim, d))
+    for layer in range(config.n_moe_layers):
+        params.router_w[layer] = _glorot(rng, d, e_n, (n_mod, d, e_n))
+        params.exp_w1[layer] = _glorot(rng, d, h, (e_n, d, h))
+        params.exp_w2[layer] = _glorot(rng, h, d, (e_n, h, d))
+    params.head_w[...] = _glorot(rng, d, config.head_dim, (d, config.head_dim))
+    return params
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
-
-
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
+def _gelu_grad(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """GELU derivative, given c = 1 + erf(x / sqrt 2) from the forward pass."""
     phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * phi
+    return 0.5 * c + x * phi
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -225,17 +213,20 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, layer: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericOverflowError(f"non-finite activation in {layer}")
 
 
 @dataclass
 class _LayerCache:
+    """One MoE layer over the stacked (S*B, D) batch; stream s owns rows s*B:(s+1)*B."""
+
     t_in: np.ndarray
     logits: np.ndarray
-    selected: np.ndarray  # (B, K) expert indices
-    gate: np.ndarray  # (B, K)
-    expert_rows: dict = field(default_factory=dict)  # e -> (rows, slots, z1, h, z2)
+    selected: np.ndarray  # (S*B, K) expert indices
+    gate: np.ndarray  # (S*B, K)
+    # e -> (rows, slots, z1, 1 + erf(z1 / sqrt 2), z2), experts ascending
+    expert_rows: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -245,8 +236,7 @@ class ForwardTrace:
     modalities: list[int]
     features: list[np.ndarray]
     weights: np.ndarray | None
-    embed_pre: list[np.ndarray]
-    layer_caches: list[list[_LayerCache]]  # [stream][layer]
+    layer_caches: list[_LayerCache]  # [layer], streams stacked in modality order
     pooled: np.ndarray
     scores: np.ndarray
     probs: np.ndarray | None
@@ -264,7 +254,8 @@ def _forward(
     batch: DataBatch,
     weights: np.ndarray | None = None,
     modalities: list[int] | None = None,
-) -> tuple[np.ndarray, ForwardTrace]:
+    keep_trace: bool = True,
+) -> tuple[np.ndarray, ForwardTrace | None]:
     cfg = params.config
     active = list(range(cfg.n_modalities)) if modalities is None else list(modalities)
     for m in active:
@@ -285,38 +276,48 @@ def _forward(
         if weights.shape != (b, len(active)):
             raise ShapeError(f"weights {weights.shape} != {(b, len(active))}")
 
-    embed_pre: list[np.ndarray] = []
-    streams: list[np.ndarray] = []
-    layer_caches: list[list[_LayerCache]] = []
+    n_streams = len(active)
+    blocks = [slice(s * b, (s + 1) * b) for s in range(n_streams)]
+    t = np.empty((n_streams * b, cfg.embed_dim))
     for s, m in enumerate(active):
         e0 = batch.features[m] @ params.enc_w[m] + params.enc_b[m]
         _check_finite(e0, f"encoder[{m}]")
-        embed_pre.append(e0)
-        t = e0 * weights[:, s : s + 1] if weights is not None else e0
-        caches: list[_LayerCache] = []
-        for layer in range(cfg.n_moe_layers):
-            logits = t @ params.router_w[layer][m]
-            _check_finite(logits, f"router[{layer}][{m}]")
-            selected = _top_k_select(logits, cfg.top_k)
-            gate = _softmax_rows(np.take_along_axis(logits, selected, axis=1))
-            out = np.zeros_like(t)
-            cache = _LayerCache(t_in=t, logits=logits, selected=selected, gate=gate)
-            for e in range(cfg.n_experts):
-                rows, slots = np.nonzero(selected == e)
-                if rows.size == 0:
-                    continue
-                z1 = t[rows] @ params.exp_w1[layer][e] + params.exp_b1[layer][e]
-                h = _gelu(z1)
-                z2 = h @ params.exp_w2[layer][e] + params.exp_b2[layer][e]
-                _check_finite(z2, f"expert[{layer}][{e}]")
-                out[rows] += gate[rows, slots][:, None] * z2
-                cache.expert_rows[e] = (rows, slots, z1, h, z2)
-            t = t + out
-            caches.append(cache)
-        streams.append(t)
-        layer_caches.append(caches)
+        t[blocks[s]] = e0 * weights[:, s : s + 1] if weights is not None else e0
 
-    pooled = sum(streams) / len(streams)
+    layer_caches: list[_LayerCache] = []
+    for layer in range(cfg.n_moe_layers):
+        logits = np.empty((n_streams * b, cfg.n_experts))
+        for s, m in enumerate(active):
+            logits[blocks[s]] = t[blocks[s]] @ params.router_w[layer, m]
+            _check_finite(logits[blocks[s]], f"router[{layer}][{m}]")
+        selected = _top_k_select(logits, cfg.top_k)
+        gate = _softmax_rows(np.take_along_axis(logits, selected, axis=1))
+        # Sort-based dispatch: a stable sort groups the (row, slot) pairs by
+        # expert and keeps them row-major within each group.
+        flat_selected = selected.ravel()
+        order = np.argsort(flat_selected, kind="stable")
+        all_rows, all_slots = np.divmod(order, cfg.top_k)
+        all_gates = gate.ravel()[order]
+        if keep_trace:
+            cache = _LayerCache(t_in=t, logits=logits, selected=selected, gate=gate)
+            layer_caches.append(cache)
+        out = np.zeros_like(t)
+        stop = 0
+        for e, count in enumerate(np.bincount(flat_selected, minlength=cfg.n_experts).tolist()):
+            start, stop = stop, stop + count
+            if count == 0:
+                continue
+            rows = all_rows[start:stop]
+            z1 = t[rows] @ params.exp_w1[layer, e] + params.exp_b1[layer, e]
+            c = 1.0 + erf(z1 / _SQRT2)
+            z2 = (0.5 * z1 * c) @ params.exp_w2[layer, e] + params.exp_b2[layer, e]
+            _check_finite(z2, f"expert[{layer}][{e}]")
+            out[rows] += all_gates[start:stop, None] * z2
+            if keep_trace:
+                cache.expert_rows[e] = (rows, all_slots[start:stop], z1, c, z2)
+        t = t + out
+
+    pooled = t.reshape(n_streams, b, cfg.embed_dim).sum(axis=0) / n_streams
     scores = pooled @ params.head_w + params.head_b
     _check_finite(scores, "head")
     if cfg.task == REGRESSION:
@@ -325,6 +326,8 @@ def _forward(
     else:
         probs = _softmax_rows(scores)
         predictions = probs
+    if not keep_trace:
+        return predictions, None
 
     trace = ForwardTrace(
         params=params,
@@ -332,7 +335,6 @@ def _forward(
         modalities=active,
         features=batch.features,
         weights=weights,
-        embed_pre=embed_pre,
         layer_caches=layer_caches,
         pooled=pooled,
         scores=scores,
@@ -358,16 +360,12 @@ def forward(
 
 def unimodal_forward(params: ModelParams, batch: DataBatch, modality: int) -> np.ndarray:
     """Forward pass over a single modality stream (the pool has one element)."""
-    predictions, _ = _forward(params, batch, weights=None, modalities=[modality])
+    predictions, _ = _forward(params, batch, modalities=[modality], keep_trace=False)
     return predictions
 
 
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.tensors()}
-
-
-def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradients for every parameter tensor.
+def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
+    """Exact reverse-mode gradients for every parameter, in the parameter layout.
 
     loss_grad is the gradient of the loss w.r.t. the forward predictions:
     (B,) for regression means, (B, C) for classification probabilities (the
@@ -377,7 +375,7 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> dict[str, np.ndarray
     if params.version != trace.params_version:
         raise InvalidStateError("stale trace: parameters changed since the forward pass")
     cfg = params.config
-    grads = zero_grads(params)
+    grads = ModelParams(cfg)
 
     if cfg.task == REGRESSION:
         d_scores = np.asarray(loss_grad, dtype=np.float64)[:, None]
@@ -386,58 +384,55 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> dict[str, np.ndarray
         p = trace.probs
         d_scores = p * (d_probs - np.sum(d_probs * p, axis=1, keepdims=True))
 
-    grads["head_w"] += trace.pooled.T @ d_scores
-    grads["head_b"] += d_scores.sum(axis=0)
+    grads.head_w[...] = trace.pooled.T @ d_scores
+    grads.head_b[...] = d_scores.sum(axis=0)
     d_pooled = d_scores @ params.head_w.T
 
     n_streams = len(trace.modalities)
+    b = d_pooled.shape[0]
+    blocks = [slice(s * b, (s + 1) * b) for s in range(n_streams)]
+    d_t = np.tile(d_pooled / n_streams, (n_streams, 1))
+    for layer in reversed(range(cfg.n_moe_layers)):
+        cache = trace.layer_caches[layer]
+        d_t_in = d_t.copy()  # residual path
+        d_gate = np.zeros_like(cache.gate)
+        for e, (rows, slots, z1, c, z2) in cache.expert_rows.items():
+            d_rows = d_t[rows]
+            d_gate[rows, slots] = np.sum(d_rows * z2, axis=1)
+            d_z2 = cache.gate[rows, slots][:, None] * d_rows
+            grads.exp_w2[layer, e] = (0.5 * z1 * c).T @ d_z2
+            grads.exp_b2[layer, e] = d_z2.sum(axis=0)
+            d_z1 = (d_z2 @ params.exp_w2[layer, e].T) * _gelu_grad(z1, c)
+            grads.exp_w1[layer, e] = cache.t_in[rows].T @ d_z1
+            grads.exp_b1[layer, e] = d_z1.sum(axis=0)
+            d_t_in[rows] += d_z1 @ params.exp_w1[layer, e].T
+        # Gate softmax over the selected logits only.
+        d_sel_logits = cache.gate * (
+            d_gate - np.sum(d_gate * cache.gate, axis=1, keepdims=True)
+        )
+        d_logits = np.zeros_like(cache.logits)
+        np.put_along_axis(d_logits, cache.selected, d_sel_logits, axis=1)
+        for s, m in enumerate(trace.modalities):
+            grads.router_w[layer, m] += cache.t_in[blocks[s]].T @ d_logits[blocks[s]]
+            d_t_in[blocks[s]] += d_logits[blocks[s]] @ params.router_w[layer, m].T
+        d_t = d_t_in
     for s, m in enumerate(trace.modalities):
-        d_t = d_pooled / n_streams
-        for layer in reversed(range(cfg.n_moe_layers)):
-            cache = trace.layer_caches[s][layer]
-            d_out = d_t
-            d_t_in = d_t.copy()  # residual path
-            d_gate = np.zeros_like(cache.gate)
-            for e in range(cfg.n_experts):
-                if e not in cache.expert_rows:
-                    continue
-                rows, slots, z1, h, z2 = cache.expert_rows[e]
-                d_rows = d_out[rows]
-                d_gate[rows, slots] += np.sum(d_rows * z2, axis=1)
-                d_z2 = cache.gate[rows, slots][:, None] * d_rows
-                grads[f"exp_w2[{layer}][{e}]"] += h.T @ d_z2
-                grads[f"exp_b2[{layer}][{e}]"] += d_z2.sum(axis=0)
-                d_h = d_z2 @ params.exp_w2[layer][e].T
-                d_z1 = d_h * _gelu_grad(z1)
-                grads[f"exp_w1[{layer}][{e}]"] += cache.t_in[rows].T @ d_z1
-                grads[f"exp_b1[{layer}][{e}]"] += d_z1.sum(axis=0)
-                d_t_in[rows] += d_z1 @ params.exp_w1[layer][e].T
-            # Gate softmax over the selected logits only.
-            d_sel_logits = cache.gate * (
-                d_gate - np.sum(d_gate * cache.gate, axis=1, keepdims=True)
-            )
-            d_logits = np.zeros_like(cache.logits)
-            np.put_along_axis(d_logits, cache.selected, d_sel_logits, axis=1)
-            grads[f"router_w[{layer}][{m}]"] += cache.t_in.T @ d_logits
-            d_t_in += d_logits @ params.router_w[layer][m].T
-            d_t = d_t_in
+        d_e0 = d_t[blocks[s]]
         if trace.weights is not None:
-            d_t = d_t * trace.weights[:, s : s + 1]
-        grads[f"enc_w[{m}]"] += trace.features[m].T @ d_t
-        grads[f"enc_b[{m}]"] += d_t.sum(axis=0)
+            d_e0 = d_e0 * trace.weights[:, s : s + 1]
+        grads.enc_w[m] += trace.features[m].T @ d_e0
+        grads.enc_b[m] += d_e0.sum(axis=0)
     return grads
 
 
-def sgd_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:
+def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """One plain gradient step; returns new parameters, inputs untouched."""
     if lr < 0:
         raise InvalidInputError(f"lr must be >= 0, got {lr}")
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericOverflowError(f"non-finite gradient for {name}")
-    updated = params.map_tensors(lambda name, arr: arr - lr * grads[name])
-    updated.version = params.version + 1
-    return updated
+    if not np.isfinite(grads.flat).all():
+        name = next(name for name, g in grads.tensors() if not np.all(np.isfinite(g)))
+        raise NumericOverflowError(f"non-finite gradient for {name}")
+    return ModelParams(params.config, params.flat - lr * grads.flat, params.version + 1)
 
 
 def mse_loss_and_grad(predictions: np.ndarray, targets: np.ndarray):
@@ -468,10 +463,12 @@ def grad_check(
     n_probes: int = 50,
     epsilon: float = 1e-5,
     seed: int = 0,
+    modality_weights: np.ndarray | None = None,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Probes n_probes scalar parameters chosen uniformly over all tensors.
+    Probes n_probes scalar parameters chosen uniformly over the flat buffer,
+    through the forward pass weighted by modality_weights (B, M) when given.
     The relative denominator is max(|analytic|, |numeric|, 1e-8).
     """
     if n_probes < 1:
@@ -479,34 +476,25 @@ def grad_check(
     if batch.targets is None:
         raise InvalidInputError("grad_check needs a batch with targets")
 
-    predictions, trace = _forward(params, batch)
+    predictions, trace = _forward(params, batch, weights=modality_weights)
     _, d_pred = loss_and_pred_grad(params.config, predictions, batch.targets)
     grads = backward(trace, d_pred)
 
-    named = list(params.tensors())
-    sizes = np.array([arr.size for _, arr in named])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-
     def loss_at() -> float:
-        pred, _ = _forward(params, batch)
+        pred, _ = _forward(params, batch, weights=modality_weights, keep_trace=False)
         return loss_and_pred_grad(params.config, pred, batch.targets)[0]
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for flat in rng.integers(0, total, size=n_probes):
-        t_idx = int(np.searchsorted(offsets, flat, side="right")) - 1
-        name, arr = named[t_idx]
-        local = int(flat - offsets[t_idx])
-        idx = np.unravel_index(local, arr.shape)
-        original = arr[idx]
-        arr[idx] = original + epsilon
+    for i in rng.integers(0, params.flat.size, size=n_probes):
+        original = params.flat[i]
+        params.flat[i] = original + epsilon
         loss_plus = loss_at()
-        arr[idx] = original - epsilon
+        params.flat[i] = original - epsilon
         loss_minus = loss_at()
-        arr[idx] = original
+        params.flat[i] = original
         numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-        analytic = grads[name][idx]
+        analytic = grads.flat[i]
         err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         worst = max(worst, err)
     return worst
@@ -541,19 +529,14 @@ def load_checkpoint(path) -> ModelParams:
         raise InvalidInputError(f"unsupported checkpoint format version {fmt_version}")
     (cfg_len,) = struct.unpack("<I", view.read(4))
     config = MoeConfig.from_dict(json.loads(view.read(cfg_len).decode("utf-8")))
-    params = init_params(config, seed=0)
 
-    # Tensors were written in tensors() declaration order; read them all
-    # before reassembling, keyed by name.
-    read: dict[str, np.ndarray] = {}
+    # Tensors were written in tensors() order; each fills its view in place.
+    params = ModelParams(config)
     for name, like in params.tensors():
         (ndim,) = struct.unpack("<I", view.read(4))
         shape = tuple(struct.unpack("<I", view.read(4))[0] for _ in range(ndim))
         if shape != like.shape:
             raise ShapeError(f"checkpoint tensor {name} has shape {shape}, expected {like.shape}")
         n_bytes = int(np.prod(shape)) * 8
-        read[name] = np.frombuffer(view.read(n_bytes), dtype="<f8").reshape(shape).astype(np.float64)
-
-    loaded = params.map_tensors(lambda name, _arr: read[name])
-    loaded.version = 0
-    return loaded
+        like[...] = np.frombuffer(view.read(n_bytes), dtype="<f8").reshape(shape)
+    return params

@@ -8,9 +8,7 @@ import numpy as np
 
 from .distributions import VARIANCE_FLOOR
 from .errors import IncompleteInputError, InvalidInputError, ShapeError
-
-REGRESSION = "regression"
-CLASSIFICATION = "classification"
+from .moe import CLASSIFICATION, REGRESSION
 
 
 @dataclass

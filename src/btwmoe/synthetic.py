@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError, ShapeError
-from .moe import DataBatch
+from .moe import CLASSIFICATION, REGRESSION, DataBatch
 
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_NAMES = {"train": TRAIN, "val": VAL, "test": TEST}
@@ -28,7 +28,7 @@ class SyntheticSpec:
     modality_dims: tuple[int, ...]
     informativeness: tuple[float, ...]
     noise_sigma: float = 0.1
-    task: str = "regression"
+    task: str = REGRESSION
     n_classes: int = 0
     nonlinearity: str = "linear"
     seed: int = 0
@@ -56,9 +56,9 @@ class SyntheticSpec:
             raise InvalidSpecError("at least one modality must have informativeness > 0")
         if self.noise_sigma < 0:
             raise InvalidSpecError("noise_sigma must be >= 0")
-        if self.task not in ("regression", "classification"):
+        if self.task not in (REGRESSION, CLASSIFICATION):
             raise InvalidSpecError(f"unknown task {self.task!r}")
-        if self.task == "classification" and self.n_classes < 2:
+        if self.task == CLASSIFICATION and self.n_classes < 2:
             raise InvalidSpecError("classification needs n_classes >= 2")
         if self.nonlinearity not in ("linear", "tanh-mixed"):
             raise InvalidSpecError(f"unknown nonlinearity {self.nonlinearity!r}")
@@ -178,7 +178,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
         stds[stds == 0] = 1.0
         features.append(mat / stds)
 
-    if spec.task == "regression":
+    if spec.task == REGRESSION:
         targets = signal
         n_classes = 0
     else:
@@ -278,7 +278,7 @@ def load_dataset(in_dir) -> Dataset:
         raise InvalidInputError(f"unrecognized dataset format in {src}")
     features = [read_matrix(src / name) for name in meta["modality_files"]]
     targets = read_matrix(src / meta["targets_file"])
-    if meta["task"] == "classification":
+    if meta["task"] == CLASSIFICATION:
         targets = targets.astype(np.int64)
     return Dataset(
         features=features,

@@ -40,6 +40,10 @@ from .moe import (
 from .predictions import PredictionSet
 from .synthetic import Dataset, SyntheticSpec, generate, split
 from .weighting import (
+    ALPHA_INIT,
+    ALPHA_MAX,
+    ALPHA_MIN,
+    ALPHA_STEP,
     HIGHER_IS_BETTER,
     LOWER_IS_BETTER,
     SmoothingState,
@@ -74,10 +78,10 @@ class ExperimentConfig:
     data: SyntheticSpec | None = None
     data_path: str | None = None
     split_fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)
-    alpha_init: float = 0.5
-    alpha_step: float = 0.1
-    alpha_min: float = 0.1
-    alpha_max: float = 0.9
+    alpha_init: float = ALPHA_INIT
+    alpha_step: float = ALPHA_STEP
+    alpha_min: float = ALPHA_MIN
+    alpha_max: float = ALPHA_MAX
     seed: int = 0
     # Equation-reduction test hooks. Neither touches the training RNG stream:
     # force_uniform_mi replaces the MI estimate with ones, force_unit_weights
@@ -150,10 +154,9 @@ def _epoch_lr(config: ExperimentConfig, epoch_index: int) -> float:
 
 
 def _predict(params: ModelParams, batch: DataBatch, weights=None, modality=None) -> np.ndarray:
-    if modality is None:
-        preds, _ = _forward(params, batch, weights=weights)
-    else:
-        preds, _ = _forward(params, batch, weights=None, modalities=[modality])
+    """Prediction-only forward pass: no trace, so no expert caches are kept."""
+    modalities = None if modality is None else [modality]
+    preds, _ = _forward(params, batch, weights=weights, modalities=modalities, keep_trace=False)
     return preds
 
 

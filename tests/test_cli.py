@@ -152,6 +152,14 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_TRAINING
 
+    def test_split_too_small_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(SMALL_EXPERIMENT.replace("data.n_instances=200", "data.n_instances=8"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unweighted_records_cover_folded_schedule(self, tmp_path):
         cfg = tmp_path / "unweighted.cfg"
         cfg.write_text(SMALL_EXPERIMENT.replace("variant=btw", "variant=unweighted"))

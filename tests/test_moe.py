@@ -1,7 +1,12 @@
 """Forward/backward correctness for the NumPy mixture-of-experts model."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
 
 from btwmoe.errors import (
     InvalidInputError,
@@ -11,7 +16,9 @@ from btwmoe.errors import (
 )
 from btwmoe.moe import (
     DataBatch,
+    ModelParams,
     MoeConfig,
+    _forward,
     _softmax_rows,
     backward,
     forward,
@@ -22,7 +29,6 @@ from btwmoe.moe import (
     save_checkpoint,
     sgd_step,
     unimodal_forward,
-    zero_grads,
 )
 
 
@@ -72,12 +78,11 @@ class TestForward:
         params = init_params(cfg, 3)
         batch = make_batch(cfg, 8, seed=3)
         _, trace = forward(params, batch)
-        for caches in trace.layer_caches:
-            cache = caches[0]
+        for cache in trace.layer_caches:
             dense_gate = _softmax_rows(cache.logits)
             sparse_mix = np.zeros_like(cache.t_in)
             dense_mix = np.zeros_like(cache.t_in)
-            for e, (rows, slots, _z1, _h, z2) in cache.expert_rows.items():
+            for e, (rows, slots, _z1, _c, z2) in cache.expert_rows.items():
                 sparse_mix[rows] += cache.gate[rows, slots][:, None] * z2
                 dense_mix[rows] += dense_gate[rows, e][:, None] * z2
             np.testing.assert_allclose(sparse_mix, dense_mix, atol=1e-12)
@@ -112,8 +117,8 @@ class TestForward:
         _, d2 = loss_and_pred_grad(reg_cfg, pred2, batch.targets)
         g1 = backward(tr1, d1)
         g2 = backward(tr2, d2)
-        for name in g1:
-            assert np.array_equal(g1[name], g2[name])
+        for (name, a), (_, b) in zip(g1.tensors(), g2.tensors()):
+            assert np.array_equal(a, b), name
 
     def test_classification_probs_are_normalized(self, cls_cfg):
         params = init_params(cls_cfg, 0)
@@ -128,23 +133,22 @@ class TestGating:
         params = init_params(reg_cfg, 1)
         batch = make_batch(reg_cfg, 32, seed=1)
         _, trace = forward(params, batch)
-        for caches in trace.layer_caches:
-            for cache in caches:
-                np.testing.assert_allclose(cache.gate.sum(axis=1), 1.0, atol=1e-9)
-                assert np.all(cache.gate > 0)
-                assert cache.selected.shape[1] == reg_cfg.top_k
-                # per token: exactly top_k distinct experts selected
-                for row in cache.selected:
-                    assert len(set(row.tolist())) == reg_cfg.top_k
+        for cache in trace.layer_caches:  # every stream's rows, stacked
+            np.testing.assert_allclose(cache.gate.sum(axis=1), 1.0, atol=1e-9)
+            assert np.all(cache.gate > 0)
+            assert cache.selected.shape == (3 * 32, reg_cfg.top_k)
+            # per token: exactly top_k distinct experts selected
+            for row in cache.selected:
+                assert len(set(row.tolist())) == reg_cfg.top_k
 
     def test_routing_activation_cardinality(self, reg_cfg):
         params = init_params(reg_cfg, 1)
         batch = make_batch(reg_cfg, 16, seed=2)
         _, trace = forward(params, batch)
+        # Activations per instance: top_k per stream (16 stacked rows each) per layer.
         per_instance = sum(
-            cache.selected.shape[1]
-            for caches in trace.layer_caches
-            for cache in caches
+            cache.selected.shape[0] // 16 * cache.selected.shape[1]
+            for cache in trace.layer_caches
         )
         assert per_instance <= 3 * reg_cfg.top_k * reg_cfg.n_moe_layers
 
@@ -154,7 +158,7 @@ class TestGating:
         batch = DataBatch([np.zeros((3, 4))])
         _, trace = forward(params, batch)
         # zero input, zero bias: all router logits tie at 0
-        np.testing.assert_array_equal(trace.layer_caches[0][0].selected,
+        np.testing.assert_array_equal(trace.layer_caches[0].selected,
                                       np.tile([0, 1], (3, 1)))
 
 
@@ -186,7 +190,7 @@ class TestBackward:
         batch = make_batch(reg_cfg, 8)
         pred, trace = forward(params, batch)
         grads = backward(trace, np.zeros_like(pred))
-        for name, g in grads.items():
+        for name, g in grads.tensors():
             assert np.all(g == 0.0), name
 
     def test_unselected_expert_grads_exactly_zero(self):
@@ -194,14 +198,14 @@ class TestBackward:
         params = init_params(cfg, 4)
         batch = make_batch(cfg, 6, seed=4)
         pred, trace = forward(params, batch)
-        selected = set(trace.layer_caches[0][0].selected.ravel().tolist())
+        selected = set(trace.layer_caches[0].selected.ravel().tolist())
         unselected = set(range(4)) - selected
         assert unselected, "need at least one idle expert for this test"
         _, d_pred = loss_and_pred_grad(cfg, pred, batch.targets)
         grads = backward(trace, d_pred)
         for e in unselected:
-            assert np.all(grads[f"exp_w1[0][{e}]"] == 0.0)
-            assert np.all(grads[f"exp_w2[0][{e}]"] == 0.0)
+            assert np.all(grads.exp_w1[0, e] == 0.0)
+            assert np.all(grads.exp_w2[0, e] == 0.0)
 
     def test_stale_trace_rejected(self, reg_cfg):
         params = init_params(reg_cfg, 0)
@@ -232,6 +236,16 @@ class TestGradCheck:
         batch = make_batch(cfg, 8, seed=1)
         assert grad_check(params, batch, n_probes=80, epsilon=1e-5) < 1e-4
 
+    def test_moe_deep_shape_with_weights(self):
+        # The deep benchmark shape: 3 modalities, 2 layers, 8 experts, top-2.
+        cfg = MoeConfig(input_dims=(16, 16, 16), embed_dim=16, expert_hidden=32,
+                        n_experts=8, top_k=2, n_moe_layers=2, task="regression")
+        params = init_params(cfg, 2)
+        batch = make_batch(cfg, 64, seed=2)
+        weights = np.random.default_rng(2).uniform(0.2, 2.0, size=(64, 3))
+        assert grad_check(params, batch, n_probes=80, epsilon=1e-5,
+                          modality_weights=weights) < 1e-4
+
     def test_weighted_forward_gradients(self, reg_cfg):
         # Weight scaling participates in the chain rule; verify numerically.
         params = init_params(reg_cfg, 0)
@@ -243,7 +257,7 @@ class TestGradCheck:
         grads = backward(trace, d_pred)
         eps = 1e-6
         arr = params.enc_w[1]
-        analytic = grads["enc_w[1]"][0, 0]
+        analytic = grads.enc_w[1][0, 0]
         orig = arr[0, 0]
         arr[0, 0] = orig + eps
         lp = loss_and_pred_grad(reg_cfg, forward(params, batch, weights)[0], batch.targets)[0]
@@ -256,11 +270,11 @@ class TestGradCheck:
 class TestSgdStep:
     def test_zero_lr_and_zero_grads_leave_params(self, reg_cfg):
         params = init_params(reg_cfg, 0)
-        grads = zero_grads(params)
+        grads = ModelParams(reg_cfg)
         same = sgd_step(params, grads, lr=0.5)
         for (_, a), (_, b) in zip(params.tensors(), same.tensors()):
             assert np.array_equal(a, b)
-        frozen = sgd_step(params, {n: np.ones_like(a) for n, a in params.tensors()}, lr=0.0)
+        frozen = sgd_step(params, ModelParams(reg_cfg, np.ones_like(params.flat)), lr=0.0)
         for (_, a), (_, b) in zip(params.tensors(), frozen.tensors()):
             assert np.array_equal(a, b)
 
@@ -268,16 +282,20 @@ class TestSgdStep:
         cfg = MoeConfig(input_dims=(2,))
         params = init_params(cfg, 0)
         params.head_b[0] = 1.0
-        grads = zero_grads(params)
-        grads["head_b"][0] = 2.0
+        grads = ModelParams(cfg)
+        grads.head_b[0] = 2.0
         stepped = sgd_step(params, grads, lr=0.1)
         assert stepped.head_b[0] == pytest.approx(0.8)
 
     def test_non_finite_grads_rejected(self, reg_cfg):
         params = init_params(reg_cfg, 0)
-        grads = zero_grads(params)
-        grads["head_w"][0, 0] = np.nan
-        with pytest.raises(NumericOverflowError):
+        grads = ModelParams(reg_cfg)
+        grads.head_w[0, 0] = np.nan
+        with pytest.raises(NumericOverflowError, match=r"gradient for head_w$"):
+            sgd_step(params, grads, lr=0.1)
+        grads = ModelParams(reg_cfg)
+        grads.exp_w1[0, 2][1, 3] = np.inf
+        with pytest.raises(NumericOverflowError, match=r"gradient for exp_w1\[0\]\[2\]$"):
             sgd_step(params, grads, lr=0.1)
 
 
@@ -324,6 +342,14 @@ class TestCheckpoint:
         assert loaded.config == reg_cfg
         assert np.array_equal(forward(params, batch)[0], forward(loaded, batch)[0])
 
+    def test_format_bytes_pinned(self, reg_cfg, tmp_path):
+        # Format v1 as written before parameters moved into one flat buffer.
+        path = tmp_path / "model.btwm"
+        save_checkpoint(init_params(reg_cfg, 9), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "294f24ddbc298dc7231d18f26fe3f7ab08b7355f6475f1ec4c05ab349f1f26ad"
+        )
+
     def test_magic_and_version_enforced(self, reg_cfg, tmp_path):
         path = tmp_path / "model.btwm"
         save_checkpoint(init_params(reg_cfg, 0), path)
@@ -333,3 +359,144 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(InvalidInputError):
             load_checkpoint(path)
+
+
+def reference_pass(params, batch, weights, modalities, loss_grad):
+    """Predictions and named gradients from a loop over streams and experts.
+
+    This is the model computed one modality stream at a time, each expert
+    found by np.nonzero(selected == e): the reference for stacked dispatch.
+    """
+    cfg = params.config
+    streams, caches = [], []
+    for s, m in enumerate(modalities):
+        t = batch.features[m] @ params.enc_w[m] + params.enc_b[m]
+        if weights is not None:
+            t = t * weights[:, s : s + 1]
+        layers = []
+        for layer in range(cfg.n_moe_layers):
+            logits = t @ params.router_w[layer, m]
+            selected = np.argsort(-logits, axis=1, kind="stable")[:, : cfg.top_k]
+            gate = _softmax_rows(np.take_along_axis(logits, selected, axis=1))
+            out = np.zeros_like(t)
+            experts = {}
+            for e in range(cfg.n_experts):
+                rows, slots = np.nonzero(selected == e)
+                if rows.size == 0:
+                    continue
+                z1 = t[rows] @ params.exp_w1[layer, e] + params.exp_b1[layer, e]
+                h = 0.5 * z1 * (1.0 + erf(z1 / np.sqrt(2.0)))
+                z2 = h @ params.exp_w2[layer, e] + params.exp_b2[layer, e]
+                out[rows] += gate[rows, slots][:, None] * z2
+                experts[e] = (rows, slots, z1, h, z2)
+            layers.append((t, logits, selected, gate, experts))
+            t = t + out
+        streams.append(t)
+        caches.append(layers)
+    pooled = sum(streams) / len(streams)
+    scores = pooled @ params.head_w + params.head_b
+    if cfg.task == "regression":
+        predictions, d_scores = scores[:, 0], loss_grad[:, None]
+    else:
+        predictions = _softmax_rows(scores)
+        d_scores = predictions * (
+            loss_grad - np.sum(loss_grad * predictions, axis=1, keepdims=True))
+
+    grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
+    grads["head_w"] += pooled.T @ d_scores
+    grads["head_b"] += d_scores.sum(axis=0)
+    d_pooled = d_scores @ params.head_w.T
+    for s, m in enumerate(modalities):
+        d_t = d_pooled / len(modalities)
+        for layer in reversed(range(cfg.n_moe_layers)):
+            t_in, logits, selected, gate, experts = caches[s][layer]
+            d_t_in = d_t.copy()
+            d_gate = np.zeros_like(gate)
+            for e, (rows, slots, z1, h, z2) in experts.items():
+                d_rows = d_t[rows]
+                d_gate[rows, slots] += np.sum(d_rows * z2, axis=1)
+                d_z2 = gate[rows, slots][:, None] * d_rows
+                grads[f"exp_w2[{layer}][{e}]"] += h.T @ d_z2
+                grads[f"exp_b2[{layer}][{e}]"] += d_z2.sum(axis=0)
+                gelu_grad = (0.5 * (1.0 + erf(z1 / np.sqrt(2.0)))
+                             + z1 * np.exp(-0.5 * z1 * z1) / np.sqrt(2.0 * np.pi))
+                d_z1 = (d_z2 @ params.exp_w2[layer, e].T) * gelu_grad
+                grads[f"exp_w1[{layer}][{e}]"] += t_in[rows].T @ d_z1
+                grads[f"exp_b1[{layer}][{e}]"] += d_z1.sum(axis=0)
+                d_t_in[rows] += d_z1 @ params.exp_w1[layer, e].T
+            d_sel = gate * (d_gate - np.sum(d_gate * gate, axis=1, keepdims=True))
+            d_logits = np.zeros_like(logits)
+            np.put_along_axis(d_logits, selected, d_sel, axis=1)
+            grads[f"router_w[{layer}][{m}]"] += t_in.T @ d_logits
+            d_t_in += d_logits @ params.router_w[layer, m].T
+            d_t = d_t_in
+        if weights is not None:
+            d_t = d_t * weights[:, s : s + 1]
+        grads[f"enc_w[{m}]"] += batch.features[m].T @ d_t
+        grads[f"enc_b[{m}]"] += d_t.sum(axis=0)
+    return predictions, grads
+
+
+def assert_close_to_reference(got, ref, what):
+    # Relative to the largest entry of the reference, so an exact zero (an
+    # idle expert's gradient) must stay exactly zero.
+    scale = np.max(np.abs(ref), initial=0.0)
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale, what
+
+
+@st.composite
+def dispatch_cases(draw):
+    n_mod = draw(st.integers(1, 4))
+    n_experts = draw(st.integers(1, 6))
+    return dict(
+        input_dims=tuple(draw(st.lists(st.integers(1, 5), min_size=n_mod, max_size=n_mod))),
+        embed_dim=draw(st.integers(1, 5)),
+        expert_hidden=draw(st.integers(1, 5)),
+        n_experts=n_experts,
+        top_k=draw(st.integers(1, n_experts)),
+        n_moe_layers=draw(st.sampled_from([1, 2])),
+        classification=draw(st.booleans()),
+        batch=draw(st.integers(1, 6)),
+        weighted=draw(st.booleans()),
+        single_stream=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestStackedDispatch:
+    @given(dispatch_cases())
+    @example(dict(input_dims=(3,), embed_dim=2, expert_hidden=2, n_experts=4, top_k=1,
+                  n_moe_layers=2, classification=False, batch=1, weighted=True,
+                  single_stream=False, seed=0))  # one row: three experts idle per layer
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_stream_per_expert_loop(self, case):
+        cfg = MoeConfig(
+            input_dims=case["input_dims"], embed_dim=case["embed_dim"],
+            expert_hidden=case["expert_hidden"], n_experts=case["n_experts"],
+            top_k=case["top_k"], n_moe_layers=case["n_moe_layers"],
+            task="classification" if case["classification"] else "regression",
+            n_classes=3 if case["classification"] else 0,
+        )
+        rng = np.random.default_rng(case["seed"])
+        # Random values everywhere, biases included.
+        params = ModelParams(cfg, rng.standard_normal(cfg.layout[0]) * 0.7)
+        b = case["batch"]
+        batch = DataBatch([rng.standard_normal((b, d)) for d in cfg.input_dims])
+        modalities = list(range(cfg.n_modalities))
+        if case["single_stream"]:
+            modalities = [int(rng.integers(cfg.n_modalities))]
+        weights = None
+        if case["weighted"]:
+            weights = rng.uniform(0.1, 2.0, size=(b, len(modalities)))
+        loss_grad = rng.standard_normal((b, 3) if case["classification"] else b)
+
+        predictions, trace = _forward(params, batch, weights=weights, modalities=modalities)
+        grads = backward(trace, loss_grad)
+        ref_predictions, ref_grads = reference_pass(params, batch, weights, modalities, loss_grad)
+
+        assert_close_to_reference(predictions, ref_predictions, "predictions")
+        for name, got in grads.tensors():
+            assert_close_to_reference(got, ref_grads[name], name)
+        untraced, no_trace = _forward(params, batch, weights=weights, modalities=modalities,
+                                      keep_trace=False)
+        assert no_trace is None and np.array_equal(untraced, predictions)
