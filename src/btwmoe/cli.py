@@ -36,7 +36,9 @@ EXIT_TRAINING = 4
 EXIT_PARTIAL_COMPARE = 5
 
 
-def _ensure_out_dir(out_dir: str, force: bool) -> int:
+def _check_out_dir(out_dir: str, force: bool) -> int:
+    """Refuse a non-empty output directory without --force. The writers create
+    the directory, so a run that fails first leaves nothing behind."""
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()) and not force:
         print(
@@ -44,7 +46,6 @@ def _ensure_out_dir(out_dir: str, force: bool) -> int:
             file=sys.stderr,
         )
         return EXIT_OUTPUT_SAFETY
-    out.mkdir(parents=True, exist_ok=True)
     return EXIT_OK
 
 
@@ -74,7 +75,7 @@ def cmd_gen_data(args) -> int:
     except (ConfigParseError, BtwError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    status = _ensure_out_dir(args.out, args.force)
+    status = _check_out_dir(args.out, args.force)
     if status != EXIT_OK:
         return status
     dataset = generate(spec)
@@ -93,7 +94,7 @@ def cmd_train(args) -> int:
     except (ConfigParseError, BtwError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    status = _ensure_out_dir(args.out, args.force)
+    status = _check_out_dir(args.out, args.force)
     if status != EXIT_OK:
         return status
     try:
@@ -139,7 +140,7 @@ def cmd_compare(args) -> int:
     except (ConfigParseError, BtwError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    status = _ensure_out_dir(args.out, args.force)
+    status = _check_out_dir(args.out, args.force)
     if status != EXIT_OK:
         return status
 

@@ -128,28 +128,12 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
             **moe_kwargs,
         )
 
-    kwargs = {}
-    mapping = {
-        "variant": "variant",
-        "seed": "seed",
-        "lr": "lr",
-        "lr_decay": "lr_decay",
-        "batch_size": "batch_size",
-        "epochs.unimodal": "epochs_unimodal",
-        "epochs.warm": "epochs_warm",
-        "epochs.weighted": "epochs_weighted",
-        "alpha.init": "alpha_init",
-        "alpha.step": "alpha_step",
-        "alpha.min": "alpha_min",
-        "alpha.max": "alpha_max",
-        "split.fractions": "split_fractions",
-        "hooks.force_uniform_mi": "force_uniform_mi",
-        "hooks.force_unit_weights": "force_unit_weights",
-        "data.path": "data_path",
+    # Field name from key: drop the "hooks." prefix, then dots become underscores.
+    kwargs = {
+        key.removeprefix("hooks.").replace(".", "_"): value
+        for key, value in values.items()
+        if key in _EXPERIMENT_KEYS and not key.startswith("moe.")
     }
-    for key, attr in mapping.items():
-        if key in values:
-            kwargs[attr] = values[key]
     return ExperimentConfig(data=data_spec, moe=moe, **kwargs)
 
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import VARIANCE_FLOOR
+from .distributions import VARIANCE_FLOOR, residual_variance_array
 from .errors import IncompleteInputError, InvalidInputError, ShapeError
 from .moe import CLASSIFICATION, REGRESSION
 
@@ -77,23 +77,34 @@ class PredictionSet:
         """Hard multimodal labels (N,), classification only."""
         return np.argmax(self.multi_probs, axis=1)
 
-    def freeze_unimodal(self) -> None:
-        """Make the unimodal side read-only; it is a fixed reference point."""
-        for arr in (self.uni_mean, self.uni_var, self.uni_probs):
-            if arr is not None:
-                arr.flags.writeable = False
+    @classmethod
+    def from_predictions(cls, task: str, targets: np.ndarray, uni_list, multi) -> "PredictionSet":
+        """Build a set from raw model outputs: (N,) means or (N, C) probabilities.
 
-    def with_multimodal(self, **updates) -> "PredictionSet":
-        """Copy of this set with the multimodal side replaced."""
-        fields = dict(
-            task=self.task,
-            targets=self.targets,
-            uni_mean=self.uni_mean,
-            uni_var=self.uni_var,
-            uni_probs=self.uni_probs,
-            multi_mean=self.multi_mean,
-            multi_var=self.multi_var,
-            multi_probs=self.multi_probs,
+        Regression adds each series' residual variance against the targets.
+        The unimodal side is made read-only; it is a fixed reference point.
+        """
+        if len(uni_list) == 0:
+            raise IncompleteInputError("no unimodal predictions")
+        uni = np.stack(uni_list)
+        uni.flags.writeable = False
+        if task != REGRESSION:
+            return cls(task=task, targets=targets, uni_probs=uni, multi_probs=multi)
+        uni_var = residual_variance_array(targets, uni)
+        uni_var.flags.writeable = False
+        return cls(
+            task=task,
+            targets=targets,
+            uni_mean=uni,
+            uni_var=uni_var,
+            multi_mean=multi,
+            multi_var=residual_variance_array(targets, multi),
         )
-        fields.update(updates)
-        return PredictionSet(**fields)
+
+    def with_multimodal(self, multi: np.ndarray) -> "PredictionSet":
+        """Copy of this set with the multimodal side replaced by raw outputs."""
+        if self.task == REGRESSION:
+            return replace(
+                self, multi_mean=multi, multi_var=residual_variance_array(self.targets, multi)
+            )
+        return replace(self, multi_probs=multi)

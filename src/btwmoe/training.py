@@ -22,8 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distributions import residual_variance_array
-from .errors import IncompleteInputError, InvalidInputError, TrainingFailureError
+from .errors import InvalidInputError, TrainingFailureError
 from .metrics import classification_bundle, regression_bundle
 from .mi import discrete_mi, ksg_mi
 from .moe import (
@@ -129,7 +128,6 @@ class ExperimentResult:
     unimodal_params: list[ModelParams]
     final_params: ModelParams
     train_preds: PredictionSet | None = None
-    val_preds: PredictionSet | None = None
     weight_epochs: list[int] = field(default_factory=list)
     weight_matrices: list[np.ndarray] = field(default_factory=list)
     alphas: list[float] = field(default_factory=list)
@@ -153,17 +151,28 @@ def _epoch_lr(config: ExperimentConfig, epoch_index: int) -> float:
     return config.lr * config.lr_decay**past_warm
 
 
-def _predict(params: ModelParams, batch: DataBatch, weights=None, modality=None) -> np.ndarray:
-    """Prediction-only forward pass: no trace, so no expert caches are kept."""
+def _collect_predictions(
+    params: ModelParams, batch: DataBatch, weights=None, modality=None
+) -> np.ndarray:
+    """Raw model outputs from a prediction-only pass, which keeps no expert caches.
+
+    weights is (N, M), or a 1-D per-modality row applied to every instance.
+    """
+    if weights is not None and np.ndim(weights) == 1:
+        weights = np.tile(np.asarray(weights, dtype=np.float64), (batch.n_instances, 1))
     modalities = None if modality is None else [modality]
     preds, _ = _forward(params, batch, weights=weights, modalities=modalities, keep_trace=False)
     return preds
 
 
-def _metric_bundle(task: str, predictions: np.ndarray, targets: np.ndarray) -> dict[str, float]:
-    if task == REGRESSION:
-        return regression_bundle(predictions, targets)
-    return classification_bundle(np.argmax(predictions, axis=1), targets.astype(np.int64))
+def _score(params: ModelParams, batch: DataBatch, weights=None) -> tuple[float, dict[str, float]]:
+    """(loss, metric bundle) of the model on a batch."""
+    preds = _collect_predictions(params, batch, weights)
+    cfg = params.config
+    loss, _ = loss_and_pred_grad(cfg, preds, batch.targets)
+    if cfg.task == REGRESSION:
+        return loss, regression_bundle(preds, batch.targets)
+    return loss, classification_bundle(np.argmax(preds, axis=1), batch.targets.astype(np.int64))
 
 
 def _train_one_epoch(
@@ -204,14 +213,6 @@ def _train_one_epoch(
     return params, mean_loss
 
 
-def _collect_predictions(params, batch: DataBatch, task: str, weights=None, modality=None):
-    """(mean, residual variance) for regression, a probability matrix otherwise."""
-    preds = _predict(params, batch, weights=weights, modality=modality)
-    if task == REGRESSION:
-        return preds, residual_variance_array(batch.targets, preds)
-    return preds
-
-
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
     """Generate (or load) and split the experiment dataset."""
     if config.data_path is not None:
@@ -235,8 +236,8 @@ def default_moe_config(dataset: Dataset) -> MoeConfig:
 
 def train_unimodal_all(
     config: ExperimentConfig, dataset: Dataset
-) -> tuple[list[ModelParams], dict]:
-    """Train one model per modality; return models plus prediction fragments.
+) -> tuple[list[ModelParams], list[np.ndarray]]:
+    """Train one model per modality; return the models and their train-split outputs.
 
     Modality m uses the random stream seeded with config.seed + m for both
     initialization and batch order, so runs can be parallelized without
@@ -244,11 +245,9 @@ def train_unimodal_all(
     """
     moe_cfg = config.moe or default_moe_config(dataset)
     train_batch = dataset.batch("train")
-    val_batch = dataset.batch("val")
-    task = moe_cfg.task
 
     models: list[ModelParams] = []
-    uni_train, uni_val = [], []
+    uni_train = []
     for m in range(moe_cfg.n_modalities):
         rng = np.random.default_rng(config.seed + m)
         params = init_params(moe_cfg, rng)
@@ -258,10 +257,8 @@ def train_unimodal_all(
                 phase=f"unimodal[{m}]", epoch=epoch, modality=m,
             )
         models.append(params)
-        uni_train.append(_collect_predictions(params, train_batch, task, modality=m))
-        uni_val.append(_collect_predictions(params, val_batch, task, modality=m))
-
-    return models, {"train": uni_train, "val": uni_val}
+        uni_train.append(_collect_predictions(params, train_batch, modality=m))
+    return models, uni_train
 
 
 def train_multimodal_warm(
@@ -283,7 +280,7 @@ def train_multimodal_warm(
             params, train_batch, _epoch_lr(config, epoch_index), config.batch_size, rng,
             phase="warm", epoch=epoch_index,
         )
-        val_loss, val_metrics = _evaluate_val(config, params, dataset, eval_row=None)
+        val_loss, val_metrics = _score(params, dataset.batch("val"))
         record = EpochRecord(
             epoch=epoch_index,
             phase="warm",
@@ -297,45 +294,6 @@ def train_multimodal_warm(
         record.validate()
         records.append(record)
     return params
-
-
-def _evaluate_val(config, params, dataset, eval_row):
-    val_batch = dataset.batch("val")
-    weights = None
-    if eval_row is not None:
-        weights = np.tile(eval_row, (val_batch.n_instances, 1))
-    preds = _predict(params, val_batch, weights=weights)
-    loss, _ = loss_and_pred_grad(config.moe, preds, val_batch.targets)
-    return loss, _metric_bundle(config.moe.task, preds, val_batch.targets)
-
-
-def _assemble_prediction_set(task, targets, uni_fragments, multi_fragment) -> PredictionSet:
-    if len(uni_fragments) == 0:
-        raise IncompleteInputError("no unimodal prediction fragments")
-    if task == REGRESSION:
-        ps = PredictionSet(
-            task=task,
-            targets=targets,
-            uni_mean=np.stack([f[0] for f in uni_fragments]),
-            uni_var=np.stack([f[1] for f in uni_fragments]),
-            multi_mean=multi_fragment[0],
-            multi_var=multi_fragment[1],
-        )
-    else:
-        ps = PredictionSet(
-            task=task,
-            targets=targets,
-            uni_probs=np.stack(uni_fragments),
-            multi_probs=multi_fragment,
-        )
-    ps.freeze_unimodal()
-    return ps
-
-
-def _refresh_multimodal(preds: PredictionSet, fragment) -> PredictionSet:
-    if preds.task == REGRESSION:
-        return preds.with_multimodal(multi_mean=fragment[0], multi_var=fragment[1])
-    return preds.with_multimodal(multi_probs=fragment)
 
 
 def modality_mi(preds: PredictionSet, jitter_seed: int) -> np.ndarray:
@@ -368,18 +326,16 @@ def run_weighted_phase(
     dataset: Dataset,
     params: ModelParams,
     train_preds: PredictionSet,
-    val_preds: PredictionSet,
     state: SmoothingState,
     rng: np.random.Generator,
     records: list[EpochRecord],
     result: ExperimentResult,
-) -> tuple[ModelParams, PredictionSet, PredictionSet]:
+) -> tuple[ModelParams, PredictionSet]:
     """The dynamically weighted epochs; mutates records and the result trackers."""
     if config.variant == "unweighted":
         raise InvalidInputError("the unweighted variant has no weighted phase")
     moe_cfg = config.moe
-    task = moe_cfg.task
-    metric_key, direction = improvement_direction(task)
+    metric_key, direction = improvement_direction(moe_cfg.task)
     train_batch = dataset.batch("train")
     n_train = train_batch.n_instances
     n_mod = moe_cfg.n_modalities
@@ -388,7 +344,7 @@ def run_weighted_phase(
     if records:
         current_metric = records[-1].val_metrics[metric_key]
     else:
-        current_metric = _evaluate_val(config, params, dataset, eval_row=None)[1][metric_key]
+        current_metric = _score(params, dataset.batch("val"))[1][metric_key]
 
     for weighted_epoch in range(1, config.epochs_weighted + 1):
         epoch_index = len(records) + 1
@@ -424,10 +380,10 @@ def run_weighted_phase(
             phase="weighted", epoch=epoch_index, weights=applied,
         )
 
-        train_preds = _refresh_multimodal(
-            train_preds, _collect_predictions(params, train_batch, task, weights=applied)
+        train_preds = train_preds.with_multimodal(
+            _collect_predictions(params, train_batch, weights=applied)
         )
-        val_loss, val_metrics = _evaluate_val(config, params, dataset, eval_row=applied_row)
+        val_loss, val_metrics = _score(params, dataset.batch("val"), applied_row)
         current_metric = val_metrics[metric_key]
 
         result.weight_epochs.append(epoch_index)
@@ -447,19 +403,7 @@ def run_weighted_phase(
         records.append(record)
         result.final_eval_weights = applied_row
 
-    if result.final_eval_weights is None:  # degenerate schedule: no weighted epochs
-        return params, train_preds, val_preds
-    val_batch = dataset.batch("val")
-    val_preds = _refresh_multimodal(
-        val_preds,
-        _collect_predictions(
-            params,
-            val_batch,
-            task,
-            weights=np.tile(result.final_eval_weights, (val_batch.n_instances, 1)),
-        ),
-    )
-    return params, train_preds, val_preds
+    return params, train_preds
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -467,13 +411,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     dataset = resolve_dataset(config)
     moe_cfg = config.moe or default_moe_config(dataset)
     config = replace(config, moe=moe_cfg)
-    task = moe_cfg.task
 
     needs_weights = config.variant != "unweighted"
     if needs_weights:
-        unimodal_params, fragments = train_unimodal_all(config, dataset)
+        unimodal_params, uni_train = train_unimodal_all(config, dataset)
     else:
-        unimodal_params, fragments = [], None
+        unimodal_params, uni_train = [], None
 
     records: list[EpochRecord] = []
     rng = np.random.default_rng(config.seed)
@@ -496,14 +439,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return result
 
     train_batch = dataset.batch("train")
-    val_batch = dataset.batch("val")
-    train_preds = _assemble_prediction_set(
-        task, train_batch.targets, fragments["train"],
-        _collect_predictions(params, train_batch, task),
-    )
-    val_preds = _assemble_prediction_set(
-        task, val_batch.targets, fragments["val"],
-        _collect_predictions(params, val_batch, task),
+    train_preds = PredictionSet.from_predictions(
+        moe_cfg.task, train_batch.targets, uni_train, _collect_predictions(params, train_batch)
     )
 
     # The warm phase trains under implicitly uniform weights, so the EMA
@@ -518,13 +455,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         prev_weights=uniform,
         prev_metric=None,
     )
-    params, train_preds, val_preds = run_weighted_phase(
-        config, dataset, params, train_preds, val_preds, state, rng, records, result
+    params, train_preds = run_weighted_phase(
+        config, dataset, params, train_preds, state, rng, records, result
     )
 
     result.final_params = params
     result.train_preds = train_preds
-    result.val_preds = val_preds
     result.final_mean_weights = records[-1].mean_weights if result.weight_epochs else None
     eval_row = result.final_eval_weights
     result.val_bundle = evaluate(params, dataset, "val", eval_row)
@@ -543,10 +479,4 @@ def evaluate(
     Instance-level weights need ground truth, so evaluation reuses the final
     per-modality mean weights uniformly; None means unweighted.
     """
-    batch = dataset.batch(split_name)
-    weights = None
-    if eval_weights is not None:
-        eval_weights = np.asarray(eval_weights, dtype=np.float64)
-        weights = np.tile(eval_weights, (batch.n_instances, 1))
-    preds = _predict(params, batch, weights=weights)
-    return _metric_bundle(params.config.task, preds, batch.targets)
+    return _score(params, dataset.batch(split_name), eval_weights)[1]

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file outputs, manifests, determinism."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from btwmoe.cli import (
     main,
 )
 from btwmoe.config import (
+    _EXPERIMENT_KEYS,
     build_experiment_config,
     load_experiment_config,
     parse_config_text,
@@ -92,6 +94,37 @@ class TestConfigParsing:
         cfg = build_experiment_config({"variant": "unweighted", "data.path": str(tmp_path)})
         assert cfg.data_path == str(tmp_path)
 
+    def test_every_experiment_key_reaches_its_field(self):
+        # key: (ExperimentConfig field, config text, parsed value), none of them a default
+        cases = {
+            "variant": ("variant", "btw_local", "btw_local"),
+            "seed": ("seed", "7", 7),
+            "lr": ("lr", "0.5", 0.5),
+            "lr_decay": ("lr_decay", "0.9", 0.9),
+            "batch_size": ("batch_size", "17", 17),
+            "epochs.unimodal": ("epochs_unimodal", "4", 4),
+            "epochs.warm": ("epochs_warm", "5", 5),
+            "epochs.weighted": ("epochs_weighted", "6", 6),
+            "alpha.init": ("alpha_init", "0.3", 0.3),
+            "alpha.step": ("alpha_step", "0.2", 0.2),
+            "alpha.min": ("alpha_min", "0.05", 0.05),
+            "alpha.max": ("alpha_max", "0.95", 0.95),
+            "split.fractions": ("split_fractions", "0.6,0.2,0.2", (0.6, 0.2, 0.2)),
+            "hooks.force_uniform_mi": ("force_uniform_mi", "true", True),
+            "hooks.force_unit_weights": ("force_unit_weights", "true", True),
+        }
+        assert set(cases) == {
+            k for k in _EXPERIMENT_KEYS if not k.startswith(("moe.", "data."))
+        }
+        data_lines = [line for line in SMALL_EXPERIMENT.splitlines()
+                      if line.startswith("data.")]
+        text = "\n".join([f"{key}={raw}" for key, (_, raw, _) in cases.items()] + data_lines)
+        cfg = build_experiment_config(parse_config_text(text))
+        defaults = {f.name: f.default for f in dataclasses.fields(cfg)}
+        for key, (name, _, value) in cases.items():
+            assert value != defaults[name], key
+            assert getattr(cfg, name) == value, key
+
 
 class TestGenData:
     def test_writes_dataset_and_manifest(self, dataset_cfg, tmp_path):
@@ -159,6 +192,7 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_unweighted_records_cover_folded_schedule(self, tmp_path):
         cfg = tmp_path / "unweighted.cfg"

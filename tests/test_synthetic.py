@@ -159,6 +159,7 @@ class TestModelFacingProperties:
     def test_monotone_informativeness(self):
         # A unimodal model on a 0.9-informative modality must beat one on a
         # 0.1-informative modality, for every one of 5 seeds.
+        from btwmoe.moe import unimodal_forward
         from btwmoe.training import ExperimentConfig, resolve_dataset, train_unimodal_all
         from btwmoe.training import default_moe_config
         from dataclasses import replace
@@ -179,10 +180,10 @@ class TestModelFacingProperties:
             )
             dataset = resolve_dataset(cfg)
             cfg = replace(cfg, moe=default_moe_config(dataset))
-            _models, fragments = train_unimodal_all(cfg, dataset)
-            targets = dataset.batch("val").targets
-            mae_strong = mae(fragments["val"][0][0], targets)
-            mae_weak = mae(fragments["val"][1][0], targets)
+            models, _uni_train = train_unimodal_all(cfg, dataset)
+            val = dataset.batch("val")
+            mae_strong = mae(unimodal_forward(models[0], val, 0), val.targets)
+            mae_weak = mae(unimodal_forward(models[1], val, 1), val.targets)
             wins += int(mae_strong < mae_weak)
         assert wins == 5
 
@@ -216,12 +217,12 @@ class TestModelFacingProperties:
             )
             dataset = resolve_dataset(cfg)
             cfg = replace(cfg, moe=default_moe_config(dataset))
-            _models, fragments = train_unimodal_all(cfg, dataset)
+            _models, uni_train = train_unimodal_all(cfg, dataset)
             rng = np.random.default_rng(cfg.seed)
             params = train_multimodal_warm(cfg, dataset, rng, 3, records=[])
-            multi = _collect_predictions(params, dataset.batch("train"), "regression")
+            multi = _collect_predictions(params, dataset.batch("train"))
             mi = [
-                ksg_mi(fragments["train"][m][0], multi[0], k=3, jitter_seed=seed)
+                ksg_mi(uni_train[m], multi, k=3, jitter_seed=seed)
                 for m in range(2)
             ]
             hits += int(mi[1] < mi[0])

@@ -7,7 +7,7 @@ import pytest
 
 from btwmoe.errors import InvalidInputError, TrainingFailureError
 from btwmoe.metrics import mae
-from btwmoe.moe import MoeConfig
+from btwmoe.moe import MoeConfig, unimodal_forward
 from btwmoe.synthetic import SyntheticSpec
 from btwmoe.training import (
     ExperimentConfig,
@@ -90,7 +90,7 @@ class TestSchedules:
         with pytest.raises(InvalidInputError):
             run_weighted_phase(
                 small_config(variant="unweighted"),
-                None, None, None, None, None, None, [], None,
+                None, None, None, None, None, [], None,
             )
 
 
@@ -106,14 +106,14 @@ class TestSingleModalityDegeneracy:
         )
         dataset = resolve_dataset(cfg)
         cfg = replace(cfg, moe=default_moe_config(dataset))
-        models, fragments = train_unimodal_all(cfg, dataset)
+        models, uni_train = train_unimodal_all(cfg, dataset)
 
         from btwmoe.training import train_multimodal_warm, _collect_predictions
 
         rng = np.random.default_rng(cfg.seed)
         multi_params = train_multimodal_warm(cfg, dataset, rng, 3, records=[])
-        multi = _collect_predictions(multi_params, dataset.batch("train"), "regression")
-        assert np.array_equal(fragments["train"][0][0], multi[0])
+        multi = _collect_predictions(multi_params, dataset.batch("train"))
+        assert np.array_equal(uni_train[0], multi)
 
 
 class TestDeterminism:
@@ -225,9 +225,10 @@ class TestUnimodalOrdering:
         )
         dataset = resolve_dataset(cfg)
         cfg = replace(cfg, moe=default_moe_config(dataset))
-        _models, fragments = train_unimodal_all(cfg, dataset)
-        targets = dataset.batch("val").targets
-        assert mae(fragments["val"][0][0], targets) < mae(fragments["val"][1][0], targets)
+        models, _uni_train = train_unimodal_all(cfg, dataset)
+        val = dataset.batch("val")
+        val_mae = [mae(unimodal_forward(models[m], val, m), val.targets) for m in range(2)]
+        assert val_mae[0] < val_mae[1]
 
 
 class TestFailureHandling:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from btwmoe.errors import InvalidInputError, ShapeError
+from btwmoe.distributions import residual_variance_array
+from btwmoe.errors import IncompleteInputError, InvalidInputError, ShapeError
 from btwmoe.predictions import PredictionSet
 from btwmoe.weighting import (
     SmoothingState,
@@ -64,6 +65,54 @@ class TestInstanceKlWeights:
         )
         raw = instance_kl_weights(preds)
         np.testing.assert_allclose(raw, [[np.log(2), 0.0]], atol=1e-9)
+
+
+class TestPredictionSetFromPredictions:
+    def test_regression_adds_residual_variances_and_freezes_unimodal(self):
+        targets = np.array([0.0, 1.0, 2.0, -3.0])
+        uni_list = [np.array([0.5, 1.0, 1.5, -1.0]), np.array([2.0, -1.0, 2.0, 0.0])]
+        multi = np.array([0.1, 0.9, 2.5, -2.0])
+        preds = PredictionSet.from_predictions("regression", targets, uni_list, multi)
+        assert np.array_equal(preds.uni_mean, np.stack(uni_list))
+        for m, uni in enumerate(uni_list):
+            assert np.array_equal(preds.uni_var[m], residual_variance_array(targets, uni))
+        assert np.array_equal(preds.multi_mean, multi)
+        assert np.array_equal(preds.multi_var, residual_variance_array(targets, multi))
+        for arr in (preds.uni_mean, preds.uni_var):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_regression_with_multimodal_keeps_unimodal_and_recomputes_variance(self):
+        targets = np.array([0.0, 1.0, 2.0])
+        preds = PredictionSet.from_predictions(
+            "regression", targets, [np.array([0.0, 0.5, 1.0])], np.zeros(3)
+        )
+        multi = np.array([1.0, 1.0, 4.0])
+        updated = preds.with_multimodal(multi)
+        assert updated.uni_mean is preds.uni_mean
+        assert updated.uni_var is preds.uni_var
+        assert np.array_equal(updated.multi_mean, multi)
+        assert np.array_equal(updated.multi_var, residual_variance_array(targets, multi))
+        assert np.array_equal(preds.multi_mean, np.zeros(3))
+
+    def test_classification_probabilities_pass_through(self):
+        targets = np.array([0, 1], dtype=np.int64)
+        uni_list = [np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([[0.5, 0.5], [1.0, 0.0]])]
+        multi = np.array([[0.6, 0.4], [0.1, 0.9]])
+        preds = PredictionSet.from_predictions("classification", targets, uni_list, multi)
+        assert np.array_equal(preds.uni_probs, np.stack(uni_list))
+        assert not preds.uni_probs.flags.writeable
+        assert preds.multi_probs is multi
+        assert preds.uni_mean is None and preds.uni_var is None and preds.multi_var is None
+        new_multi = np.array([[0.3, 0.7], [0.9, 0.1]])
+        updated = preds.with_multimodal(new_multi)
+        assert updated.uni_probs is preds.uni_probs
+        assert updated.multi_probs is new_multi
+
+    def test_no_unimodal_predictions_rejected(self):
+        with pytest.raises(IncompleteInputError):
+            PredictionSet.from_predictions("regression", np.zeros(2), [], np.zeros(2))
 
 
 class TestCombinators:
