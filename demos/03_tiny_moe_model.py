@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from btwmoe import DataBatch, MoeConfig, forward, grad_check, init_params
-from btwmoe import load_checkpoint, save_checkpoint, sgd_step, unimodal_forward
-from btwmoe.moe import backward, loss_and_pred_grad
+from btwmoe import load_checkpoint, save_checkpoint, sgd_step
+from btwmoe.moe import backward, loss_and_pred_grad, modality_slice
 
 config = MoeConfig(
     input_dims=(16, 12, 8),
@@ -47,12 +47,15 @@ print("=== Gradient check (central differences) ===")
 err = grad_check(params, batch, n_probes=50, epsilon=1e-5)
 print(f"max relative error over 50 probes: {err:.2e}\n")
 
-print("=== Unimodal streams ignore other modalities ===")
-uni = unimodal_forward(params, batch, modality=0)
-perturbed = DataBatch([batch.features[0], batch.features[1] + 100.0, batch.features[2]],
-                      batch.targets)
-print("perturbing modality 1 changes modality-0 predictions:",
-      not np.array_equal(uni, unimodal_forward(params, perturbed, 0)))
+print("=== Unimodal models are single-modality slices ===")
+# A unimodal model keeps one modality's encoder and routers plus the shared
+# experts and head, so it sees only that modality's features.
+uni = modality_slice(params, 0)
+_, uni_trace = forward(uni, DataBatch([batch.features[0]]))
+print(f"modality-0 model: input_dims {uni.config.input_dims}, "
+      f"{uni.flat.size} of {params.flat.size} parameters")
+print("routes like modality 0 of the multimodal model:",
+      np.array_equal(uni_trace.layer_caches[0].selected, selected[0]))
 print()
 
 print("=== 150 SGD steps on a linearly solvable batch ===")

@@ -29,7 +29,6 @@ from .moe import (
     load_checkpoint,
     save_checkpoint,
     sgd_step,
-    unimodal_forward,
 )
 from .predictions import PredictionSet
 from .synthetic import Dataset, SyntheticSpec, generate, load_dataset, save_dataset, split
@@ -94,5 +93,4 @@ __all__ = [
     "smooth_update",
     "split",
     "train_unimodal_all",
-    "unimodal_forward",
 ]

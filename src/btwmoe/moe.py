@@ -9,11 +9,12 @@ embeddings are mean-pooled before the task head.
 Parameters live in one contiguous float64 buffer (`ModelParams.flat`) with
 named views, the experts stacked as (L, E, D, H); gradients use the same
 layout, so an SGD step is one vector update. The forward pass stacks the
-active modality streams into one (S*B, D) batch per layer. Routers run per
+M modality streams into one (M*B, D) batch per layer. Routers run per
 modality block; then one stable argsort of the selected expert indices
 groups the (row, slot) pairs by expert (sort-based dispatch, as in GShard
 and Switch Transformer), so each layer runs E expert matmul pairs over the
-shared pool instead of S*E.
+shared pool instead of M*E. A unimodal model is a single-modality config,
+cut from a multimodal one by modality_slice.
 
 Backpropagation is written out analytically (reverse mode), with the top-k
 selection treated as a constant and the gate softmax differentiated exactly.
@@ -26,7 +27,7 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -176,6 +177,19 @@ class ModelParams:
         yield "head_b", self.head_b
 
 
+def modality_slice(params: ModelParams, m: int) -> ModelParams:
+    """Modality m's encoder and routers with the shared experts and head, as a
+    model whose config keeps only input_dims[m]."""
+    cfg = params.config
+    sliced = ModelParams(replace(cfg, input_dims=(cfg.input_dims[m],)))
+    sliced.enc_w[0][...] = params.enc_w[m]
+    sliced.enc_b[...] = params.enc_b[m]
+    sliced.router_w[...] = params.router_w[:, m : m + 1]
+    for name in ("exp_w1", "exp_b1", "exp_w2", "exp_b2", "head_w", "head_b"):
+        getattr(sliced, name)[...] = getattr(params, name)
+    return sliced
+
+
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape)
@@ -219,12 +233,12 @@ def _check_finite(arr: np.ndarray, layer: str) -> None:
 
 @dataclass
 class _LayerCache:
-    """One MoE layer over the stacked (S*B, D) batch; stream s owns rows s*B:(s+1)*B."""
+    """One MoE layer over the stacked (M*B, D) batch; modality m owns rows m*B:(m+1)*B."""
 
     t_in: np.ndarray
     logits: np.ndarray
-    selected: np.ndarray  # (S*B, K) expert indices
-    gate: np.ndarray  # (S*B, K)
+    selected: np.ndarray  # (M*B, K) expert indices
+    gate: np.ndarray  # (M*B, K)
     # e -> (rows, slots, z1, 1 + erf(z1 / sqrt 2), z2), experts ascending
     expert_rows: dict = field(default_factory=dict)
 
@@ -233,7 +247,6 @@ class _LayerCache:
 class ForwardTrace:
     params: ModelParams
     params_version: int
-    modalities: list[int]
     features: list[np.ndarray]
     weights: np.ndarray | None
     layer_caches: list[_LayerCache]  # [layer], streams stacked in modality order
@@ -253,43 +266,36 @@ def _forward(
     params: ModelParams,
     batch: DataBatch,
     weights: np.ndarray | None = None,
-    modalities: list[int] | None = None,
     keep_trace: bool = True,
 ) -> tuple[np.ndarray, ForwardTrace | None]:
     cfg = params.config
-    active = list(range(cfg.n_modalities)) if modalities is None else list(modalities)
-    for m in active:
-        if not 0 <= m < cfg.n_modalities:
-            raise InvalidInputError(f"modality index {m} out of range")
-    if len(batch.features) != cfg.n_modalities:
-        raise ShapeError(
-            f"batch has {len(batch.features)} modalities, config expects {cfg.n_modalities}"
-        )
+    n_mod = cfg.n_modalities
+    if len(batch.features) != n_mod:
+        raise ShapeError(f"batch has {len(batch.features)} modalities, config expects {n_mod}")
     b = batch.n_instances
-    for m in active:
+    for m in range(n_mod):
         if batch.features[m].shape != (b, cfg.input_dims[m]):
             raise ShapeError(
                 f"modality {m} features {batch.features[m].shape} != {(b, cfg.input_dims[m])}"
             )
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (b, len(active)):
-            raise ShapeError(f"weights {weights.shape} != {(b, len(active))}")
+        if weights.shape != (b, n_mod):
+            raise ShapeError(f"weights {weights.shape} != {(b, n_mod)}")
 
-    n_streams = len(active)
-    blocks = [slice(s * b, (s + 1) * b) for s in range(n_streams)]
-    t = np.empty((n_streams * b, cfg.embed_dim))
-    for s, m in enumerate(active):
+    blocks = [slice(m * b, (m + 1) * b) for m in range(n_mod)]
+    t = np.empty((n_mod * b, cfg.embed_dim))
+    for m in range(n_mod):
         e0 = batch.features[m] @ params.enc_w[m] + params.enc_b[m]
         _check_finite(e0, f"encoder[{m}]")
-        t[blocks[s]] = e0 * weights[:, s : s + 1] if weights is not None else e0
+        t[blocks[m]] = e0 * weights[:, m : m + 1] if weights is not None else e0
 
     layer_caches: list[_LayerCache] = []
     for layer in range(cfg.n_moe_layers):
-        logits = np.empty((n_streams * b, cfg.n_experts))
-        for s, m in enumerate(active):
-            logits[blocks[s]] = t[blocks[s]] @ params.router_w[layer, m]
-            _check_finite(logits[blocks[s]], f"router[{layer}][{m}]")
+        logits = np.empty((n_mod * b, cfg.n_experts))
+        for m in range(n_mod):
+            logits[blocks[m]] = t[blocks[m]] @ params.router_w[layer, m]
+            _check_finite(logits[blocks[m]], f"router[{layer}][{m}]")
         selected = _top_k_select(logits, cfg.top_k)
         gate = _softmax_rows(np.take_along_axis(logits, selected, axis=1))
         # Sort-based dispatch: a stable sort groups the (row, slot) pairs by
@@ -317,7 +323,7 @@ def _forward(
                 cache.expert_rows[e] = (rows, all_slots[start:stop], z1, c, z2)
         t = t + out
 
-    pooled = t.reshape(n_streams, b, cfg.embed_dim).sum(axis=0) / n_streams
+    pooled = t.reshape(n_mod, b, cfg.embed_dim).sum(axis=0) / n_mod
     scores = pooled @ params.head_w + params.head_b
     _check_finite(scores, "head")
     if cfg.task == REGRESSION:
@@ -332,7 +338,6 @@ def _forward(
     trace = ForwardTrace(
         params=params,
         params_version=params.version,
-        modalities=active,
         features=batch.features,
         weights=weights,
         layer_caches=layer_caches,
@@ -355,13 +360,7 @@ def forward(
     (B, M) are given, each modality embedding is scaled by its entry before
     routing; all-ones weights reproduce the unweighted pass bit for bit.
     """
-    return _forward(params, batch, weights=modality_weights, modalities=None)
-
-
-def unimodal_forward(params: ModelParams, batch: DataBatch, modality: int) -> np.ndarray:
-    """Forward pass over a single modality stream (the pool has one element)."""
-    predictions, _ = _forward(params, batch, modalities=[modality], keep_trace=False)
-    return predictions
+    return _forward(params, batch, weights=modality_weights)
 
 
 def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
@@ -388,10 +387,10 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
     grads.head_b[...] = d_scores.sum(axis=0)
     d_pooled = d_scores @ params.head_w.T
 
-    n_streams = len(trace.modalities)
+    n_mod = cfg.n_modalities
     b = d_pooled.shape[0]
-    blocks = [slice(s * b, (s + 1) * b) for s in range(n_streams)]
-    d_t = np.tile(d_pooled / n_streams, (n_streams, 1))
+    blocks = [slice(m * b, (m + 1) * b) for m in range(n_mod)]
+    d_t = np.tile(d_pooled / n_mod, (n_mod, 1))
     for layer in reversed(range(cfg.n_moe_layers)):
         cache = trace.layer_caches[layer]
         d_t_in = d_t.copy()  # residual path
@@ -412,14 +411,14 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
         )
         d_logits = np.zeros_like(cache.logits)
         np.put_along_axis(d_logits, cache.selected, d_sel_logits, axis=1)
-        for s, m in enumerate(trace.modalities):
-            grads.router_w[layer, m] += cache.t_in[blocks[s]].T @ d_logits[blocks[s]]
-            d_t_in[blocks[s]] += d_logits[blocks[s]] @ params.router_w[layer, m].T
+        for m in range(n_mod):
+            grads.router_w[layer, m] += cache.t_in[blocks[m]].T @ d_logits[blocks[m]]
+            d_t_in[blocks[m]] += d_logits[blocks[m]] @ params.router_w[layer, m].T
         d_t = d_t_in
-    for s, m in enumerate(trace.modalities):
-        d_e0 = d_t[blocks[s]]
+    for m in range(n_mod):
+        d_e0 = d_t[blocks[m]]
         if trace.weights is not None:
-            d_e0 = d_e0 * trace.weights[:, s : s + 1]
+            d_e0 = d_e0 * trace.weights[:, m : m + 1]
         grads.enc_w[m] += trace.features[m].T @ d_e0
         grads.enc_b[m] += d_e0.sum(axis=0)
     return grads

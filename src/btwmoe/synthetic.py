@@ -273,7 +273,10 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 
 def load_dataset(in_dir) -> Dataset:
     src = Path(in_dir)
-    meta = json.loads((src / "meta.json").read_text())
+    try:
+        meta = json.loads((src / "meta.json").read_text())
+    except (OSError, ValueError) as exc:  # missing, unreadable or malformed
+        raise InvalidInputError(f"cannot read dataset {src}: {exc}") from exc
     if meta.get("format") != "btwmoe-dataset-v1":
         raise InvalidInputError(f"unrecognized dataset format in {src}")
     features = [read_matrix(src / name) for name in meta["modality_files"]]

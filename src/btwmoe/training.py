@@ -17,12 +17,14 @@ jitter from S + 101 + weighted-epoch.
 
 from __future__ import annotations
 
+import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, TrainingFailureError
+from .errors import InvalidInputError, NumericOverflowError, TrainingFailureError
 from .metrics import classification_bundle, regression_bundle
 from .mi import discrete_mi, ksg_mi
 from .moe import (
@@ -34,6 +36,7 @@ from .moe import (
     backward,
     init_params,
     loss_and_pred_grad,
+    modality_slice,
     sgd_step,
 )
 from .predictions import PredictionSet
@@ -93,8 +96,19 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown variant {self.variant!r}")
         if min(self.epochs_unimodal, self.epochs_warm, self.epochs_weighted) < 0:
             raise InvalidInputError("epoch counts must be >= 0")
+        for name in ("lr", "lr_decay", "alpha_init", "alpha_step", "alpha_min", "alpha_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
-            raise InvalidInputError("lr must be > 0")
+            raise InvalidInputError(f"lr must be > 0, got {self.lr}")
+        for name in ("lr_decay", "alpha_step"):
+            if getattr(self, name) < 0:
+                raise InvalidInputError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.alpha_min <= self.alpha_init <= self.alpha_max:
+            raise InvalidInputError(
+                f"need alpha_min <= alpha_init <= alpha_max, got "
+                f"{self.alpha_min}, {self.alpha_init}, {self.alpha_max}"
+            )
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if self.data is None and self.data_path is None:
@@ -151,17 +165,14 @@ def _epoch_lr(config: ExperimentConfig, epoch_index: int) -> float:
     return config.lr * config.lr_decay**past_warm
 
 
-def _collect_predictions(
-    params: ModelParams, batch: DataBatch, weights=None, modality=None
-) -> np.ndarray:
+def _collect_predictions(params: ModelParams, batch: DataBatch, weights=None) -> np.ndarray:
     """Raw model outputs from a prediction-only pass, which keeps no expert caches.
 
     weights is (N, M), or a 1-D per-modality row applied to every instance.
     """
     if weights is not None and np.ndim(weights) == 1:
         weights = np.tile(np.asarray(weights, dtype=np.float64), (batch.n_instances, 1))
-    modalities = None if modality is None else [modality]
-    preds, _ = _forward(params, batch, weights=weights, modalities=modalities, keep_trace=False)
+    preds, _ = _forward(params, batch, weights=weights, keep_trace=False)
     return preds
 
 
@@ -175,41 +186,45 @@ def _score(params: ModelParams, batch: DataBatch, weights=None) -> tuple[float, 
     return loss, classification_bundle(np.argmax(preds, axis=1), batch.targets.astype(np.int64))
 
 
+@contextmanager
+def _failures_in(phase: str, epoch: int):
+    """Report a non-finite value as a failure of this phase and epoch.
+
+    Wraps an epoch's training and the prediction passes on its result, so a
+    last SGD step that diverges is charged to the epoch that took it.
+    """
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise TrainingFailureError(phase, epoch, str(exc)) from exc
+
+
 def _train_one_epoch(
     params: ModelParams,
     batch: DataBatch,
     lr: float,
     batch_size: int,
     rng: np.random.Generator,
-    phase: str,
-    epoch: int,
     weights: np.ndarray | None = None,
-    modality: int | None = None,
 ) -> tuple[ModelParams, float]:
     """One pass over the batch in a seeded shuffle order; returns the mean loss."""
     cfg = params.config
     n = batch.n_instances
     perm = rng.permutation(n)
     total, count = 0.0, 0
-    try:
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            sub = batch.take(idx)
-            sub_weights = weights[idx] if weights is not None else None
-            if modality is None:
-                preds, trace = _forward(params, sub, weights=sub_weights)
-            else:
-                preds, trace = _forward(params, sub, weights=None, modalities=[modality])
-            loss, d_pred = loss_and_pred_grad(cfg, preds, sub.targets)
-            grads = backward(trace, d_pred)
-            params = sgd_step(params, grads, lr)
-            total += loss * idx.size
-            count += idx.size
-    except FloatingPointError as exc:
-        raise TrainingFailureError(phase, epoch, str(exc)) from exc
+    for start in range(0, n, batch_size):
+        idx = perm[start : start + batch_size]
+        sub = batch.take(idx)
+        sub_weights = weights[idx] if weights is not None else None
+        preds, trace = _forward(params, sub, weights=sub_weights)
+        loss, d_pred = loss_and_pred_grad(cfg, preds, sub.targets)
+        grads = backward(trace, d_pred)
+        params = sgd_step(params, grads, lr)
+        total += loss * idx.size
+        count += idx.size
     mean_loss = total / count
     if not np.isfinite(mean_loss):
-        raise TrainingFailureError(phase, epoch, f"loss diverged to {mean_loss}")
+        raise NumericOverflowError(f"loss diverged to {mean_loss}")
     return params, mean_loss
 
 
@@ -239,25 +254,26 @@ def train_unimodal_all(
 ) -> tuple[list[ModelParams], list[np.ndarray]]:
     """Train one model per modality; return the models and their train-split outputs.
 
-    Modality m uses the random stream seeded with config.seed + m for both
-    initialization and batch order, so runs can be parallelized without
-    changing results.
+    Model m is a single-modality MoE: modality m's slice of a multimodal model
+    initialised from the random stream seeded with config.seed + m, which then
+    also draws its batch order. So runs can be parallelized without changing
+    results.
     """
     moe_cfg = config.moe or default_moe_config(dataset)
-    train_batch = dataset.batch("train")
+    train = dataset.batch("train")
 
     models: list[ModelParams] = []
     uni_train = []
     for m in range(moe_cfg.n_modalities):
         rng = np.random.default_rng(config.seed + m)
-        params = init_params(moe_cfg, rng)
+        params = modality_slice(init_params(moe_cfg, rng), m)
+        batch = DataBatch([train.features[m]], train.targets)
         for epoch in range(1, config.epochs_unimodal + 1):
-            params, _ = _train_one_epoch(
-                params, train_batch, config.lr, config.batch_size, rng,
-                phase=f"unimodal[{m}]", epoch=epoch, modality=m,
-            )
+            with _failures_in(f"unimodal[{m}]", epoch):
+                params, _ = _train_one_epoch(params, batch, config.lr, config.batch_size, rng)
+        with _failures_in(f"unimodal[{m}]", config.epochs_unimodal):
+            uni_train.append(_collect_predictions(params, batch))
         models.append(params)
-        uni_train.append(_collect_predictions(params, train_batch, modality=m))
     return models, uni_train
 
 
@@ -276,11 +292,11 @@ def train_multimodal_warm(
     for _ in range(n_epochs):
         epoch_index = len(records) + 1
         started = time.perf_counter()
-        params, train_loss = _train_one_epoch(
-            params, train_batch, _epoch_lr(config, epoch_index), config.batch_size, rng,
-            phase="warm", epoch=epoch_index,
-        )
-        val_loss, val_metrics = _score(params, dataset.batch("val"))
+        with _failures_in("warm", epoch_index):
+            params, train_loss = _train_one_epoch(
+                params, train_batch, _epoch_lr(config, epoch_index), config.batch_size, rng
+            )
+            val_loss, val_metrics = _score(params, dataset.batch("val"))
         record = EpochRecord(
             epoch=epoch_index,
             phase="warm",
@@ -375,15 +391,15 @@ def run_weighted_phase(
             applied = n_mod * smoothed
         applied_row = applied.mean(axis=0)
 
-        params, train_loss = _train_one_epoch(
-            params, train_batch, _epoch_lr(config, epoch_index), config.batch_size, rng,
-            phase="weighted", epoch=epoch_index, weights=applied,
-        )
-
-        train_preds = train_preds.with_multimodal(
-            _collect_predictions(params, train_batch, weights=applied)
-        )
-        val_loss, val_metrics = _score(params, dataset.batch("val"), applied_row)
+        with _failures_in("weighted", epoch_index):
+            params, train_loss = _train_one_epoch(
+                params, train_batch, _epoch_lr(config, epoch_index), config.batch_size, rng,
+                weights=applied,
+            )
+            train_preds = train_preds.with_multimodal(
+                _collect_predictions(params, train_batch, weights=applied)
+            )
+            val_loss, val_metrics = _score(params, dataset.batch("val"), applied_row)
         current_metric = val_metrics[metric_key]
 
         result.weight_epochs.append(epoch_index)
@@ -433,37 +449,38 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         final_params=params,
     )
 
-    if not needs_weights:
-        result.val_bundle = evaluate(params, dataset, "val")
-        result.test_bundle = evaluate(params, dataset, "test")
-        return result
+    if needs_weights:
+        train_batch = dataset.batch("train")
+        train_preds = PredictionSet.from_predictions(
+            moe_cfg.task, train_batch.targets, uni_train, _collect_predictions(params, train_batch)
+        )
 
-    train_batch = dataset.batch("train")
-    train_preds = PredictionSet.from_predictions(
-        moe_cfg.task, train_batch.targets, uni_train, _collect_predictions(params, train_batch)
-    )
+        # The warm phase trains under implicitly uniform weights, so the EMA
+        # recursion starts from the uniform matrix rather than from nothing.
+        n_train = train_batch.n_instances
+        uniform = np.full((n_train, moe_cfg.n_modalities), 1.0 / moe_cfg.n_modalities)
+        state = SmoothingState(
+            alpha=config.alpha_init,
+            alpha_step=config.alpha_step,
+            alpha_min=config.alpha_min,
+            alpha_max=config.alpha_max,
+            prev_weights=uniform,
+            prev_metric=None,
+        )
+        params, train_preds = run_weighted_phase(
+            config, dataset, params, train_preds, state, rng, records, result
+        )
 
-    # The warm phase trains under implicitly uniform weights, so the EMA
-    # recursion starts from the uniform matrix rather than from nothing.
-    n_train = train_batch.n_instances
-    uniform = np.full((n_train, moe_cfg.n_modalities), 1.0 / moe_cfg.n_modalities)
-    state = SmoothingState(
-        alpha=config.alpha_init,
-        alpha_step=config.alpha_step,
-        alpha_min=config.alpha_min,
-        alpha_max=config.alpha_max,
-        prev_weights=uniform,
-        prev_metric=None,
-    )
-    params, train_preds = run_weighted_phase(
-        config, dataset, params, train_preds, state, rng, records, result
-    )
+        result.final_params = params
+        result.train_preds = train_preds
+        result.final_mean_weights = records[-1].mean_weights if result.weight_epochs else None
 
-    result.final_params = params
-    result.train_preds = train_preds
-    result.final_mean_weights = records[-1].mean_weights if result.weight_epochs else None
     eval_row = result.final_eval_weights
-    result.val_bundle = evaluate(params, dataset, "val", eval_row)
+    # The last epoch already scored the val split with these parameters and weights.
+    if records:
+        result.val_bundle = records[-1].val_metrics
+    else:
+        result.val_bundle = evaluate(params, dataset, "val", eval_row)
     result.test_bundle = evaluate(params, dataset, "test", eval_row)
     return result
 

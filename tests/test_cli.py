@@ -194,6 +194,56 @@ class TestTrain:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("lr=nan", "lr must be finite"),
+        ("lr=inf", "lr must be finite"),
+        ("lr=-0.1", "lr must be > 0"),
+        ("lr_decay=-1", "lr_decay must be >= 0"),
+        ("alpha.step=-0.5", "alpha_step must be >= 0"),
+        ("alpha.step=nan", "alpha_step must be finite"),
+        ("alpha.max=inf", "alpha_max must be finite"),
+        ("alpha.min=0.6", "alpha_min <= alpha_init"),
+        ("alpha.init=0.95", "alpha_init <= alpha_max"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        key = line.split("=")[0] + "="
+        kept = [row for row in SMALL_EXPERIMENT.splitlines() if not row.startswith(key)]
+        cfg.write_text("\n".join(kept + [line]) + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("meta", [None, "{"])  # no dataset there; malformed meta.json
+    def test_unreadable_data_path_is_a_usage_error(self, tmp_path, capsys, meta):
+        data = tmp_path / "data"
+        if meta is not None:
+            data.mkdir()
+            (data / "meta.json").write_text(meta)
+        cfg = tmp_path / "path.cfg"
+        cfg.write_text(f"variant=btw\ndata.path={data}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(data) in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_divergence_on_a_phase_last_step_names_phase_and_epoch(self, tmp_path, capsys):
+        # One SGD step per epoch (140 training rows, batch 256): the step
+        # diverges and the first pass to see it is the prediction pass after it.
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(SMALL_EXPERIMENT.replace("lr=0.02", "lr=1e150")
+                       .replace("batch_size=64", "batch_size=256")
+                       .replace("epochs.unimodal=2", "epochs.unimodal=1"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_TRAINING
+        assert "phase 'unimodal[0]' at epoch 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unweighted_records_cover_folded_schedule(self, tmp_path):
         cfg = tmp_path / "unweighted.cfg"
         cfg.write_text(SMALL_EXPERIMENT.replace("variant=btw", "variant=unweighted"))

@@ -1,6 +1,7 @@
 """Forward/backward correctness for the NumPy mixture-of-experts model."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,9 +27,9 @@ from btwmoe.moe import (
     init_params,
     load_checkpoint,
     loss_and_pred_grad,
+    modality_slice,
     save_checkpoint,
     sgd_step,
-    unimodal_forward,
 )
 
 
@@ -167,21 +168,23 @@ class TestUnimodalForward:
         cfg = MoeConfig(input_dims=(10,))
         params = init_params(cfg, 4)
         batch = make_batch(cfg, 12, seed=4)
-        multi, _ = forward(params, batch)
-        uni = unimodal_forward(params, batch, 0)
-        assert np.array_equal(multi, uni)
+        uni = modality_slice(params, 0)
+        assert uni.config == cfg and np.array_equal(uni.flat, params.flat)
+        assert np.array_equal(forward(uni, batch)[0], forward(params, batch)[0])
 
-    def test_ignores_other_modalities(self, reg_cfg):
-        params = init_params(reg_cfg, 0)
-        batch = make_batch(reg_cfg, 8)
-        base = unimodal_forward(params, batch, 0)
-        batch.features[1] = batch.features[1] + 100.0
-        assert np.array_equal(unimodal_forward(params, batch, 0), base)
 
-    def test_invalid_index(self, reg_cfg):
-        params = init_params(reg_cfg, 0)
-        with pytest.raises(InvalidInputError):
-            unimodal_forward(params, make_batch(reg_cfg, 4), 5)
+class TestModalitySlice:
+    def test_holds_modality_views_and_shared_tensors(self):
+        cfg = MoeConfig(input_dims=(16, 12, 8), n_moe_layers=2)
+        params = init_params(cfg, 3)
+        full = dict(params.tensors())
+        for m, dim in enumerate(cfg.input_dims):
+            sliced = modality_slice(params, m)
+            assert sliced.config == replace(cfg, input_dims=(dim,))
+            for name, arr in sliced.tensors():
+                if name.startswith(("enc_", "router_")):  # modality index 0 -> m
+                    name = f"{name[: name.rindex('[')]}[{m}]"
+                assert np.array_equal(arr, full[name]), name
 
 
 class TestBackward:
@@ -361,18 +364,19 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-def reference_pass(params, batch, weights, modalities, loss_grad):
+def reference_pass(params, batch, weights, loss_grad):
     """Predictions and named gradients from a loop over streams and experts.
 
     This is the model computed one modality stream at a time, each expert
     found by np.nonzero(selected == e): the reference for stacked dispatch.
     """
     cfg = params.config
+    n_mod = cfg.n_modalities
     streams, caches = [], []
-    for s, m in enumerate(modalities):
+    for m in range(n_mod):
         t = batch.features[m] @ params.enc_w[m] + params.enc_b[m]
         if weights is not None:
-            t = t * weights[:, s : s + 1]
+            t = t * weights[:, m : m + 1]
         layers = []
         for layer in range(cfg.n_moe_layers):
             logits = t @ params.router_w[layer, m]
@@ -393,7 +397,7 @@ def reference_pass(params, batch, weights, modalities, loss_grad):
             t = t + out
         streams.append(t)
         caches.append(layers)
-    pooled = sum(streams) / len(streams)
+    pooled = sum(streams) / n_mod
     scores = pooled @ params.head_w + params.head_b
     if cfg.task == "regression":
         predictions, d_scores = scores[:, 0], loss_grad[:, None]
@@ -406,10 +410,10 @@ def reference_pass(params, batch, weights, modalities, loss_grad):
     grads["head_w"] += pooled.T @ d_scores
     grads["head_b"] += d_scores.sum(axis=0)
     d_pooled = d_scores @ params.head_w.T
-    for s, m in enumerate(modalities):
-        d_t = d_pooled / len(modalities)
+    for m in range(n_mod):
+        d_t = d_pooled / n_mod
         for layer in reversed(range(cfg.n_moe_layers)):
-            t_in, logits, selected, gate, experts = caches[s][layer]
+            t_in, logits, selected, gate, experts = caches[m][layer]
             d_t_in = d_t.copy()
             d_gate = np.zeros_like(gate)
             for e, (rows, slots, z1, h, z2) in experts.items():
@@ -431,7 +435,7 @@ def reference_pass(params, batch, weights, modalities, loss_grad):
             d_t_in += d_logits @ params.router_w[layer, m].T
             d_t = d_t_in
         if weights is not None:
-            d_t = d_t * weights[:, s : s + 1]
+            d_t = d_t * weights[:, m : m + 1]
         grads[f"enc_w[{m}]"] += batch.features[m].T @ d_t
         grads[f"enc_b[{m}]"] += d_t.sum(axis=0)
     return predictions, grads
@@ -458,7 +462,6 @@ def dispatch_cases(draw):
         classification=draw(st.booleans()),
         batch=draw(st.integers(1, 6)),
         weighted=draw(st.booleans()),
-        single_stream=draw(st.booleans()),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -467,7 +470,7 @@ class TestStackedDispatch:
     @given(dispatch_cases())
     @example(dict(input_dims=(3,), embed_dim=2, expert_hidden=2, n_experts=4, top_k=1,
                   n_moe_layers=2, classification=False, batch=1, weighted=True,
-                  single_stream=False, seed=0))  # one row: three experts idle per layer
+                  seed=0))  # one row: three experts idle per layer
     @settings(max_examples=80, deadline=None)
     def test_matches_per_stream_per_expert_loop(self, case):
         cfg = MoeConfig(
@@ -482,21 +485,17 @@ class TestStackedDispatch:
         params = ModelParams(cfg, rng.standard_normal(cfg.layout[0]) * 0.7)
         b = case["batch"]
         batch = DataBatch([rng.standard_normal((b, d)) for d in cfg.input_dims])
-        modalities = list(range(cfg.n_modalities))
-        if case["single_stream"]:
-            modalities = [int(rng.integers(cfg.n_modalities))]
         weights = None
         if case["weighted"]:
-            weights = rng.uniform(0.1, 2.0, size=(b, len(modalities)))
+            weights = rng.uniform(0.1, 2.0, size=(b, cfg.n_modalities))
         loss_grad = rng.standard_normal((b, 3) if case["classification"] else b)
 
-        predictions, trace = _forward(params, batch, weights=weights, modalities=modalities)
+        predictions, trace = _forward(params, batch, weights=weights)
         grads = backward(trace, loss_grad)
-        ref_predictions, ref_grads = reference_pass(params, batch, weights, modalities, loss_grad)
+        ref_predictions, ref_grads = reference_pass(params, batch, weights, loss_grad)
 
         assert_close_to_reference(predictions, ref_predictions, "predictions")
         for name, got in grads.tensors():
             assert_close_to_reference(got, ref_grads[name], name)
-        untraced, no_trace = _forward(params, batch, weights=weights, modalities=modalities,
-                                      keep_trace=False)
+        untraced, no_trace = _forward(params, batch, weights=weights, keep_trace=False)
         assert no_trace is None and np.array_equal(untraced, predictions)

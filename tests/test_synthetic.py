@@ -159,7 +159,7 @@ class TestModelFacingProperties:
     def test_monotone_informativeness(self):
         # A unimodal model on a 0.9-informative modality must beat one on a
         # 0.1-informative modality, for every one of 5 seeds.
-        from btwmoe.moe import unimodal_forward
+        from btwmoe.moe import DataBatch, forward
         from btwmoe.training import ExperimentConfig, resolve_dataset, train_unimodal_all
         from btwmoe.training import default_moe_config
         from dataclasses import replace
@@ -182,8 +182,8 @@ class TestModelFacingProperties:
             cfg = replace(cfg, moe=default_moe_config(dataset))
             models, _uni_train = train_unimodal_all(cfg, dataset)
             val = dataset.batch("val")
-            mae_strong = mae(unimodal_forward(models[0], val, 0), val.targets)
-            mae_weak = mae(unimodal_forward(models[1], val, 1), val.targets)
+            mae_strong = mae(forward(models[0], DataBatch([val.features[0]]))[0], val.targets)
+            mae_weak = mae(forward(models[1], DataBatch([val.features[1]]))[0], val.targets)
             wins += int(mae_strong < mae_weak)
         assert wins == 5
 

@@ -1,13 +1,15 @@
 """Three-phase orchestration: schedules, hooks, equivalences, determinism."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from btwmoe import training
 from btwmoe.errors import InvalidInputError, TrainingFailureError
 from btwmoe.metrics import mae
-from btwmoe.moe import MoeConfig, unimodal_forward
+from btwmoe.moe import DataBatch, MoeConfig, forward
 from btwmoe.synthetic import SyntheticSpec
 from btwmoe.training import (
     ExperimentConfig,
@@ -211,6 +213,47 @@ class TestEvaluate:
         assert improvement_direction("classification") == ("weighted_f1", "higher")
 
 
+class TestUnimodalModels:
+    # sha256 of the stacked train outputs, computed with each unimodal model
+    # trained as a stream subset of the full multimodal model: the slice must
+    # keep that model's random draws and batch order.
+    @pytest.mark.parametrize("spec, digest", [
+        ({}, "e61569aa85899be879906ebae6e78973faa93ef689b4df32b3aed832f82cb6ac"),
+        (dict(task="classification", n_classes=3),
+         "fa930deba5e48647f50e52dfbe7cd15e3852836f9ab4d10dda759792603c8f73"),
+    ])
+    def test_train_outputs_pinned(self, spec, digest):
+        cfg = small_config(spec=spec)
+        models, uni_train = train_unimodal_all(cfg, resolve_dataset(cfg))
+        assert [model.config.input_dims for model in models] == [(8,), (8,), (8,)]
+        assert hashlib.sha256(np.stack(uni_train).tobytes()).hexdigest() == digest
+
+
+class TestFinalBundles:
+    @pytest.mark.parametrize("variant, warm, weighted, val_scores", [
+        ("btw", 2, 3, 5),
+        ("unweighted", 2, 3, 5),
+        ("unweighted", 0, 0, 1),  # no epoch ran, so the end of the run scores val
+    ])
+    def test_val_split_scored_once_per_epoch(self, monkeypatch, variant, warm, weighted,
+                                             val_scores):
+        cfg = small_config(variant=variant, epochs_warm=warm, epochs_weighted=weighted)
+        val_targets = resolve_dataset(cfg).batch("val").targets
+        calls = []
+        score = training._score
+
+        def counting_score(params, batch, weights=None):
+            calls.append(np.array_equal(batch.targets, val_targets))
+            return score(params, batch, weights)
+
+        monkeypatch.setattr(training, "_score", counting_score)
+        result = run_experiment(cfg)
+        assert sum(calls) == val_scores
+        assert result.val_bundle == evaluate(
+            result.final_params, result.dataset, "val", result.final_eval_weights
+        )
+
+
 class TestUnimodalOrdering:
     def test_informative_modality_has_lower_val_mae(self):
         cfg = small_config(
@@ -227,7 +270,10 @@ class TestUnimodalOrdering:
         cfg = replace(cfg, moe=default_moe_config(dataset))
         models, _uni_train = train_unimodal_all(cfg, dataset)
         val = dataset.batch("val")
-        val_mae = [mae(unimodal_forward(models[m], val, m), val.targets) for m in range(2)]
+        val_mae = [
+            mae(forward(models[m], DataBatch([val.features[m]]))[0], val.targets)
+            for m in range(2)
+        ]
         assert val_mae[0] < val_mae[1]
 
 
