@@ -39,10 +39,10 @@ for record in btw.records:
 print()
 
 print("=== Modality-level MI per weighted epoch (btw) ===")
-for epoch, mi in zip(btw.weight_epochs, btw.mi_by_epoch):
-    print(f"epoch {epoch}: {np.round(mi, 3).tolist()}")
+for record in btw.weighted_records:
+    print(f"epoch {record.epoch}: {np.round(record.mi, 3).tolist()}")
 print(f"the pure-noise modality (index 2) stays minimal: "
-      f"{int(np.argmin(btw.mi_by_epoch[-1]))} == 2\n")
+      f"{int(np.argmin(btw.records[-1].mi))} == 2\n")
 
 print("=== Test-split comparison ===")
 for name, result in (("unweighted", baseline), ("btw", btw)):

@@ -27,7 +27,7 @@ from .errors import BtwError, ConfigParseError, TrainingFailureError
 from .moe import CLASSIFICATION, REGRESSION
 from .reports import export_result, metric_columns
 from .synthetic import generate, save_dataset, split
-from .training import VARIANTS, run_experiment
+from .training import run_experiment
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -115,14 +115,13 @@ def cmd_train(args) -> int:
 
 
 def _compare_cell(payload):
-    config, variant, seed, cell_dir = payload
-    cfg = replace(config, variant=variant, seed=seed)
+    config, cell_dir = payload
     try:
-        result = run_experiment(cfg)
+        result = run_experiment(config)
     except BtwError as exc:
-        return variant, seed, None, str(exc)
+        return config.variant, config.seed, None, str(exc)
     export_result(result, cell_dir)
-    return variant, seed, result.test_bundle, None
+    return config.variant, config.seed, result.test_bundle, None
 
 
 def cmd_compare(args) -> int:
@@ -132,11 +131,7 @@ def cmd_compare(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         if not variants or not seeds:
             raise ConfigParseError("need at least one variant and one seed")
-        for variant in variants:
-            if variant not in VARIANTS:
-                raise ConfigParseError(
-                    f"unknown variant {variant!r} (choose from {', '.join(VARIANTS)})"
-                )
+        variant_configs = [replace(config, variant=variant) for variant in variants]
     except (ConfigParseError, BtwError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -145,11 +140,11 @@ def cmd_compare(args) -> int:
         return status
 
     cells = []
-    for variant in variants:
+    for variant_config in variant_configs:
         for seed in seeds:
-            cell_dir = Path(args.out) / variant / f"seed_{seed}"
+            cell_dir = Path(args.out) / variant_config.variant / f"seed_{seed}"
             cell_dir.mkdir(parents=True, exist_ok=True)
-            cells.append((config, variant, seed, cell_dir))
+            cells.append((replace(variant_config, seed=seed), cell_dir))
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

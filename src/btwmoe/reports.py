@@ -59,6 +59,9 @@ def write_records_csv(result: ExperimentResult, path) -> None:
 
 
 def write_metrics_report(result: ExperimentResult, path) -> None:
+    weighted = result.weighted_records
+    last = weighted[-1] if weighted else None
+    mi_by_epoch = [[float(v) for v in r.mi] for r in weighted if r.mi is not None]
     report = {
         "header": {"zero_handling": ZERO_HANDLING_NOTE},
         "variant": result.config.variant,
@@ -67,20 +70,10 @@ def write_metrics_report(result: ExperimentResult, path) -> None:
         "n_epochs": len(result.records),
         "val": result.val_bundle,
         "test": result.test_bundle,
-        "final_mean_weights": (
-            None
-            if result.final_mean_weights is None
-            else [float(w) for w in result.final_mean_weights]
-        ),
-        "final_eval_weights": (
-            None
-            if result.final_eval_weights is None
-            else [float(w) for w in result.final_eval_weights]
-        ),
-        "modality_mi_by_epoch": [[float(v) for v in mi] for mi in result.mi_by_epoch],
-        "modality_mi_final": (
-            [float(v) for v in result.mi_by_epoch[-1]] if result.mi_by_epoch else None
-        ),
+        "final_mean_weights": None if last is None else [float(w) for w in last.mean_weights],
+        "final_eval_weights": None if last is None else [float(w) for w in last.eval_weights],
+        "modality_mi_by_epoch": mi_by_epoch,
+        "modality_mi_final": mi_by_epoch[-1] if mi_by_epoch else None,
     }
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
@@ -93,7 +86,11 @@ def export_result(result: ExperimentResult, out_dir) -> None:
     write_weight_trajectory_csv(
         out / "weights_trajectory.csv", result.weight_epochs, result.weight_matrices
     )
-    write_alpha_trajectory_csv(out / "alpha_trajectory.csv", result.weight_epochs, result.alphas)
+    write_alpha_trajectory_csv(
+        out / "alpha_trajectory.csv",
+        result.weight_epochs,
+        [r.alpha for r in result.weighted_records],
+    )
     write_metrics_report(result, out / "metrics.json")
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)

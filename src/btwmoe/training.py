@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -93,7 +94,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise InvalidInputError(f"unknown variant {self.variant!r}")
+            raise InvalidInputError(
+                f"unknown variant {self.variant!r} (choose from {', '.join(VARIANTS)})"
+            )
         if min(self.epochs_unimodal, self.epochs_warm, self.epochs_weighted) < 0:
             raise InvalidInputError("epoch counts must be >= 0")
         for name in ("lr", "lr_decay", "alpha_init", "alpha_step", "alpha_min", "alpha_max"):
@@ -117,6 +120,11 @@ class ExperimentConfig:
 
 @dataclass
 class EpochRecord:
+    """One epoch. A weighted record also holds `weights`, the smoothed (N, M)
+    train weight matrix; `mi`, the modality MI vector (MI variants only); and
+    `eval_weights`, the per-modality row its val pass applied. Warm records
+    leave all three None."""
+
     epoch: int
     phase: str
     train_loss: float
@@ -125,6 +133,9 @@ class EpochRecord:
     alpha: float
     mean_weights: np.ndarray
     duration_s: float
+    weights: np.ndarray | None = None
+    mi: np.ndarray | None = None
+    eval_weights: np.ndarray | None = None
 
     def validate(self):
         for key, value in self.val_metrics.items():
@@ -136,20 +147,30 @@ class EpochRecord:
 
 @dataclass
 class ExperimentResult:
+    """A finished run, built once at its end; `records` is its only per-epoch store."""
+
     config: ExperimentConfig
     dataset: Dataset
     records: list[EpochRecord]
     unimodal_params: list[ModelParams]
     final_params: ModelParams
-    train_preds: PredictionSet | None = None
-    weight_epochs: list[int] = field(default_factory=list)
-    weight_matrices: list[np.ndarray] = field(default_factory=list)
-    alphas: list[float] = field(default_factory=list)
-    mi_by_epoch: list[np.ndarray] = field(default_factory=list)
-    final_mean_weights: np.ndarray | None = None
-    final_eval_weights: np.ndarray | None = None
-    val_bundle: dict[str, float] | None = None
-    test_bundle: dict[str, float] | None = None
+    train_preds: PredictionSet | None
+    val_bundle: dict[str, float]
+    test_bundle: dict[str, float]
+
+    # Views over records, each computed once per result: a caller that edits
+    # a returned list sees its edit on the next read.
+    @cached_property
+    def weighted_records(self) -> list[EpochRecord]:
+        return [r for r in self.records if r.phase == "weighted"]
+
+    @cached_property
+    def weight_epochs(self) -> list[int]:
+        return [r.epoch for r in self.weighted_records]
+
+    @cached_property
+    def weight_matrices(self) -> list[np.ndarray]:
+        return [r.weights for r in self.weighted_records]
 
 
 def improvement_direction(task: str) -> tuple[str, str]:
@@ -181,6 +202,8 @@ def _score(params: ModelParams, batch: DataBatch, weights=None) -> tuple[float, 
     preds = _collect_predictions(params, batch, weights)
     cfg = params.config
     loss, _ = loss_and_pred_grad(cfg, preds, batch.targets)
+    if not np.isfinite(loss):
+        raise NumericOverflowError(f"loss diverged to {loss}")
     if cfg.task == REGRESSION:
         return loss, regression_bundle(preds, batch.targets)
     return loss, classification_bundle(np.argmax(preds, axis=1), batch.targets.astype(np.int64))
@@ -341,13 +364,12 @@ def run_weighted_phase(
     config: ExperimentConfig,
     dataset: Dataset,
     params: ModelParams,
-    train_preds: PredictionSet,
-    state: SmoothingState,
+    uni_train: list[np.ndarray],
     rng: np.random.Generator,
     records: list[EpochRecord],
-    result: ExperimentResult,
 ) -> tuple[ModelParams, PredictionSet]:
-    """The dynamically weighted epochs; mutates records and the result trackers."""
+    """The dynamically weighted epochs: appends one EpochRecord per epoch and
+    returns the final parameters and the train predictions refreshed after it."""
     if config.variant == "unweighted":
         raise InvalidInputError("the unweighted variant has no weighted phase")
     moe_cfg = config.moe
@@ -355,11 +377,24 @@ def run_weighted_phase(
     train_batch = dataset.batch("train")
     n_train = train_batch.n_instances
     n_mod = moe_cfg.n_modalities
+    train_preds = PredictionSet.from_predictions(
+        moe_cfg.task, train_batch.targets, uni_train, _collect_predictions(params, train_batch)
+    )
+    # The warm phase trains under implicitly uniform weights, so the EMA
+    # recursion starts from the uniform matrix rather than from nothing.
+    state = SmoothingState(
+        alpha=config.alpha_init,
+        alpha_step=config.alpha_step,
+        alpha_min=config.alpha_min,
+        alpha_max=config.alpha_max,
+        prev_weights=np.full((n_train, n_mod), 1.0 / n_mod),
+        prev_metric=None,
+    )
 
     # Smoothing metric: validation quality at the end of the previous epoch.
     if records:
         current_metric = records[-1].val_metrics[metric_key]
-    else:
+    elif config.epochs_weighted:
         current_metric = _score(params, dataset.batch("val"))[1][metric_key]
 
     for weighted_epoch in range(1, config.epochs_weighted + 1):
@@ -376,7 +411,6 @@ def run_weighted_phase(
                     train_preds,
                     jitter_seed=config.seed + _JITTER_SEED_OFFSET + weighted_epoch,
                 )
-            result.mi_by_epoch.append(mi.copy())
 
         new_weights = _combine(config, raw, mi)
         smoothed, state = smooth_update(state, new_weights, current_metric, direction)
@@ -402,9 +436,6 @@ def run_weighted_phase(
             val_loss, val_metrics = _score(params, dataset.batch("val"), applied_row)
         current_metric = val_metrics[metric_key]
 
-        result.weight_epochs.append(epoch_index)
-        result.weight_matrices.append(smoothed.copy())
-        result.alphas.append(state.alpha)
         record = EpochRecord(
             epoch=epoch_index,
             phase="weighted",
@@ -414,10 +445,12 @@ def run_weighted_phase(
             alpha=state.alpha,
             mean_weights=smoothed.mean(axis=0),
             duration_s=time.perf_counter() - started,
+            weights=smoothed,
+            mi=mi,
+            eval_weights=applied_row,
         )
         record.validate()
         records.append(record)
-        result.final_eval_weights = applied_row
 
     return params, train_preds
 
@@ -440,49 +473,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # warm loop, so every variant trains the same total number of epochs.
     n_warm = config.epochs_warm + (0 if needs_weights else config.epochs_weighted)
     params = train_multimodal_warm(config, dataset, rng, n_warm, records)
-
-    result = ExperimentResult(
-        config=config,
-        dataset=dataset,
-        records=records,
-        unimodal_params=unimodal_params,
-        final_params=params,
-    )
-
+    train_preds = None
     if needs_weights:
-        train_batch = dataset.batch("train")
-        train_preds = PredictionSet.from_predictions(
-            moe_cfg.task, train_batch.targets, uni_train, _collect_predictions(params, train_batch)
-        )
+        params, train_preds = run_weighted_phase(config, dataset, params, uni_train, rng, records)
 
-        # The warm phase trains under implicitly uniform weights, so the EMA
-        # recursion starts from the uniform matrix rather than from nothing.
-        n_train = train_batch.n_instances
-        uniform = np.full((n_train, moe_cfg.n_modalities), 1.0 / moe_cfg.n_modalities)
-        state = SmoothingState(
-            alpha=config.alpha_init,
-            alpha_step=config.alpha_step,
-            alpha_min=config.alpha_min,
-            alpha_max=config.alpha_max,
-            prev_weights=uniform,
-            prev_metric=None,
-        )
-        params, train_preds = run_weighted_phase(
-            config, dataset, params, train_preds, state, rng, records, result
-        )
-
-        result.final_params = params
-        result.train_preds = train_preds
-        result.final_mean_weights = records[-1].mean_weights if result.weight_epochs else None
-
-    eval_row = result.final_eval_weights
-    # The last epoch already scored the val split with these parameters and weights.
-    if records:
-        result.val_bundle = records[-1].val_metrics
-    else:
-        result.val_bundle = evaluate(params, dataset, "val", eval_row)
-    result.test_bundle = evaluate(params, dataset, "test", eval_row)
-    return result
+    # Evaluation applies the last weighted epoch's per-modality row (None
+    # when no weighted epoch ran). The last epoch already scored the val
+    # split with these parameters and weights.
+    eval_row = records[-1].eval_weights if records else None
+    val_bundle = records[-1].val_metrics if records else evaluate(params, dataset, "val")
+    test_bundle = evaluate(params, dataset, "test", eval_row)
+    return ExperimentResult(
+        config, dataset, records, unimodal_params, params, train_preds, val_bundle, test_bundle
+    )
 
 
 def evaluate(

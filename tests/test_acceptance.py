@@ -145,7 +145,7 @@ def test_criterion_6_noise_modality_mi_demotion(run_cache):
         hits = 0
         for seed in range(10):
             result = run_cache.get("btw", seed)
-            final_mi = result.mi_by_epoch[-1]
+            final_mi = result.records[-1].mi
             hits += int(np.argmin(final_mi) == 2)
         elapsed = run_cache.total_duration(("btw", s) for s in range(10))
         out["detail"] = f"({hits}/10 seeds, {elapsed:.0f}s of training)"
@@ -193,7 +193,7 @@ def test_criterion_7_end_to_end_directional_improvement(run_cache):
 def test_criterion_8_smoothing_contract(run_cache):
     with criterion(8, "alpha clamp, exact steps, row-stochastic weights") as out:
         result = run_cache.get("btw", 0)
-        alphas = [result.config.alpha_init] + result.alphas
+        alphas = [result.config.alpha_init] + [r.alpha for r in result.weighted_records]
         for prev, cur in zip(alphas, alphas[1:]):
             assert 0.1 <= cur <= 0.9
             step = cur - prev

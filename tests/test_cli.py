@@ -204,6 +204,8 @@ class TestTrain:
         ("alpha.max=inf", "alpha_max must be finite"),
         ("alpha.min=0.6", "alpha_min <= alpha_init"),
         ("alpha.init=0.95", "alpha_init <= alpha_max"),
+        ("variant=bogus", "unknown variant 'bogus' (choose from unweighted, btw_local, "
+                          "btw_global_kl, btw_global_mi, btw)"),
     ])
     def test_out_of_range_value_is_a_usage_error(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -242,6 +244,20 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_TRAINING
         assert "phase 'unimodal[0]' at epoch 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_diverged_validation_loss_names_phase_and_epoch(self, tmp_path, capsys):
+        # One SGD step per epoch: the warm step leaves the train loss finite
+        # but the validation loss after it overflows.
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(SMALL_EXPERIMENT.replace("lr=0.02", "lr=1e50")
+                       .replace("batch_size=64", "batch_size=256")
+                       .replace("epochs.unimodal=2", "epochs.unimodal=1"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_TRAINING
+        assert "phase 'warm' at epoch 1: loss diverged" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unweighted_records_cover_folded_schedule(self, tmp_path):

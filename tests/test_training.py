@@ -10,6 +10,7 @@ from btwmoe import training
 from btwmoe.errors import InvalidInputError, TrainingFailureError
 from btwmoe.metrics import mae
 from btwmoe.moe import DataBatch, MoeConfig, forward
+from btwmoe.reports import export_result
 from btwmoe.synthetic import SyntheticSpec
 from btwmoe.training import (
     ExperimentConfig,
@@ -90,10 +91,7 @@ class TestSchedules:
         from btwmoe.training import run_weighted_phase
 
         with pytest.raises(InvalidInputError):
-            run_weighted_phase(
-                small_config(variant="unweighted"),
-                None, None, None, None, None, [], None,
-            )
+            run_weighted_phase(small_config(variant="unweighted"), None, None, None, None, [])
 
 
 class TestSingleModalityDegeneracy:
@@ -173,7 +171,7 @@ class TestWeightTrajectories:
 
     def test_alpha_stays_clamped_with_exact_steps(self):
         result = run_experiment(small_config(epochs_weighted=6))
-        alphas = [result.config.alpha_init] + result.alphas
+        alphas = [result.config.alpha_init] + [r.alpha for r in result.weighted_records]
         for prev, cur in zip(alphas, alphas[1:]):
             assert 0.1 <= cur <= 0.9
             step = cur - prev
@@ -181,8 +179,9 @@ class TestWeightTrajectories:
 
     def test_mi_recorded_per_weighted_epoch(self):
         result = run_experiment(small_config(variant="btw"))
-        assert len(result.mi_by_epoch) == 3
-        for mi in result.mi_by_epoch:
+        mi_by_epoch = [r.mi for r in result.weighted_records]
+        assert len(mi_by_epoch) == 3
+        for mi in mi_by_epoch:
             assert mi.shape == (3,) and np.all(mi >= 0)
 
     def test_global_variants_produce_constant_rows(self):
@@ -234,6 +233,7 @@ class TestFinalBundles:
         ("btw", 2, 3, 5),
         ("unweighted", 2, 3, 5),
         ("unweighted", 0, 0, 1),  # no epoch ran, so the end of the run scores val
+        ("btw", 0, 0, 1),  # no weighted epoch runs, so no smoothing metric is scored
     ])
     def test_val_split_scored_once_per_epoch(self, monkeypatch, variant, warm, weighted,
                                              val_scores):
@@ -249,9 +249,36 @@ class TestFinalBundles:
         monkeypatch.setattr(training, "_score", counting_score)
         result = run_experiment(cfg)
         assert sum(calls) == val_scores
-        assert result.val_bundle == evaluate(
-            result.final_params, result.dataset, "val", result.final_eval_weights
-        )
+        eval_row = result.records[-1].eval_weights if result.records else None
+        assert result.val_bundle == evaluate(result.final_params, result.dataset, "val", eval_row)
+
+
+class TestExportBytes:
+    # sha256 of the four data files export_result writes for a small
+    # regression btw run and a small classification btw_global_mi run. A
+    # change to how a run is recorded in memory must leave these bytes alone.
+    @pytest.mark.parametrize("overrides, digests", [
+        (dict(variant="btw"), {
+            "records.csv": "74c100552723919ff6ed4e078431f60ca112d56aa4bc48853e33fbd28077658a",
+            "weights_trajectory.csv":
+                "bb415d2ca9b024907dc0bab4c4a4cc38c2451ea9d5fda013d2687b159693e236",
+            "alpha_trajectory.csv":
+                "a117eba5f26ad053fdfa62b5c8eb51526e2581e0e7ccbdbb3ce94c46203087ac",
+            "metrics.json": "8f2363c2a4b2b4ad9aa14a9336e9c670b28b70abcf7417620c432214e83cee31",
+        }),
+        (dict(variant="btw_global_mi", spec=dict(task="classification", n_classes=3)), {
+            "records.csv": "26f0d7a4593a6e4bfa672ca2cf2d58160b4a9e27136ebaaf6407258c64997e21",
+            "weights_trajectory.csv":
+                "fe031f776a8e4592e8245800daec86db5cc5c700e0fb4509a7164c0b4660036b",
+            "alpha_trajectory.csv":
+                "ea1e3d6af2ec025acb25ad6b52f9b146f3a13fa378e171d0515bc1e135665ab5",
+            "metrics.json": "d70b7254452d69c0ec239fe145f4195f70b82ba07308f52a64e115fedff31dd4",
+        }),
+    ])
+    def test_exported_files_pinned(self, tmp_path, overrides, digests):
+        export_result(run_experiment(small_config(**overrides)), tmp_path)
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestUnimodalOrdering:
