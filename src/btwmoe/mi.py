@@ -10,7 +10,6 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from .errors import InsufficientDataError, InvalidInputError, ShapeError
@@ -137,6 +136,10 @@ def ksg_mi(x: np.ndarray, y: np.ndarray, k: int = 3, jitter_seed: int = 0) -> fl
     # series into the same noise, which looks perfectly dependent.
     if np.all(x == x[0]) or np.all(y == y[0]):
         return 0.0
+
+    # Imported on first use: scipy.spatial adds start-up time and resident
+    # memory that only regression MI needs.
+    from scipy.spatial import cKDTree
 
     xj = x + _series_jitter(x, jitter_seed)
     yj = y + _series_jitter(y, jitter_seed)

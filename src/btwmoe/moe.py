@@ -13,8 +13,12 @@ M modality streams into one (M*B, D) batch per layer. Routers run per
 modality block; then one stable argsort of the selected expert indices
 groups the (row, slot) pairs by expert (sort-based dispatch, as in GShard
 and Switch Transformer), so each layer runs E expert matmul pairs over the
-shared pool instead of M*E. A unimodal model is a single-modality config,
-cut from a multimodal one by modality_slice.
+shared pool instead of M*E. Only those matmuls and their bias adds run per
+expert, on contiguous blocks of the pairs; the GELU, the gating and the
+scatter back to rows run once per layer over all pairs, forward and
+backward (MegaBlocks' grouped layout without its padding, which would not
+reproduce the per-expert results bit for bit). A unimodal model is a
+single-modality config, cut from a multimodal one by modality_slice.
 
 Backpropagation is written out analytically (reverse mode), with the top-k
 selection treated as a constant and the gate softmax differentiated exactly.
@@ -27,7 +31,7 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +51,7 @@ CHECKPOINT_MAGIC = b"BTWM"
 CHECKPOINT_FORMAT_VERSION = 1
 
 _SQRT2 = np.sqrt(2.0)
+_GELU_SLAB = 2048  # pairs per GELU slab in a prediction pass
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -214,10 +219,42 @@ def init_params(config: MoeConfig, seed: int | np.random.Generator) -> ModelPara
     return params
 
 
+def _gelu(z1: np.ndarray, keep_c: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(h, c): GELU h = 0.5 * z1 * c, with c = 1 + erf(z1 / sqrt 2).
+
+    With keep_c, h and c are new arrays. Without, h overwrites z1 and c is
+    scratch for one slab of _GELU_SLAB rows at a time, so a prediction pass
+    over a whole split allocates no second (P, H) array.
+    """
+    n = len(z1)
+    step = max(n if keep_c else _GELU_SLAB, 1)
+    c = np.empty((min(step, n), z1.shape[1]))
+    h = np.empty_like(z1) if keep_c else z1
+    for lo in range(0, n, step):
+        z = z1[lo : lo + step]
+        c_part = c[: len(z)]
+        np.divide(z, _SQRT2, out=c_part)
+        erf(c_part, out=c_part)
+        c_part += 1.0
+        h_part = np.multiply(0.5, z, out=h[lo : lo + step])
+        h_part *= c_part
+    return h, (c if keep_c else None)
+
+
 def _gelu_grad(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """GELU derivative, given c = 1 + erf(x / sqrt 2) from the forward pass."""
-    phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return 0.5 * c + x * phi
+    """GELU derivative, given c = 1 + erf(x / sqrt 2) from the forward pass.
+
+    0.5 * c + x * phi(x), evaluated in place in two buffers: each fresh
+    temporary of a few hundred KB costs page faults.
+    """
+    phi = -0.5 * x
+    phi *= x
+    np.exp(phi, out=phi)
+    phi *= _INV_SQRT_2PI
+    phi *= x
+    grad = 0.5 * c
+    grad += phi
+    return grad
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -233,14 +270,25 @@ def _check_finite(arr: np.ndarray, layer: str) -> None:
 
 @dataclass
 class _LayerCache:
-    """One MoE layer over the stacked (M*B, D) batch; modality m owns rows m*B:(m+1)*B."""
+    """One MoE layer over the stacked (M*B, D) batch; modality m owns rows m*B:(m+1)*B.
+
+    The (row, slot) pairs are kept flat in dispatch order: grouped by expert
+    ascending, row-major within a group, expert e owning bounds[e]:bounds[e+1].
+    """
 
     t_in: np.ndarray
     logits: np.ndarray
     selected: np.ndarray  # (M*B, K) expert indices
     gate: np.ndarray  # (M*B, K)
-    # e -> (rows, slots, z1, 1 + erf(z1 / sqrt 2), z2), experts ascending
-    expert_rows: dict = field(default_factory=dict)
+    order: np.ndarray  # (P,) flat (row, slot) index of each pair, P = M*B*K
+    rows: np.ndarray  # (P,) row of each pair
+    gates: np.ndarray  # (P,) gate value of each pair
+    positions: np.ndarray  # (M*B, K) each row's pair positions, experts ascending
+    bounds: np.ndarray  # (E+1,)
+    z1: np.ndarray  # (P, H)
+    c: np.ndarray  # (P, H) 1 + erf(z1 / sqrt 2)
+    h: np.ndarray  # (P, H) GELU(z1)
+    z2: np.ndarray  # (P, D), before gating
 
 
 @dataclass
@@ -253,6 +301,20 @@ class ForwardTrace:
     pooled: np.ndarray
     scores: np.ndarray
     probs: np.ndarray | None
+
+
+def _expert_spans(bounds: np.ndarray) -> list[tuple[int, int, int]]:
+    """(e, lo, hi) for every expert that received pairs, experts ascending."""
+    edges = bounds.tolist()
+    return [(e, lo, hi) for e, (lo, hi) in enumerate(zip(edges, edges[1:])) if hi > lo]
+
+
+def _gather_add(acc: np.ndarray, values: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Add values[positions[r, j]] to acc[r] for j = 0, 1, ...: each row's expert
+    contributions in ascending expert order, as a per-expert scatter adds them."""
+    for j in range(positions.shape[1]):
+        acc += values[positions[:, j]]
+    return acc
 
 
 def _top_k_select(logits: np.ndarray, k: int) -> np.ndarray:
@@ -291,37 +353,55 @@ def _forward(
         t[blocks[m]] = e0 * weights[:, m : m + 1] if weights is not None else e0
 
     layer_caches: list[_LayerCache] = []
+    n_rows, k = n_mod * b, cfg.top_k
+    n_pairs = n_rows * k
     for layer in range(cfg.n_moe_layers):
-        logits = np.empty((n_mod * b, cfg.n_experts))
+        logits = np.empty((n_rows, cfg.n_experts))
         for m in range(n_mod):
             logits[blocks[m]] = t[blocks[m]] @ params.router_w[layer, m]
             _check_finite(logits[blocks[m]], f"router[{layer}][{m}]")
-        selected = _top_k_select(logits, cfg.top_k)
-        gate = _softmax_rows(np.take_along_axis(logits, selected, axis=1))
+        selected = _top_k_select(logits, k)
+        gate = _softmax_rows(logits[np.arange(n_rows)[:, None], selected])
         # Sort-based dispatch: a stable sort groups the (row, slot) pairs by
         # expert and keeps them row-major within each group.
         flat_selected = selected.ravel()
         order = np.argsort(flat_selected, kind="stable")
-        all_rows, all_slots = np.divmod(order, cfg.top_k)
-        all_gates = gate.ravel()[order]
+        rows = order // k
+        gates = gate.ravel()[order]
+        bounds = np.zeros(cfg.n_experts + 1, dtype=np.intp)
+        np.cumsum(np.bincount(flat_selected, minlength=cfg.n_experts), out=bounds[1:])
+        spans = _expert_spans(bounds)
+
+        # Only the matmuls and bias adds run per expert; the GELU chain, the
+        # gating and the scatter run once over all pairs.
+        w1, b1, w2, b2 = (params.exp_w1[layer], params.exp_b1[layer],
+                          params.exp_w2[layer], params.exp_b2[layer])
+        z1 = np.empty((n_pairs, cfg.expert_hidden))
+        for e, lo, hi in spans:
+            block = np.matmul(t[rows[lo:hi]], w1[e], out=z1[lo:hi])
+            block += b1[e]
+        h, c = _gelu(z1, keep_c=keep_trace)
+        z2 = np.empty((n_pairs, cfg.embed_dim))
+        for e, lo, hi in spans:
+            block = np.matmul(h[lo:hi], w2[e], out=z2[lo:hi])
+            block += b2[e]
+        if not np.isfinite(z2).all():
+            first_bad = np.flatnonzero(~np.isfinite(z2).all(axis=1))[0]
+            e = int(np.searchsorted(bounds, first_bad, side="right")) - 1
+            raise NumericOverflowError(f"non-finite activation in expert[{layer}][{e}]")
+        # Each row's pair positions, sorted, list its experts in ascending order.
+        positions = np.empty(n_pairs, dtype=np.intp)
+        positions[order] = np.arange(n_pairs)
+        positions = np.sort(positions.reshape(n_rows, k), axis=1)
         if keep_trace:
-            cache = _LayerCache(t_in=t, logits=logits, selected=selected, gate=gate)
-            layer_caches.append(cache)
-        out = np.zeros_like(t)
-        stop = 0
-        for e, count in enumerate(np.bincount(flat_selected, minlength=cfg.n_experts).tolist()):
-            start, stop = stop, stop + count
-            if count == 0:
-                continue
-            rows = all_rows[start:stop]
-            z1 = t[rows] @ params.exp_w1[layer, e] + params.exp_b1[layer, e]
-            c = 1.0 + erf(z1 / _SQRT2)
-            z2 = (0.5 * z1 * c) @ params.exp_w2[layer, e] + params.exp_b2[layer, e]
-            _check_finite(z2, f"expert[{layer}][{e}]")
-            out[rows] += all_gates[start:stop, None] * z2
-            if keep_trace:
-                cache.expert_rows[e] = (rows, all_slots[start:stop], z1, c, z2)
-        t = t + out
+            layer_caches.append(_LayerCache(
+                t_in=t, logits=logits, selected=selected, gate=gate, order=order, rows=rows,
+                gates=gates, positions=positions, bounds=bounds, z1=z1, c=c, h=h, z2=z2,
+            ))
+        # A prediction pass drops its (P, H) buffer before the scatter; block
+        # now views z2.
+        del z1, c, h
+        t = t + _gather_add(np.zeros_like(t), gates[:, None] * z2, positions)
 
     pooled = t.reshape(n_mod, b, cfg.embed_dim).sum(axis=0) / n_mod
     scores = pooled @ params.head_w + params.head_b
@@ -393,24 +473,34 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
     d_t = np.tile(d_pooled / n_mod, (n_mod, 1))
     for layer in reversed(range(cfg.n_moe_layers)):
         cache = trace.layer_caches[layer]
-        d_t_in = d_t.copy()  # residual path
-        d_gate = np.zeros_like(cache.gate)
-        for e, (rows, slots, z1, c, z2) in cache.expert_rows.items():
-            d_rows = d_t[rows]
-            d_gate[rows, slots] = np.sum(d_rows * z2, axis=1)
-            d_z2 = cache.gate[rows, slots][:, None] * d_rows
-            grads.exp_w2[layer, e] = (0.5 * z1 * c).T @ d_z2
-            grads.exp_b2[layer, e] = d_z2.sum(axis=0)
-            d_z1 = (d_z2 @ params.exp_w2[layer, e].T) * _gelu_grad(z1, c)
-            grads.exp_w1[layer, e] = cache.t_in[rows].T @ d_z1
-            grads.exp_b1[layer, e] = d_z1.sum(axis=0)
-            d_t_in[rows] += d_z1 @ params.exp_w1[layer, e].T
+        spans = _expert_spans(cache.bounds)
+        d_rows = d_t[cache.rows]
+        d_gate = np.empty(cache.gate.size)
+        d_gate[cache.order] = np.sum(d_rows * cache.z2, axis=1)
+        d_gate = d_gate.reshape(cache.gate.shape)
+        d_z2 = d_rows
+        d_z2 *= cache.gates[:, None]
+        d_z1 = np.empty_like(cache.h)
+        for e, lo, hi in spans:
+            block = d_z2[lo:hi]
+            np.matmul(cache.h[lo:hi].T, block, out=grads.exp_w2[layer, e])
+            np.sum(block, axis=0, out=grads.exp_b2[layer, e])
+            np.matmul(block, params.exp_w2[layer, e].T, out=d_z1[lo:hi])
+        d_z1 *= _gelu_grad(cache.z1, cache.c)
+        x = cache.t_in[cache.rows]
+        d_x = np.empty_like(x)
+        for e, lo, hi in spans:
+            block = d_z1[lo:hi]
+            np.matmul(x[lo:hi].T, block, out=grads.exp_w1[layer, e])
+            np.sum(block, axis=0, out=grads.exp_b1[layer, e])
+            np.matmul(block, params.exp_w1[layer, e].T, out=d_x[lo:hi])
+        d_t_in = _gather_add(d_t.copy(), d_x, cache.positions)  # residual path plus experts
         # Gate softmax over the selected logits only.
         d_sel_logits = cache.gate * (
             d_gate - np.sum(d_gate * cache.gate, axis=1, keepdims=True)
         )
         d_logits = np.zeros_like(cache.logits)
-        np.put_along_axis(d_logits, cache.selected, d_sel_logits, axis=1)
+        d_logits[np.arange(d_logits.shape[0])[:, None], cache.selected] = d_sel_logits
         for m in range(n_mod):
             grads.router_w[layer, m] += cache.t_in[blocks[m]].T @ d_logits[blocks[m]]
             d_t_in[blocks[m]] += d_logits[blocks[m]] @ params.router_w[layer, m].T

@@ -455,9 +455,30 @@ def run_weighted_phase(
     return params, train_preds
 
 
+def _check_split_sizes(variant: str, dataset: Dataset) -> None:
+    """Raise InvalidInputError naming the first split too small for what reads it.
+
+    val and test are scored: regression metrics need 2 instances,
+    classification metrics 1. MI variants estimate modality MI on the train
+    split: KSG needs _KSG_K + 2 instances, discrete MI 2.
+    """
+    if dataset.task == REGRESSION:
+        metrics, mi = (2, "regression metrics need"), (_KSG_K + 2, "KSG mutual information needs")
+    else:
+        metrics, mi = (1, "classification metrics need"), (2, "discrete mutual information needs")
+    needs = [("train", mi)] if variant in MI_VARIANTS else []
+    for name, (need, reader) in needs + [("val", metrics), ("test", metrics)]:
+        have = dataset.indices(name).size
+        if have < need:
+            raise InvalidInputError(
+                f"{reader} at least {need} instances; the {name} split has {have}"
+            )
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full three-phase experiment deterministically."""
     dataset = resolve_dataset(config)
+    _check_split_sizes(config.variant, dataset)
     moe_cfg = config.moe or default_moe_config(dataset)
     config = replace(config, moe=moe_cfg)
 

@@ -178,16 +178,18 @@ def write_weight_trajectory_csv(path, epochs, matrices) -> None:
     """Write per-epoch weight matrices as rows of (epoch, instance, modality, weight).
 
     The bytes are those csv.writer gives (no field needs quoting, every row
-    ends in CRLF); each matrix is formatted in one pass over its values.
+    ends in CRLF); the ",instance,modality," cells are built once per shape
+    and each matrix is written as one string.
     """
+    shape, cells = None, []
     with open(path, "w", newline="") as fh:
         fh.write("epoch,instance,modality,weight\r\n")
         for epoch, w in zip(epochs, matrices):
-            n, m = w.shape
-            fh.writelines(
-                f"{epoch},{i},{j},{value!r}\r\n"
-                for (i, j), value in zip(product(range(n), range(m)), w.ravel().tolist())
-            )
+            if w.shape != shape:
+                shape = w.shape
+                cells = [f",{i},{j}," for i, j in product(*map(range, shape))]
+            values = map(repr, w.ravel().tolist())
+            fh.write("".join([f"{epoch}{cell}{value}\r\n" for cell, value in zip(cells, values)]))
 
 
 def write_alpha_trajectory_csv(path, epochs, alphas) -> None:

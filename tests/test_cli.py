@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from btwmoe import training
 from btwmoe.cli import (
     EXIT_OK,
     EXIT_OUTPUT_SAFETY,
@@ -193,6 +194,26 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ("", "regression metrics need at least 2 instances; the val split has 1"),
+        ("split.fractions=0.5,0.25,0.25\n",
+         "KSG mutual information needs at least 5 instances; the train split has 4"),
+    ])
+    def test_split_sizes_checked_before_training(self, tmp_path, capsys, monkeypatch,
+                                                 extra, message):
+        calls = []
+        train_unimodal_all = training.train_unimodal_all
+        monkeypatch.setattr(training, "train_unimodal_all",
+                            lambda *args: calls.append(args) or train_unimodal_all(*args))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            SMALL_EXPERIMENT.replace("data.n_instances=200", "data.n_instances=8") + extra
+        )
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("lr=nan", "lr must be finite"),

@@ -1,5 +1,10 @@
 """Mutual information estimators: frozen examples and statistical properties."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,3 +177,15 @@ class TestGaussianMiAnalytic:
             gaussian_mi_analytic(1.0)
         with pytest.raises(InvalidInputError):
             gaussian_mi_analytic(-1.5)
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # ksg_mi imports cKDTree on first use, so classification runs and gen-data
+    # never load scipy.spatial.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = "import sys, btwmoe.cli; assert 'scipy.spatial' not in sys.modules"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]

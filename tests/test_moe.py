@@ -83,10 +83,19 @@ class TestForward:
             dense_gate = _softmax_rows(cache.logits)
             sparse_mix = np.zeros_like(cache.t_in)
             dense_mix = np.zeros_like(cache.t_in)
-            for e, (rows, slots, _z1, _c, z2) in cache.expert_rows.items():
-                sparse_mix[rows] += cache.gate[rows, slots][:, None] * z2
-                dense_mix[rows] += dense_gate[rows, e][:, None] * z2
+            for e in range(cfg.n_experts):  # pairs in dispatch order, grouped by expert
+                lo, hi = cache.bounds[e], cache.bounds[e + 1]
+                rows, slots = np.divmod(cache.order[lo:hi], cfg.top_k)
+                sparse_mix[rows] += cache.gate[rows, slots][:, None] * cache.z2[lo:hi]
+                dense_mix[rows] += dense_gate[rows, e][:, None] * cache.z2[lo:hi]
             np.testing.assert_allclose(sparse_mix, dense_mix, atol=1e-12)
+
+    def test_non_finite_expert_output_names_expert(self):
+        cfg = MoeConfig(input_dims=(8, 8), n_experts=4, top_k=4, n_moe_layers=2)
+        params = init_params(cfg, 3)
+        params.exp_b2[0, 2][0] = np.inf
+        with pytest.raises(NumericOverflowError, match=r"expert\[0\]\[2\]$"):
+            forward(params, make_batch(cfg, 8, seed=3))
 
     def test_zero_batch_gives_zero_regression_prediction(self, reg_cfg):
         params = init_params(reg_cfg, 0)
@@ -499,3 +508,26 @@ class TestStackedDispatch:
             assert_close_to_reference(got, ref_grads[name], name)
         untraced, no_trace = _forward(params, batch, weights=weights, keep_trace=False)
         assert no_trace is None and np.array_equal(untraced, predictions)
+
+    @pytest.mark.parametrize("top_k, task, digest", [
+        (1, "regression", "6776238c9852faa376befa802333ab20c60bc354ccf33ac8f758228ffbd13792"),
+        (8, "classification",
+         "ac9fbb058277e5451b02ea3d4fcf1364368090503074bb1201c2a36007db6de9"),
+    ], ids=["top1", "topE"])
+    def test_predictions_and_gradients_pinned(self, top_k, task, digest):
+        # Two layers of eight experts with modality weights; top_k=1 leaves an
+        # expert idle. The digest was computed with the per-expert loop that
+        # ran the whole expert chain, elementwise steps included, per group.
+        cfg = MoeConfig(input_dims=(6, 5, 4), embed_dim=8, expert_hidden=12, n_experts=8,
+                        top_k=top_k, n_moe_layers=2, task=task, n_classes=3)
+        params = init_params(cfg, 11)
+        batch = make_batch(cfg, 5, seed=11, classification=task == "classification")
+        weights = np.random.default_rng(11).uniform(0.2, 2.0, size=(5, 3))
+        predictions, trace = forward(params, batch, weights)
+        _, d_pred = loss_and_pred_grad(cfg, predictions, batch.targets)
+        grads = backward(trace, d_pred)
+        if top_k == 1:
+            assert any(0 in np.bincount(c.selected.ravel(), minlength=8)
+                       for c in trace.layer_caches)
+        fingerprint = hashlib.sha256(predictions.tobytes() + grads.flat.tobytes()).hexdigest()
+        assert fingerprint == digest
