@@ -7,25 +7,15 @@ refusal, 4 training failure, 5 partial comparison failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import (
-    config_content_hash,
-    load_experiment_config,
-    parse_config_text,
-    _DATA_KEYS,
-    _build_data_spec,
-)
+from .config import load_data_config, load_experiment_config
 from .errors import BtwError, ConfigParseError, TrainingFailureError
-from .moe import CLASSIFICATION, REGRESSION
-from .reports import export_result, metric_columns
+from .reports import export_result, write_manifest, write_summary_csv
 from .synthetic import generate, save_dataset, split
 from .training import run_experiment
 
@@ -36,78 +26,42 @@ EXIT_TRAINING = 4
 EXIT_PARTIAL_COMPARE = 5
 
 
-def _check_out_dir(out_dir: str, force: bool) -> int:
-    """Refuse a non-empty output directory without --force. The writers create
-    the directory, so a run that fails first leaves nothing behind."""
+class _OutputRefused(Exception):
+    """The output path is unsafe to write; exits EXIT_OUTPUT_SAFETY."""
+
+
+def _check_out_dir(out_dir: str, force: bool) -> None:
+    """Refuse an output path that is or lies under a file, and a non-empty
+    directory without --force. The writers create the directory, so a run
+    that fails first leaves nothing behind."""
     out = Path(out_dir)
+    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise _OutputRefused(f"output path {out}: {blocker} is a file, not a directory")
     if out.exists() and any(out.iterdir()) and not force:
-        print(
-            f"error: output directory {out} is not empty (use --force to overwrite)",
-            file=sys.stderr,
-        )
-        return EXIT_OUTPUT_SAFETY
-    return EXIT_OK
-
-
-def _write_manifest(out_dir, command: str, config_path, extra: dict) -> None:
-    manifest = {
-        "tool": "btwmoe",
-        "tool_version": __version__,
-        "command": command,
-        "config_file": str(config_path),
-        "config_sha256": config_content_hash(config_path),
-        "config_echo": Path(config_path).read_text(),
-        "outputs": sorted(
-            str(p.relative_to(out_dir)) for p in Path(out_dir).rglob("*") if p.is_file()
-        ),
-    }
-    manifest.update(extra)
-    (Path(out_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        raise _OutputRefused(f"output directory {out} is not empty (use --force to overwrite)")
 
 
 def cmd_gen_data(args) -> int:
-    allowed = dict(_DATA_KEYS)
-    allowed["split.fractions"] = "floats"
-    allowed["split.seed"] = int
-    try:
-        values = parse_config_text(Path(args.config).read_text(), allowed=allowed)
-        spec = _build_data_spec(values, require=True)
-    except (ConfigParseError, BtwError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    status = _check_out_dir(args.out, args.force)
-    if status != EXIT_OK:
-        return status
+    spec, fractions, split_seed = load_data_config(args.config)
     dataset = generate(spec)
-    if "split.fractions" in values:
-        dataset = split(dataset, values["split.fractions"], values.get("split.seed", spec.seed))
+    if fractions is not None:
+        dataset = split(dataset, fractions, split_seed)
+    _check_out_dir(args.out, args.force)
     save_dataset(dataset, args.out)
-    _write_manifest(args.out, "gen-data", args.config, {"seed": spec.seed})
+    write_manifest(args.out, "gen-data", args.config, {"seed": spec.seed})
     print(f"wrote dataset ({dataset.n_instances} instances, "
           f"{dataset.n_modalities} modalities) to {args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    try:
-        config = load_experiment_config(args.config)
-    except (ConfigParseError, BtwError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    status = _check_out_dir(args.out, args.force)
-    if status != EXIT_OK:
-        return status
-    try:
-        result = run_experiment(config)
-    except TrainingFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
-    except BtwError as exc:  # data or config the run cannot use, e.g. a split too small
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    config = load_experiment_config(args.config)
+    _check_out_dir(args.out, args.force)
+    result = run_experiment(config)
     export_result(result, args.out)
-    _write_manifest(args.out, "train", args.config, {"seed": config.seed,
-                                                     "variant": config.variant})
+    write_manifest(args.out, "train", args.config, {"seed": config.seed,
+                                                    "variant": config.variant})
     headline = "mae" if "mae" in result.test_bundle else "accuracy"
     print(f"{config.variant} seed {config.seed}: {len(result.records)} epochs, "
           f"test {headline} {result.test_bundle[headline]:.4f} -> {args.out}")
@@ -125,19 +79,16 @@ def _compare_cell(payload):
 
 
 def cmd_compare(args) -> int:
+    config = load_experiment_config(args.config)
+    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     try:
-        config = load_experiment_config(args.config)
-        variants = [v.strip() for v in args.variants.split(",") if v.strip()]
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        if not variants or not seeds:
-            raise ConfigParseError("need at least one variant and one seed")
-        variant_configs = [replace(config, variant=variant) for variant in variants]
-    except (ConfigParseError, BtwError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    status = _check_out_dir(args.out, args.force)
-    if status != EXIT_OK:
-        return status
+    except ValueError as exc:
+        raise ConfigParseError(f"--seeds: {exc}") from exc
+    if not variants or not seeds:
+        raise ConfigParseError("need at least one variant and one seed")
+    variant_configs = [replace(config, variant=variant) for variant in variants]
+    _check_out_dir(args.out, args.force)
 
     cells = []
     for variant_config in variant_configs:
@@ -158,26 +109,9 @@ def cmd_compare(args) -> int:
         if err is None:
             bundles.setdefault(variant, []).append(bundle)
 
-    first_bundle = next((b for rows in bundles.values() for b in rows), None)
-    task = REGRESSION if first_bundle is None or "mae" in first_bundle else CLASSIFICATION
-    cols = metric_columns(task)
     summary_path = Path(args.out) / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        header = ["variant", "n_seeds"]
-        for c in cols:
-            header += [f"test_{c}_mean", f"test_{c}_std"]
-        fh.write(",".join(header) + "\n")
-        for variant in variants:
-            rows = bundles.get(variant, [])
-            if not rows:
-                continue
-            out_row = [variant, str(len(rows))]
-            for c in cols:
-                vals = np.array([r[c] for r in rows])
-                out_row += [repr(float(vals.mean())), repr(float(vals.std()))]
-            fh.write(",".join(out_row) + "\n")
-    _write_manifest(args.out, "compare", args.config,
-                    {"variants": variants, "seeds": seeds})
+    write_summary_csv(summary_path, variants, bundles)
+    write_manifest(args.out, "compare", args.config, {"variants": variants, "seeds": seeds})
     print(f"summary -> {summary_path}")
     if failures:
         for variant, seed, err in failures:
@@ -195,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
-    p_gen.add_argument("--config", required=True, help="dataset spec file (data.* keys)")
+    p_gen.add_argument("--config", required=True,
+                       help="config with an inline data spec (reads data.* and split.* keys)")
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--force", action="store_true")
     p_gen.set_defaults(func=cmd_gen_data)
@@ -219,7 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (_OutputRefused, BtwError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, _OutputRefused):
+            return EXIT_OUTPUT_SAFETY
+        # Any other package error is a config, or data, the command cannot use.
+        return EXIT_TRAINING if isinstance(exc, TrainingFailureError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

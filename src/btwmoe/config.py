@@ -3,7 +3,6 @@ per line, '#' comments. Diff-friendly and dependency-free."""
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 
 from .errors import ConfigParseError
@@ -95,8 +94,12 @@ def parse_config_text(text: str, allowed: dict | None = None) -> dict:
     return out
 
 
-def parse_config_file(path) -> dict:
-    return parse_config_text(Path(path).read_text())
+def parse_config_file(path, allowed: dict | None = None) -> dict:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
+    return parse_config_text(text, allowed)
 
 
 def _build_data_spec(values: dict, require: bool) -> SyntheticSpec | None:
@@ -141,6 +144,11 @@ def load_experiment_config(path) -> ExperimentConfig:
     return build_experiment_config(parse_config_file(path))
 
 
-def config_content_hash(path) -> str:
-    """Content hash of the raw config bytes, for the run manifest."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def load_data_config(path) -> tuple[SyntheticSpec, tuple[float, ...] | None, int]:
+    """The dataset a config describes: (data spec, split.fractions or None,
+    split seed). Experiment keys are accepted and ignored, so an experiment
+    config with an inline spec generates its own dataset. split.seed is read
+    only here; it defaults to data.seed."""
+    values = parse_config_file(path, {**_EXPERIMENT_KEYS, **_DATA_KEYS, "split.seed": int})
+    spec = _build_data_spec(values, require=True)
+    return spec, values.get("split.fractions"), values.get("split.seed", spec.seed)

@@ -1,15 +1,21 @@
-"""File outputs for experiment runs: records.csv, weight/alpha trajectories,
-the final metrics report, and model checkpoints."""
+"""File outputs for experiment runs: records.csv, the weight trajectory, the
+final metrics report and model checkpoints; the run manifest; and the
+summary.csv of a compare grid. The alpha trajectory is the alpha column of
+records.csv."""
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+from itertools import product
 from pathlib import Path
 
-from .moe import REGRESSION, save_checkpoint
+import numpy as np
+
+from . import __version__
+from .moe import CLASSIFICATION, REGRESSION, save_checkpoint
 from .training import ExperimentResult
-from .weighting import write_alpha_trajectory_csv, write_weight_trajectory_csv
 
 REGRESSION_METRIC_COLUMNS = [
     "mae",
@@ -58,6 +64,24 @@ def write_records_csv(result: ExperimentResult, path) -> None:
             writer.writerow(row)
 
 
+def write_weight_trajectory_csv(path, epochs, matrices) -> None:
+    """Write per-epoch weight matrices as rows of (epoch, instance, modality, weight).
+
+    The bytes are those csv.writer gives (no field needs quoting, every row
+    ends in CRLF); the ",instance,modality," cells are built once per shape
+    and each matrix is written as one string.
+    """
+    shape, cells = None, []
+    with open(path, "w", newline="") as fh:
+        fh.write("epoch,instance,modality,weight\r\n")
+        for epoch, w in zip(epochs, matrices):
+            if w.shape != shape:
+                shape = w.shape
+                cells = [f",{i},{j}," for i, j in product(*map(range, shape))]
+            values = map(repr, w.ravel().tolist())
+            fh.write("".join([f"{epoch}{cell}{value}\r\n" for cell, value in zip(cells, values)]))
+
+
 def write_metrics_report(result: ExperimentResult, path) -> None:
     weighted = result.weighted_records
     last = weighted[-1] if weighted else None
@@ -86,14 +110,49 @@ def export_result(result: ExperimentResult, out_dir) -> None:
     write_weight_trajectory_csv(
         out / "weights_trajectory.csv", result.weight_epochs, result.weight_matrices
     )
-    write_alpha_trajectory_csv(
-        out / "alpha_trajectory.csv",
-        result.weight_epochs,
-        [r.alpha for r in result.weighted_records],
-    )
     write_metrics_report(result, out / "metrics.json")
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     save_checkpoint(result.final_params, ckpt_dir / "final.btwm")
     for m, params in enumerate(result.unimodal_params):
         save_checkpoint(params, ckpt_dir / f"unimodal_{m}.btwm")
+
+
+def write_manifest(out_dir, command: str, config_path, extra: dict) -> None:
+    """manifest.json: the tool, the command, the config echo and the sha256 of
+    its bytes, and every file already under out_dir."""
+    manifest = {
+        "tool": "btwmoe",
+        "tool_version": __version__,
+        "command": command,
+        "config_file": str(config_path),
+        "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
+        "config_echo": Path(config_path).read_text(),
+        "outputs": sorted(
+            str(p.relative_to(out_dir)) for p in Path(out_dir).rglob("*") if p.is_file()
+        ),
+    }
+    manifest.update(extra)
+    (Path(out_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def write_summary_csv(path, variants: list[str], bundles: dict[str, list[dict]]) -> None:
+    """One row per variant with test bundles: the seed count, then the mean and
+    std of each test metric over its bundles."""
+    first_bundle = next((b for rows in bundles.values() for b in rows), None)
+    task = REGRESSION if first_bundle is None or "mae" in first_bundle else CLASSIFICATION
+    cols = metric_columns(task)
+    with open(path, "w", newline="") as fh:
+        header = ["variant", "n_seeds"]
+        for c in cols:
+            header += [f"test_{c}_mean", f"test_{c}_std"]
+        fh.write(",".join(header) + "\n")
+        for variant in variants:
+            rows = bundles.get(variant, [])
+            if not rows:
+                continue
+            out_row = [variant, str(len(rows))]
+            for c in cols:
+                vals = np.array([r[c] for r in rows])
+                out_row += [repr(float(vals.mean())), repr(float(vals.std()))]
+            fh.write(",".join(out_row) + "\n")

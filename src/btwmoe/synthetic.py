@@ -9,8 +9,9 @@ are the signal itself (regression) or its quantile bins (classification).
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +35,12 @@ class SyntheticSpec:
     seed: int = 0
     # Optional Dirichlet-style class priors for imbalanced classification bins.
     class_priors: tuple[float, ...] | None = None
-    # Test hook: force two modalities onto the same random substream.
-    modality_stream_seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "modality_dims", tuple(int(d) for d in self.modality_dims))
         object.__setattr__(self, "informativeness", tuple(float(a) for a in self.informativeness))
         if self.class_priors is not None:
             object.__setattr__(self, "class_priors", tuple(float(p) for p in self.class_priors))
-        if self.modality_stream_seeds is not None:
-            object.__setattr__(
-                self, "modality_stream_seeds", tuple(int(s) for s in self.modality_stream_seeds)
-            )
         if self.n_instances < 2:
             raise InvalidSpecError("n_instances must be >= 2")
         if len(self.modality_dims) != len(self.informativeness):
@@ -67,42 +62,20 @@ class SyntheticSpec:
                 raise InvalidSpecError("class_priors length must equal n_classes")
             if any(p <= 0 for p in self.class_priors):
                 raise InvalidSpecError("class_priors must be positive")
-        if self.modality_stream_seeds is not None and len(self.modality_stream_seeds) != len(
-            self.modality_dims
-        ):
-            raise InvalidSpecError("modality_stream_seeds length must equal modality count")
 
     @property
     def n_modalities(self) -> int:
         return len(self.modality_dims)
 
     def to_dict(self) -> dict:
-        d = {
-            "n_instances": self.n_instances,
-            "modality_dims": list(self.modality_dims),
-            "informativeness": list(self.informativeness),
-            "noise_sigma": self.noise_sigma,
-            "task": self.task,
-            "n_classes": self.n_classes,
-            "nonlinearity": self.nonlinearity,
-            "seed": self.seed,
-        }
-        if self.class_priors is not None:
-            d["class_priors"] = list(self.class_priors)
-        if self.modality_stream_seeds is not None:
-            d["modality_stream_seeds"] = list(self.modality_stream_seeds)
+        d = asdict(self)
+        if self.class_priors is None:
+            del d["class_priors"]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
-        d = dict(d)
-        d["modality_dims"] = tuple(d["modality_dims"])
-        d["informativeness"] = tuple(d["informativeness"])
-        if d.get("class_priors") is not None:
-            d["class_priors"] = tuple(d["class_priors"])
-        if d.get("modality_stream_seeds") is not None:
-            d["modality_stream_seeds"] = tuple(d["modality_stream_seeds"])
-        return cls(**d)
+        return cls(**d)  # __post_init__ turns the JSON lists back into tuples
 
 
 @dataclass
@@ -158,8 +131,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
 
     features = []
     for m in range(spec.n_modalities):
-        stream = spec.modality_stream_seeds[m] if spec.modality_stream_seeds else m
-        rng = np.random.default_rng([spec.seed, 1 + stream])
+        rng = np.random.default_rng([spec.seed, 1 + m])
         dim = spec.modality_dims[m]
         a = spec.informativeness[m]
         distractor = rng.standard_normal(spec.n_instances)
@@ -238,12 +210,16 @@ def write_matrix(path, arr: np.ndarray) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        (ndim,) = struct.unpack("<I", fh.read(4))
-        shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != int(np.prod(shape)):
+    """Inverse of write_matrix; ShapeError if the file is shorter or longer
+    than its header says."""
+    raw = Path(path).read_bytes()
+    ndim = struct.unpack_from("<I", raw)[0] if len(raw) >= 4 else None
+    if ndim is None or len(raw) < 4 + 4 * ndim:
+        raise ShapeError(f"matrix file {path} has a truncated header")
+    shape = struct.unpack_from(f"<{ndim}I", raw, 4)
+    if len(raw) != 4 + 4 * ndim + 8 * math.prod(shape):
         raise ShapeError(f"matrix file {path} payload does not match header {shape}")
+    data = np.frombuffer(raw, dtype="<f8", offset=4 + 4 * ndim)
     return data.reshape(shape).astype(np.float64)
 
 
@@ -272,24 +248,49 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 
 
 def load_dataset(in_dir) -> Dataset:
+    """Read a directory written by save_dataset. A missing, truncated or
+    malformed file raises InvalidInputError naming that file."""
     src = Path(in_dir)
+    meta_path = src / "meta.json"
     try:
-        meta = json.loads((src / "meta.json").read_text())
+        meta = json.loads(meta_path.read_text())
     except (OSError, ValueError) as exc:  # missing, unreadable or malformed
         raise InvalidInputError(f"cannot read dataset {src}: {exc}") from exc
-    if meta.get("format") != "btwmoe-dataset-v1":
+    if not isinstance(meta, dict) or meta.get("format") != "btwmoe-dataset-v1":
         raise InvalidInputError(f"unrecognized dataset format in {src}")
-    features = [read_matrix(src / name) for name in meta["modality_files"]]
-    targets = read_matrix(src / meta["targets_file"])
-    if meta["task"] == CLASSIFICATION:
+    try:
+        paths = [src / name for name in [*meta["modality_files"], meta["targets_file"]]]
+        task, n_classes = meta["task"], meta["n_classes"]
+        split_tags = np.asarray(meta["split_tags"], dtype=np.int8)
+        spec = SyntheticSpec.from_dict(meta["spec"]) if meta.get("spec") else None
+        split_fractions = tuple(meta["split_fractions"]) if meta.get("split_fractions") else None
+    except KeyError as exc:
+        raise InvalidInputError(f"dataset metadata {meta_path} has no key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"malformed dataset metadata {meta_path}: {exc}") from exc
+
+    matrices = []
+    for path in paths:
+        try:
+            matrices.append(read_matrix(path))
+        except (OSError, ShapeError) as exc:
+            raise InvalidInputError(f"dataset {src}: {exc}") from exc  # exc names the file
+    *features, targets = matrices
+    for path, mat, ndim in zip(paths, matrices, [2] * len(features) + [1]):
+        if mat.ndim != ndim or len(mat) != split_tags.size:
+            raise InvalidInputError(
+                f"dataset file {path} has shape {mat.shape}, but {meta_path} lists "
+                f"{split_tags.size} split tags"
+            )
+    if task == CLASSIFICATION:
         targets = targets.astype(np.int64)
     return Dataset(
         features=features,
         targets=targets,
-        split_tags=np.asarray(meta["split_tags"], dtype=np.int8),
-        task=meta["task"],
-        n_classes=meta["n_classes"],
-        spec=SyntheticSpec.from_dict(meta["spec"]) if meta.get("spec") else None,
+        split_tags=split_tags,
+        task=task,
+        n_classes=n_classes,
+        spec=spec,
         split_seed=meta.get("split_seed"),
-        split_fractions=tuple(meta["split_fractions"]) if meta.get("split_fractions") else None,
+        split_fractions=split_fractions,
     )

@@ -41,7 +41,7 @@ from .moe import (
     sgd_step,
 )
 from .predictions import PredictionSet
-from .synthetic import Dataset, SyntheticSpec, generate, split
+from .synthetic import Dataset, SyntheticSpec, generate, load_dataset, split
 from .weighting import (
     ALPHA_INIT,
     ALPHA_MAX,
@@ -61,6 +61,7 @@ from .weighting import (
 VARIANTS = ("unweighted", "btw_local", "btw_global_kl", "btw_global_mi", "btw")
 MI_VARIANTS = ("btw_global_mi", "btw")
 
+DEFAULT_SPLIT_FRACTIONS = (0.7, 0.15, 0.15)
 _SPLIT_SEED_OFFSET = 13
 _JITTER_SEED_OFFSET = 101
 _KSG_K = 3
@@ -80,7 +81,9 @@ class ExperimentConfig:
     moe: MoeConfig | None = None
     data: SyntheticSpec | None = None
     data_path: str | None = None
-    split_fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)
+    # None: a loaded dataset's stored split if it has one, else
+    # DEFAULT_SPLIT_FRACTIONS. A stored split cannot be re-split.
+    split_fractions: tuple[float, float, float] | None = None
     alpha_init: float = ALPHA_INIT
     alpha_step: float = ALPHA_STEP
     alpha_min: float = ALPHA_MIN
@@ -253,15 +256,20 @@ def _train_one_epoch(
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
     """Generate (or load) and split the experiment dataset."""
-    if config.data_path is not None:
-        from .synthetic import load_dataset
-
+    if config.data_path is None:
+        dataset = generate(config.data)
+    else:
         dataset = load_dataset(config.data_path)
-        if not (dataset.split_tags > 0).any():
-            dataset = split(dataset, config.split_fractions, seed=config.seed + _SPLIT_SEED_OFFSET)
-        return dataset
-    dataset = generate(config.data)
-    return split(dataset, config.split_fractions, seed=config.seed + _SPLIT_SEED_OFFSET)
+        if (dataset.split_tags > 0).any():
+            if config.split_fractions is not None:
+                raise InvalidInputError(
+                    f"split.fractions {config.split_fractions} conflicts with the stored split "
+                    f"{dataset.split_fractions} of dataset {config.data_path}; drop "
+                    f"split.fractions to use the stored one"
+                )
+            return dataset
+    fractions = config.split_fractions or DEFAULT_SPLIT_FRACTIONS
+    return split(dataset, fractions, seed=config.seed + _SPLIT_SEED_OFFSET)
 
 
 def default_moe_config(dataset: Dataset) -> MoeConfig:

@@ -8,9 +8,7 @@ vector, which reproduces unweighted training for those instances.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
@@ -118,7 +116,6 @@ class SmoothingState:
     alpha_max: float = ALPHA_MAX
     prev_weights: np.ndarray | None = None
     prev_metric: float | None = None
-    epoch: int = 0
 
     def __post_init__(self):
         if not (self.alpha_min <= self.alpha <= self.alpha_max):
@@ -164,38 +161,7 @@ def smooth_update(
             )
         smoothed = _normalize_rows(alpha * new_weights + (1.0 - alpha) * state.prev_weights)
 
-    next_state = replace(
-        state,
-        alpha=alpha,
-        prev_weights=smoothed,
-        prev_metric=float(current_metric),
-        epoch=state.epoch + 1,
+    return smoothed, replace(
+        state, alpha=alpha, prev_weights=smoothed, prev_metric=float(current_metric)
     )
-    return smoothed, next_state
 
-
-def write_weight_trajectory_csv(path, epochs, matrices) -> None:
-    """Write per-epoch weight matrices as rows of (epoch, instance, modality, weight).
-
-    The bytes are those csv.writer gives (no field needs quoting, every row
-    ends in CRLF); the ",instance,modality," cells are built once per shape
-    and each matrix is written as one string.
-    """
-    shape, cells = None, []
-    with open(path, "w", newline="") as fh:
-        fh.write("epoch,instance,modality,weight\r\n")
-        for epoch, w in zip(epochs, matrices):
-            if w.shape != shape:
-                shape = w.shape
-                cells = [f",{i},{j}," for i, j in product(*map(range, shape))]
-            values = map(repr, w.ravel().tolist())
-            fh.write("".join([f"{epoch}{cell}{value}\r\n" for cell, value in zip(cells, values)]))
-
-
-def write_alpha_trajectory_csv(path, epochs, alphas) -> None:
-    """Write the smoothing-factor trajectory as rows of (epoch, alpha)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "alpha"])
-        for epoch, alpha in zip(epochs, alphas):
-            writer.writerow([epoch, repr(float(alpha))])

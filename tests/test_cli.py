@@ -5,6 +5,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from btwmoe import training
@@ -23,6 +24,9 @@ from btwmoe.config import (
     parse_config_text,
 )
 from btwmoe.errors import ConfigParseError
+from btwmoe.synthetic import generate, load_dataset
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL_EXPERIMENT = """
 variant=btw
@@ -52,6 +56,14 @@ data.seed=4
 split.fractions=0.7,0.15,0.15
 split.seed=4
 """
+
+
+def command_args(command, config, out):
+    """Arguments for one CLI command that are complete up to --force."""
+    args = [command, "--config", str(config), "--out", str(out)]
+    if command == "compare":
+        args += ["--variants", "unweighted", "--seeds", "0"]
+    return args
 
 
 @pytest.fixture
@@ -153,14 +165,63 @@ class TestGenData:
         assert main(["gen-data", "--config", str(dataset_cfg), "--out", str(out),
                      "--force"]) == EXIT_OK
 
+    @pytest.mark.parametrize("name", ["noise_default", "classification_4class"])
+    def test_readme_example_on_bundled_configs(self, tmp_path, name):
+        # The README's first example, run on each bundled experiment config.
+        config = CONFIGS / f"{name}.cfg"
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(config), "--out", str(out), "--force"]) \
+            == EXIT_OK
+        expected = generate(load_experiment_config(config).data)
+        saved = load_dataset(out)
+        assert len(saved.features) == len(expected.features)
+        for got, want in zip(saved.features, expected.features):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert saved.targets.tobytes() == expected.targets.tobytes()
+
+    def test_invalid_split_fractions_exit_2(self, dataset_cfg, tmp_path, capsys):
+        dataset_cfg.write_text(SMALL_DATASET.replace("0.7,0.15,0.15", "0.5,0.5,0.5"))
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(dataset_cfg), "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: fractions sum to 1.5, not 1\n"
+        assert not out.exists()
+
+    def test_config_without_data_spec_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "path.cfg"
+        cfg.write_text(f"variant=btw\ndata.path={tmp_path}\n")
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) \
+            == EXIT_PARSE
+        assert "missing data spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
+@pytest.mark.parametrize("under", ["", "sub"])  # --out is the file, or a path under it
+def test_out_at_a_file_exits_3(experiment_cfg, tmp_path, capsys, command, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me")
+    args = command_args(command, experiment_cfg, blocker / under) + ["--force"]
+    assert main(args) == EXIT_OUTPUT_SAFETY
+    assert f"{blocker} is a file, not a directory" in capsys.readouterr().err
+    assert blocker.read_text() == "keep me"
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
+def test_missing_config_file_exits_2(tmp_path, capsys, command):
+    config = tmp_path / "absent.cfg"
+    assert main(command_args(command, config, tmp_path / "out")) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {config}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_writes_all_artifacts(self, experiment_cfg, tmp_path):
         out = tmp_path / "run"
         assert main(["train", "--config", str(experiment_cfg), "--out", str(out)]) == EXIT_OK
-        for name in ("records.csv", "weights_trajectory.csv", "alpha_trajectory.csv",
-                     "metrics.json", "manifest.json"):
+        for name in ("records.csv", "weights_trajectory.csv", "metrics.json", "manifest.json"):
             assert (out / name).exists(), name
+        assert not (out / "alpha_trajectory.csv").exists()  # records.csv's alpha column
         assert (out / "checkpoints" / "final.btwm").exists()
         assert (out / "checkpoints" / "unimodal_0.btwm").exists()
         with open(out / "records.csv") as fh:
@@ -252,6 +313,70 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(data) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("damage, culprit", [
+        (lambda data, meta: meta["spec"].update(bogus=1), "meta.json"),
+        (lambda data, meta: meta.pop("modality_files"), "meta.json"),
+        (lambda data, meta: (data / "modality_1.bin").write_bytes(b"\x02\x00"), "modality_1.bin"),
+        (lambda data, meta: (data / "targets.bin").write_bytes(
+            (data / "targets.bin").read_bytes()[:-3]), "targets.bin"),
+        (lambda data, meta: meta["split_tags"].pop(), "modality_0.bin"),
+    ], ids=["unknown-spec-key", "missing-meta-key", "truncated-header", "truncated-payload",
+            "row-count"])
+    def test_malformed_dataset_is_a_usage_error(self, dataset_cfg, tmp_path, capsys, damage,
+                                                culprit):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", str(dataset_cfg), "--out", str(data)]) == EXIT_OK
+        meta = json.loads((data / "meta.json").read_text())
+        damage(data, meta)
+        (data / "meta.json").write_text(json.dumps(meta))
+        cfg = tmp_path / "path.cfg"
+        cfg.write_text(f"variant=btw\ndata.path={data}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(data / culprit) in err
+        assert not out.exists()
+
+    def test_split_fractions_on_a_stored_split_is_a_usage_error(self, dataset_cfg, tmp_path,
+                                                                 capsys):
+        dataset_cfg.write_text(SMALL_DATASET.replace("0.7,0.15,0.15", "0.6,0.2,0.2"))
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", str(dataset_cfg), "--out", str(data)]) == EXIT_OK
+        cfg = tmp_path / "path.cfg"
+        cfg.write_text(f"variant=unweighted\nepochs.warm=1\nepochs.weighted=0\n"
+                       f"data.path={data}\nsplit.fractions=0.34,0.33,0.33\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "split.fractions (0.34, 0.33, 0.33)" in err
+        assert f"stored split (0.6, 0.2, 0.2) of dataset {data}" in err
+        assert not out.exists()
+        # Without split.fractions the stored split is used.
+        cfg.write_text(cfg.read_text().replace("split.fractions=0.34,0.33,0.33\n", ""))
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        resolved = training.resolve_dataset(load_experiment_config(cfg))
+        assert np.array_equal(resolved.split_tags, load_dataset(data).split_tags)
+
+    def test_unsplit_dataset_trains_like_its_inline_spec(self, tmp_path):
+        # gen-data on an experiment config without split.fractions saves an
+        # unsplit dataset; train then splits it as it splits the inline spec.
+        text = "".join(f"{line}\n" for line in SMALL_EXPERIMENT.splitlines()
+                       if not line.startswith("moe.")).replace("seed=0\n", "seed=5\n", 1)
+        inline_cfg = tmp_path / "inline.cfg"
+        inline_cfg.write_text(text)
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", str(inline_cfg), "--out", str(data)]) == EXIT_OK
+        assert not (load_dataset(data).split_tags > 0).any()
+        path_cfg = tmp_path / "path.cfg"
+        path_cfg.write_text("".join(f"{line}\n" for line in text.splitlines()
+                                    if not line.startswith("data.")) + f"data.path={data}\n")
+        runs = [tmp_path / "inline", tmp_path / "path"]
+        for cfg, out in zip((inline_cfg, path_cfg), runs):
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        for name in ("records.csv", "weights_trajectory.csv", "metrics.json",
+                     "checkpoints/final.btwm"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")

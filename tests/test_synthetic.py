@@ -61,18 +61,6 @@ class TestGenerate:
             corr = np.corrcoef(ds.features[1][:, j], ds.targets)[0, 1]
             assert abs(corr) < 0.1
 
-    def test_identical_stream_seeds_make_modalities_exchangeable(self):
-        spec = base_spec(
-            informativeness=(0.5, 0.5),
-            noise_sigma=0.1,
-            modality_stream_seeds=(7, 7),
-            seed=3,
-        )
-        ds = generate(spec)
-        m0, m1 = ds.features
-        assert abs(m0.mean() - m1.mean()) < 0.05
-        assert abs(m0.std() - m1.std()) < 0.05
-
     def test_quantile_binning_is_balanced(self):
         spec = base_spec(
             n_instances=4000,

@@ -254,7 +254,7 @@ class TestFinalBundles:
 
 
 class TestExportBytes:
-    # sha256 of the four data files export_result writes for a small
+    # sha256 of the three data files export_result writes for a small
     # regression btw run and a small classification btw_global_mi run. A
     # change to how a run is recorded in memory must leave these bytes alone.
     @pytest.mark.parametrize("overrides, digests", [
@@ -262,16 +262,12 @@ class TestExportBytes:
             "records.csv": "74c100552723919ff6ed4e078431f60ca112d56aa4bc48853e33fbd28077658a",
             "weights_trajectory.csv":
                 "bb415d2ca9b024907dc0bab4c4a4cc38c2451ea9d5fda013d2687b159693e236",
-            "alpha_trajectory.csv":
-                "a117eba5f26ad053fdfa62b5c8eb51526e2581e0e7ccbdbb3ce94c46203087ac",
             "metrics.json": "8f2363c2a4b2b4ad9aa14a9336e9c670b28b70abcf7417620c432214e83cee31",
         }),
         (dict(variant="btw_global_mi", spec=dict(task="classification", n_classes=3)), {
             "records.csv": "26f0d7a4593a6e4bfa672ca2cf2d58160b4a9e27136ebaaf6407258c64997e21",
             "weights_trajectory.csv":
                 "fe031f776a8e4592e8245800daec86db5cc5c700e0fb4509a7164c0b4660036b",
-            "alpha_trajectory.csv":
-                "ea1e3d6af2ec025acb25ad6b52f9b146f3a13fa378e171d0515bc1e135665ab5",
             "metrics.json": "d70b7254452d69c0ec239fe145f4195f70b82ba07308f52a64e115fedff31dd4",
         }),
     ])

@@ -1,4 +1,4 @@
-"""Weight combinators and adaptive EMA smoothing."""
+"""Weight combinators, adaptive EMA smoothing, and the weight-trajectory file."""
 
 import csv
 import io
@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from btwmoe.distributions import residual_variance_array
 from btwmoe.errors import IncompleteInputError, InvalidInputError, ShapeError
 from btwmoe.predictions import PredictionSet
+from btwmoe.reports import write_weight_trajectory_csv
 from btwmoe.weighting import (
     SmoothingState,
     combine_bilevel,
@@ -21,8 +22,6 @@ from btwmoe.weighting import (
     instance_kl_weights,
     smooth_update,
     validate_weight_matrix,
-    write_alpha_trajectory_csv,
-    write_weight_trajectory_csv,
 )
 
 raw_matrices = hnp.arrays(
@@ -219,7 +218,6 @@ class TestSmoothing:
         np.testing.assert_array_equal(smoothed, new)
         assert next_state.alpha == state.alpha
         assert next_state.prev_metric == 0.5
-        assert next_state.epoch == 1
 
     def test_alpha_clamps_at_bounds(self):
         state = SmoothingState(alpha=0.9, prev_weights=np.array([[1.0, 0.0]]), prev_metric=2.0)
@@ -280,6 +278,8 @@ class TestSmoothing:
 
 
 class TestCsvExport:
+    """reports.write_weight_trajectory_csv, the file form of the smoothed weights."""
+
     def test_weight_trajectory_round_trip(self, tmp_path):
         path = tmp_path / "weights_trajectory.csv"
         w1 = np.array([[0.25, 0.75], [0.5, 0.5]])
@@ -316,11 +316,3 @@ class TestCsvExport:
                 for m in range(w.shape[1]):
                     writer.writerow([epoch, i, m, repr(float(w[i, m]))])
         assert path.read_bytes() == expected.getvalue().encode()
-
-    def test_alpha_trajectory_header(self, tmp_path):
-        path = tmp_path / "alpha.csv"
-        write_alpha_trajectory_csv(path, [1, 2, 3], [0.5, 0.6, 0.5])
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["epoch", "alpha"]
-        assert [float(r[1]) for r in rows[1:]] == [0.5, 0.6, 0.5]
