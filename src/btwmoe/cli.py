@@ -17,7 +17,7 @@ from .config import load_data_config, load_experiment_config
 from .errors import BtwError, ConfigParseError, TrainingFailureError
 from .reports import export_result, write_manifest, write_summary_csv
 from .synthetic import generate, save_dataset, split
-from .training import run_experiment
+from .training import resolve_dataset, run_experiment
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -48,8 +48,8 @@ def cmd_gen_data(args) -> int:
     if fractions is not None:
         dataset = split(dataset, fractions, split_seed)
     _check_out_dir(args.out, args.force)
-    save_dataset(dataset, args.out)
-    write_manifest(args.out, "gen-data", args.config, {"seed": spec.seed})
+    written = save_dataset(dataset, args.out)
+    write_manifest(args.out, "gen-data", args.config, written, {"seed": spec.seed})
     print(f"wrote dataset ({dataset.n_instances} instances, "
           f"{dataset.n_modalities} modalities) to {args.out}")
     return EXIT_OK
@@ -59,9 +59,9 @@ def cmd_train(args) -> int:
     config = load_experiment_config(args.config)
     _check_out_dir(args.out, args.force)
     result = run_experiment(config)
-    export_result(result, args.out)
-    write_manifest(args.out, "train", args.config, {"seed": config.seed,
-                                                    "variant": config.variant})
+    written = export_result(result, args.out)
+    write_manifest(args.out, "train", args.config, written, {"seed": config.seed,
+                                                             "variant": config.variant})
     headline = "mae" if "mae" in result.test_bundle else "accuracy"
     print(f"{config.variant} seed {config.seed}: {len(result.records)} epochs, "
           f"test {headline} {result.test_bundle[headline]:.4f} -> {args.out}")
@@ -73,9 +73,8 @@ def _compare_cell(payload):
     try:
         result = run_experiment(config)
     except BtwError as exc:
-        return config.variant, config.seed, None, str(exc)
-    export_result(result, cell_dir)
-    return config.variant, config.seed, result.test_bundle, None
+        return config.variant, config.seed, None, str(exc), []
+    return config.variant, config.seed, result.test_bundle, None, export_result(result, cell_dir)
 
 
 def cmd_compare(args) -> int:
@@ -88,6 +87,7 @@ def cmd_compare(args) -> int:
     if not variants or not seeds:
         raise ConfigParseError("need at least one variant and one seed")
     variant_configs = [replace(config, variant=variant) for variant in variants]
+    resolve_dataset(config)  # a data error every cell would hit is a usage error
     _check_out_dir(args.out, args.force)
 
     cells = []
@@ -103,15 +103,17 @@ def cmd_compare(args) -> int:
     else:
         outcomes = [_compare_cell(cell) for cell in cells]
 
-    failures = [(v, s, err) for v, s, _b, err in outcomes if err is not None]
+    failures = [(v, s, err) for v, s, _b, err, _w in outcomes if err is not None]
     bundles: dict[str, list[dict]] = {}
-    for variant, _seed, bundle, err in outcomes:
+    for variant, _seed, bundle, err, _w in outcomes:
         if err is None:
             bundles.setdefault(variant, []).append(bundle)
 
     summary_path = Path(args.out) / "summary.csv"
     write_summary_csv(summary_path, variants, bundles)
-    write_manifest(args.out, "compare", args.config, {"variants": variants, "seeds": seeds})
+    written = [summary_path] + [path for *_, cell_written in outcomes for path in cell_written]
+    write_manifest(args.out, "compare", args.config, written,
+                   {"variants": variants, "seeds": seeds})
     print(f"summary -> {summary_path}")
     if failures:
         for variant, seed, err in failures:

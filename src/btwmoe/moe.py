@@ -27,12 +27,12 @@ A finite-difference gradient checker guards the whole thing.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 from scipy.special import erf
@@ -589,43 +589,75 @@ def grad_check(
     return worst
 
 
+def write_tensor_record(fh, arr) -> None:
+    """Append one tensor record to a binary file: uint32 ndim, the uint32
+    dims, then the values as little-endian float64."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    fh.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
+    fh.write(arr.tobytes())
+
+
+def read_tensor_records(path, raw: bytes, offset: int, count: int) -> list[np.ndarray]:
+    """Decode count tensor records from raw, the bytes of the file at path,
+    starting at offset. The file must end with the last record: one that ends
+    inside a record or runs past the last raises InvalidInputError naming path."""
+    tensors = []
+    for _ in range(count):
+        ndim = struct.unpack_from("<I", raw, offset)[0] if len(raw) >= offset + 4 else None
+        if ndim is None or len(raw) < offset + 4 + 4 * ndim:
+            raise InvalidInputError(f"file {path} ends inside a tensor record header")
+        shape = struct.unpack_from(f"<{ndim}I", raw, offset + 4)
+        offset += 4 + 4 * ndim
+        size = math.prod(shape)
+        if len(raw) < offset + 8 * size:
+            raise InvalidInputError(f"file {path} ends inside a tensor record of shape {shape}")
+        tensors.append(np.frombuffer(raw, "<f8", size, offset).reshape(shape).astype(np.float64))
+        offset += 8 * size
+    if offset != len(raw):
+        raise InvalidInputError(f"file {path} has {len(raw) - offset} bytes past its last "
+                                f"tensor record")
+    return tensors
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Versioned binary container: magic, format version, config, tensors."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_FORMAT_VERSION))
+    """Versioned binary container: magic, format version, config, then one
+    tensor record per view of params.tensors()."""
     cfg_bytes = json.dumps(params.config.to_dict(), sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<I", len(cfg_bytes)))
-    buf.write(cfg_bytes)
-    for _, arr in params.tensors():
-        buf.write(struct.pack("<I", arr.ndim))
-        for dim in arr.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<2I", CHECKPOINT_FORMAT_VERSION, len(cfg_bytes)))
+        fh.write(cfg_bytes)
+        for _, arr in params.tensors():
+            write_tensor_record(fh, arr)
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    view = io.BytesIO(data)
-    magic = view.read(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise InvalidInputError(f"bad checkpoint magic {magic!r}")
-    (fmt_version,) = struct.unpack("<I", view.read(4))
+    """Read a save_checkpoint file. A damaged file (wrong magic or version,
+    a header or record cut short, bytes past the last record, an unreadable
+    config block) raises InvalidInputError naming path."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != CHECKPOINT_MAGIC:
+        raise InvalidInputError(f"checkpoint {path} has bad magic {raw[:4]!r}")
+    if len(raw) < 12:
+        raise InvalidInputError(f"checkpoint {path} ends inside its header")
+    fmt_version, cfg_len = struct.unpack_from("<2I", raw, 4)
     if fmt_version != CHECKPOINT_FORMAT_VERSION:
-        raise InvalidInputError(f"unsupported checkpoint format version {fmt_version}")
-    (cfg_len,) = struct.unpack("<I", view.read(4))
-    config = MoeConfig.from_dict(json.loads(view.read(cfg_len).decode("utf-8")))
+        raise InvalidInputError(
+            f"checkpoint {path} has unsupported format version {fmt_version}"
+        )
+    try:
+        config = MoeConfig.from_dict(json.loads(raw[12 : 12 + cfg_len].decode("utf-8")))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise InvalidInputError(f"checkpoint {path} has an unreadable config: {exc}") from exc
 
     # Tensors were written in tensors() order; each fills its view in place.
     params = ModelParams(config)
-    for name, like in params.tensors():
-        (ndim,) = struct.unpack("<I", view.read(4))
-        shape = tuple(struct.unpack("<I", view.read(4))[0] for _ in range(ndim))
-        if shape != like.shape:
-            raise ShapeError(f"checkpoint tensor {name} has shape {shape}, expected {like.shape}")
-        n_bytes = int(np.prod(shape)) * 8
-        like[...] = np.frombuffer(view.read(n_bytes), dtype="<f8").reshape(shape)
+    views = list(params.tensors())
+    tensors = read_tensor_records(path, raw, 12 + cfg_len, len(views))
+    for (name, like), arr in zip(views, tensors):
+        if arr.shape != like.shape:
+            raise ShapeError(
+                f"checkpoint tensor {name} has shape {arr.shape}, expected {like.shape}"
+            )
+        like[...] = arr
     return params

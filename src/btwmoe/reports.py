@@ -14,21 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .moe import CLASSIFICATION, REGRESSION, save_checkpoint
+from .moe import save_checkpoint
 from .training import ExperimentResult
-
-REGRESSION_METRIC_COLUMNS = [
-    "mae",
-    "corr",
-    "corr_degenerate",
-    "acc7",
-    "acc5",
-    "acc2_incl_zero",
-    "acc2_nonzero",
-    "weighted_f1_incl_zero",
-    "weighted_f1_nonzero",
-]
-CLASSIFICATION_METRIC_COLUMNS = ["accuracy", "macro_f1", "weighted_f1"]
 
 # Documents the binary-accuracy convention used throughout the reports.
 ZERO_HANDLING_NOTE = (
@@ -37,15 +24,11 @@ ZERO_HANDLING_NOTE = (
 )
 
 
-def metric_columns(task: str) -> list[str]:
-    return REGRESSION_METRIC_COLUMNS if task == REGRESSION else CLASSIFICATION_METRIC_COLUMNS
-
-
 def write_records_csv(result: ExperimentResult, path) -> None:
     """One row per epoch. Wall-clock durations stay in memory: the file must
-    be byte-identical across reruns of the same config."""
-    task = result.config.moe.task
-    cols = metric_columns(task)
+    be byte-identical across reruns of the same config. The metric columns
+    are the keys of the task's metric bundle, in its order."""
+    cols = list(result.test_bundle)
     n_mod = result.config.moe.n_modalities
     header = (
         ["epoch", "phase", "train_loss", "val_loss"]
@@ -102,25 +85,27 @@ def write_metrics_report(result: ExperimentResult, path) -> None:
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def export_result(result: ExperimentResult, out_dir) -> None:
-    """Write every run artifact into out_dir."""
+def export_result(result: ExperimentResult, out_dir) -> list[Path]:
+    """Write every run artifact into out_dir; return the paths written."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    checkpoints = {out / "checkpoints" / "final.btwm": result.final_params}
+    for m, params in enumerate(result.unimodal_params):
+        checkpoints[out / "checkpoints" / f"unimodal_{m}.btwm"] = params
+    (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     write_records_csv(result, out / "records.csv")
     write_weight_trajectory_csv(
         out / "weights_trajectory.csv", result.weight_epochs, result.weight_matrices
     )
     write_metrics_report(result, out / "metrics.json")
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
-    save_checkpoint(result.final_params, ckpt_dir / "final.btwm")
-    for m, params in enumerate(result.unimodal_params):
-        save_checkpoint(params, ckpt_dir / f"unimodal_{m}.btwm")
+    for path, params in checkpoints.items():
+        save_checkpoint(params, path)
+    return [out / "records.csv", out / "weights_trajectory.csv", out / "metrics.json",
+            *checkpoints]
 
 
-def write_manifest(out_dir, command: str, config_path, extra: dict) -> None:
+def write_manifest(out_dir, command: str, config_path, outputs, extra: dict) -> None:
     """manifest.json: the tool, the command, the config echo and the sha256 of
-    its bytes, and every file already under out_dir."""
+    its bytes, and the files this command wrote under out_dir (outputs)."""
     manifest = {
         "tool": "btwmoe",
         "tool_version": __version__,
@@ -128,9 +113,7 @@ def write_manifest(out_dir, command: str, config_path, extra: dict) -> None:
         "config_file": str(config_path),
         "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
         "config_echo": Path(config_path).read_text(),
-        "outputs": sorted(
-            str(p.relative_to(out_dir)) for p in Path(out_dir).rglob("*") if p.is_file()
-        ),
+        "outputs": sorted(str(Path(p).relative_to(out_dir)) for p in outputs),
     }
     manifest.update(extra)
     (Path(out_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -138,10 +121,9 @@ def write_manifest(out_dir, command: str, config_path, extra: dict) -> None:
 
 def write_summary_csv(path, variants: list[str], bundles: dict[str, list[dict]]) -> None:
     """One row per variant with test bundles: the seed count, then the mean and
-    std of each test metric over its bundles."""
-    first_bundle = next((b for rows in bundles.values() for b in rows), None)
-    task = REGRESSION if first_bundle is None or "mae" in first_bundle else CLASSIFICATION
-    cols = metric_columns(task)
+    std of each test metric (the bundle's keys, in its order) over its
+    bundles. Without any bundle the header is just variant,n_seeds."""
+    cols = next((list(b) for rows in bundles.values() for b in rows), [])
     with open(path, "w", newline="") as fh:
         header = ["variant", "n_seeds"]
         for c in cols:

@@ -9,15 +9,13 @@ are the signal itself (regression) or its quantile bins (classification).
 from __future__ import annotations
 
 import json
-import math
-import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError, ShapeError
-from .moe import CLASSIFICATION, REGRESSION, DataBatch
+from .errors import InvalidInputError, InvalidSpecError
+from .moe import CLASSIFICATION, REGRESSION, DataBatch, read_tensor_records, write_tensor_record
 
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_NAMES = {"train": TRAIN, "val": VAL, "test": TEST}
@@ -199,39 +197,16 @@ def split(dataset: Dataset, fractions, seed: int) -> Dataset:
     )
 
 
-def write_matrix(path, arr: np.ndarray) -> None:
-    """Fixed-header binary matrix: uint32 ndim, uint32 dims, float64 LE payload."""
-    arr = np.asarray(arr, dtype=np.float64)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", arr.ndim))
-        for dim in arr.shape:
-            fh.write(struct.pack("<I", dim))
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def read_matrix(path) -> np.ndarray:
-    """Inverse of write_matrix; ShapeError if the file is shorter or longer
-    than its header says."""
-    raw = Path(path).read_bytes()
-    ndim = struct.unpack_from("<I", raw)[0] if len(raw) >= 4 else None
-    if ndim is None or len(raw) < 4 + 4 * ndim:
-        raise ShapeError(f"matrix file {path} has a truncated header")
-    shape = struct.unpack_from(f"<{ndim}I", raw, 4)
-    if len(raw) != 4 + 4 * ndim + 8 * math.prod(shape):
-        raise ShapeError(f"matrix file {path} payload does not match header {shape}")
-    data = np.frombuffer(raw, dtype="<f8", offset=4 + 4 * ndim)
-    return data.reshape(shape).astype(np.float64)
-
-
-def save_dataset(dataset: Dataset, out_dir) -> None:
+def save_dataset(dataset: Dataset, out_dir) -> list[Path]:
+    """Write meta.json and one tensor-record file per modality and for the
+    targets into out_dir; return the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    modality_files = []
-    for m, mat in enumerate(dataset.features):
-        name = f"modality_{m}.bin"
-        write_matrix(out / name, mat)
-        modality_files.append(name)
-    write_matrix(out / "targets.bin", dataset.targets.astype(np.float64))
+    modality_files = [f"modality_{m}.bin" for m in range(dataset.n_modalities)]
+    written = [out / name for name in [*modality_files, "targets.bin"]]
+    for path, mat in zip(written, [*dataset.features, dataset.targets]):
+        with open(path, "wb") as fh:
+            write_tensor_record(fh, mat)
     meta = {
         "format": "btwmoe-dataset-v1",
         "n_instances": dataset.n_instances,
@@ -245,6 +220,7 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
         "spec": dataset.spec.to_dict() if dataset.spec else None,
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    return [*written, out / "meta.json"]
 
 
 def load_dataset(in_dir) -> Dataset:
@@ -272,9 +248,10 @@ def load_dataset(in_dir) -> Dataset:
     matrices = []
     for path in paths:
         try:
-            matrices.append(read_matrix(path))
-        except (OSError, ShapeError) as exc:
+            raw = path.read_bytes()
+        except OSError as exc:
             raise InvalidInputError(f"dataset {src}: {exc}") from exc  # exc names the file
+        matrices.append(read_tensor_records(path, raw, 0, 1)[0])
     *features, targets = matrices
     for path, mat, ndim in zip(paths, matrices, [2] * len(features) + [1]):
         if mat.ndim != ndim or len(mat) != split_tags.size:

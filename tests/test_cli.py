@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -187,6 +188,27 @@ class TestGenData:
         assert capsys.readouterr().err == "error: fractions sum to 1.5, not 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("fractions, meta_sha256", [
+        ("split.fractions=0.7,0.15,0.15\n",
+         "c8d7d0bfa8043467adbd9d14b145db8f39cc11e51a2fc539b93e3dd579c96a4c"),
+        ("", "14696819b256cc9d4466661616785253e7449f5aacfb3913aa78cfafef4190cf"),
+    ], ids=["split", "unsplit"])
+    def test_dataset_bytes_pinned(self, dataset_cfg, tmp_path, fractions, meta_sha256):
+        # Tensor records of the .bin files and the meta.json text, as the
+        # dataset format has always written them.
+        dataset_cfg.write_text(SMALL_DATASET.replace("split.fractions=0.7,0.15,0.15\n",
+                                                     fractions))
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(dataset_cfg), "--out", str(out)]) == EXIT_OK
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("meta.json", "modality_0.bin", "modality_1.bin", "targets.bin")}
+        assert digests == {
+            "meta.json": meta_sha256,
+            "modality_0.bin": "5d9cef90fd0a656b8347569ae429554de42d9a54f86f8f3c875f8d7f8e9e9926",
+            "modality_1.bin": "a3c3c9ccddd0b5805e068c6bf2c59b7b98e94cd73dda1514533d97ce9ab29320",
+            "targets.bin": "1bb7c75ee14bc6c154dbb1e8af519fa917c986713e950e65730169342e507c2c",
+        }
+
     def test_config_without_data_spec_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "path.cfg"
         cfg.write_text(f"variant=btw\ndata.path={tmp_path}\n")
@@ -213,6 +235,27 @@ def test_missing_config_file_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read config {config}") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+
+@pytest.mark.parametrize("command, config, written", [
+    ("gen-data", SMALL_DATASET, ["meta.json", "modality_0.bin", "modality_1.bin",
+                                 "targets.bin"]),
+    ("train", SMALL_EXPERIMENT, ["checkpoints/final.btwm", "checkpoints/unimodal_0.btwm",
+                                 "checkpoints/unimodal_1.btwm", "checkpoints/unimodal_2.btwm",
+                                 "metrics.json", "records.csv", "weights_trajectory.csv"]),
+], ids=["gen-data", "train"])
+def test_force_manifest_lists_only_written_files(tmp_path, command, config, written):
+    # --force into an old run directory keeps its files but lists only the new ones.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "alpha_trajectory.csv").write_text("epoch,alpha\n")
+    (out / "manifest.json").write_text("{}")
+    assert main([command, "--config", str(cfg), "--out", str(out), "--force"]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == written
+    assert (out / "alpha_trajectory.csv").read_text() == "epoch,alpha\n"
 
 
 class TestTrain:
@@ -449,6 +492,36 @@ class TestCompare:
         ]) == EXIT_PARSE
         assert "error: unknown variant 'bogus'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("stored_split", [True, False], ids=["stored-split", "missing-path"])
+    def test_data_error_every_cell_hits_exits_2(self, dataset_cfg, tmp_path, capsys,
+                                                 stored_split):
+        data = tmp_path / "data"
+        if stored_split:
+            dataset_cfg.write_text(SMALL_DATASET.replace("0.7,0.15,0.15", "0.6,0.2,0.2"))
+            assert main(["gen-data", "--config", str(dataset_cfg), "--out", str(data)]) \
+                == EXIT_OK
+        cfg = tmp_path / "path.cfg"
+        cfg.write_text(f"variant=btw\ndata.path={data}\nsplit.fractions=0.34,0.33,0.33\n")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg), "--variants", "unweighted,btw",
+                     "--seeds", "0,1", "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(data) in err and "failed:" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_all_failed_grid_summary_has_no_metric_columns(self, tmp_path):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(SMALL_EXPERIMENT.replace("lr=0.02", "lr=1e150")
+                       .replace("epochs.unimodal=2", "epochs.unimodal=1")
+                       .replace("data.task=regression", "data.task=classification\n"
+                                "data.n_classes=3"))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg), "--variants", "unweighted,btw",
+                     "--seeds", "0", "--out", str(out)]) == EXIT_PARTIAL_COMPARE
+        assert (out / "summary.csv").read_text() == "variant,n_seeds\n"
 
     def test_partial_failure_exits_5_but_finishes_others(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"

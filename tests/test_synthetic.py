@@ -1,20 +1,65 @@
 """Synthetic dataset generation, splitting, and serialization."""
 
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from btwmoe.errors import InvalidInputError, InvalidSpecError
 from btwmoe.metrics import mae
+from btwmoe.moe import (
+    MoeConfig,
+    init_params,
+    load_checkpoint,
+    read_tensor_records,
+    save_checkpoint,
+    write_tensor_record,
+)
 from btwmoe.synthetic import (
     Dataset,
     SyntheticSpec,
     generate,
     load_dataset,
-    read_matrix,
     save_dataset,
     split,
-    write_matrix,
 )
+
+
+def checkpoint_file(tmp_path):
+    """A final.btwm, its loader, and the offset of its first tensor record."""
+    path = tmp_path / "final.btwm"
+    config = MoeConfig(input_dims=(3, 2), embed_dim=4, n_experts=2, top_k=1, expert_hidden=5)
+    save_checkpoint(init_params(config, 0), path)
+    return path, load_checkpoint, 12 + struct.unpack_from("<I", path.read_bytes(), 8)[0]
+
+
+def dataset_file(tmp_path):
+    """A dataset .bin, its directory's loader, and the offset of its record."""
+    data = tmp_path / "data"
+    save_dataset(generate(base_spec(n_instances=10, modality_dims=(3,), informativeness=(1.0,))),
+                 data)
+    return data / "modality_0.bin", lambda _path: load_dataset(data), 0
+
+
+def with_config(raw: bytes, edit) -> bytes:
+    """A checkpoint's bytes with its config block replaced by edit(block)."""
+    cfg_len = struct.unpack_from("<I", raw, 8)[0]
+    cfg = edit(raw[12 : 12 + cfg_len])
+    return raw[:8] + struct.pack("<I", len(cfg)) + cfg + raw[12 + cfg_len :]
+
+
+DAMAGE = {
+    "truncated-record-header": lambda raw, start: raw[: start + 2],
+    "truncated-payload": lambda raw, start: raw[:-3],
+    "trailing-bytes": lambda raw, start: raw + bytes(8),
+    # Checkpoint header damage:
+    "truncated-file-header": lambda raw, start: raw[:10],
+    "undecodable-config": lambda raw, start: with_config(raw, lambda cfg: cfg[:-1]),
+    "unknown-config-key": lambda raw, start: with_config(
+        raw, lambda cfg: json.dumps({**json.loads(cfg), "bogus": 1}).encode()),
+}
 
 
 def base_spec(**overrides):
@@ -119,8 +164,21 @@ class TestSerialization:
     def test_matrix_round_trip(self, tmp_path):
         arr = np.random.default_rng(0).standard_normal((7, 3))
         path = tmp_path / "m.bin"
-        write_matrix(path, arr)
-        assert np.array_equal(read_matrix(path), arr)
+        with open(path, "wb") as fh:
+            write_tensor_record(fh, arr)
+        assert np.array_equal(read_tensor_records(path, path.read_bytes(), 0, 1)[0], arr)
+
+    @pytest.mark.parametrize("make_file, damage", [
+        *[(make, damage) for make in (checkpoint_file, dataset_file)
+          for damage in ("truncated-record-header", "truncated-payload", "trailing-bytes")],
+        *[(checkpoint_file, damage) for damage in
+          ("truncated-file-header", "undecodable-config", "unknown-config-key")],
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_damaged_file_names_the_file(self, tmp_path, make_file, damage):
+        path, load, start = make_file(tmp_path)
+        path.write_bytes(DAMAGE[damage](path.read_bytes(), start))
+        with pytest.raises(InvalidInputError, match=re.escape(str(path))):
+            load(path)
 
     def test_dataset_round_trip(self, tmp_path):
         ds = split(generate(base_spec(n_instances=200, noise_sigma=0.2)), (0.7, 0.15, 0.15), 3)
