@@ -17,7 +17,7 @@ from .config import load_data_config, load_experiment_config
 from .errors import BtwError, ConfigParseError, TrainingFailureError
 from .reports import export_result, write_manifest, write_summary_csv
 from .synthetic import generate, save_dataset, split
-from .training import resolve_dataset, run_experiment
+from .training import plan, run_experiment
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -57,6 +57,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_experiment_config(args.config)
+    plan(config)
     _check_out_dir(args.out, args.force)
     result = run_experiment(config)
     written = export_result(result, args.out)
@@ -86,16 +87,24 @@ def cmd_compare(args) -> int:
         raise ConfigParseError(f"--seeds: {exc}") from exc
     if not variants or not seeds:
         raise ConfigParseError("need at least one variant and one seed")
-    variant_configs = [replace(config, variant=variant) for variant in variants]
-    resolve_dataset(config)  # a data error every cell would hit is a usage error
+    cell_configs = [replace(config, variant=v, seed=s) for v in variants for s in seeds]
+    # A cell that cannot be planned fails again, alone, when it runs; an error
+    # every cell hits is a usage error.
+    plan_errors = []
+    for cell_config in cell_configs:
+        try:
+            plan(cell_config)
+        except BtwError as exc:
+            plan_errors.append(exc)
+    if len(plan_errors) == len(cell_configs):
+        raise plan_errors[0]
     _check_out_dir(args.out, args.force)
 
     cells = []
-    for variant_config in variant_configs:
-        for seed in seeds:
-            cell_dir = Path(args.out) / variant_config.variant / f"seed_{seed}"
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            cells.append((replace(variant_config, seed=seed), cell_dir))
+    for cell_config in cell_configs:
+        cell_dir = Path(args.out) / cell_config.variant / f"seed_{cell_config.seed}"
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        cells.append((cell_config, cell_dir))
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -24,8 +24,6 @@ _EXPERIMENT_KEYS = {
     "alpha.min": float,
     "alpha.max": float,
     "split.fractions": "floats",
-    "hooks.force_uniform_mi": "bool",
-    "hooks.force_unit_weights": "bool",
     "moe.embed_dim": int,
     "moe.n_experts": int,
     "moe.top_k": int,
@@ -55,12 +53,6 @@ def _convert(key, kind, value, line_no):
             return float(value)
         if kind is str:
             return value
-        if kind == "bool":
-            if value.lower() in ("true", "1", "yes"):
-                return True
-            if value.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
         if kind == "ints":
             return tuple(int(v) for v in value.split(","))
         if kind == "floats":
@@ -131,9 +123,9 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
             **moe_kwargs,
         )
 
-    # Field name from key: drop the "hooks." prefix, then dots become underscores.
+    # Field name from key: dots become underscores.
     kwargs = {
-        key.removeprefix("hooks.").replace(".", "_"): value
+        key.replace(".", "_"): value
         for key, value in values.items()
         if key in _EXPERIMENT_KEYS and not key.startswith("moe.")
     }

@@ -104,8 +104,9 @@ def gaussian_kl_array(p_mean, p_var, q_mean, q_var) -> np.ndarray:
     """Closed-form KL(p || q) between univariate Gaussians over broadcast arrays, in nats.
 
     log(s_q/s_p) + (s_p^2 + (m_p - m_q)^2) / (2 s_q^2) - 1/2, with s the
-    standard deviation. Identical inputs give exactly 0.0. Every parameter
-    must be finite and every variance at least VARIANCE_FLOOR.
+    standard deviation. Identical inputs give exactly 0.0, and rounding on
+    nearly identical ones is clamped to 0.0, so no value is negative. Every
+    parameter must be finite and every variance at least VARIANCE_FLOOR.
     """
     p_mean, p_var, q_mean, q_var = (
         np.asarray(a, dtype=np.float64) for a in (p_mean, p_var, q_mean, q_var)
@@ -114,7 +115,7 @@ def gaussian_kl_array(p_mean, p_var, q_mean, q_var) -> np.ndarray:
     _validate_gaussian(q_mean, q_var)
     log_term = np.asarray(_libm_log(np.sqrt(q_var) / np.sqrt(p_var)), dtype=np.float64)
     quad_term = (p_var + np.float_power(p_mean - q_mean, 2)) / (2.0 * q_var)
-    return log_term + quad_term - 0.5
+    return np.maximum(log_term + quad_term - 0.5, 0.0)
 
 
 def _sum_positive_terms(terms: np.ndarray, positive: np.ndarray) -> np.ndarray:

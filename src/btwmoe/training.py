@@ -9,6 +9,9 @@ predictions, estimate modality MI when the variant calls for it, combine,
 smooth, train one epoch with the weights scaling the modality embeddings, and
 refresh the multimodal predictions.
 
+plan() decides whether a run can start before any of this; once it has,
+every package error is a training failure naming its phase and epoch.
+
 Seed-splitting rule (experiment seed S): unimodal model m trains from stream
 S + m; the multimodal model from stream S (continuing through warm and
 weighted epochs); the dataset from data.seed; the split from S + 13; MI
@@ -25,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericOverflowError, TrainingFailureError
+from .errors import BtwError, InvalidInputError, NumericOverflowError, TrainingFailureError
 from .metrics import classification_bundle, regression_bundle
 from .mi import discrete_mi, ksg_mi
 from .moe import (
@@ -89,11 +92,6 @@ class ExperimentConfig:
     alpha_min: float = ALPHA_MIN
     alpha_max: float = ALPHA_MAX
     seed: int = 0
-    # Equation-reduction test hooks. Neither touches the training RNG stream:
-    # force_uniform_mi replaces the MI estimate with ones, force_unit_weights
-    # applies all-ones weights while the weight pipeline still runs.
-    force_uniform_mi: bool = False
-    force_unit_weights: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -214,14 +212,15 @@ def _score(params: ModelParams, batch: DataBatch, weights=None) -> tuple[float, 
 
 @contextmanager
 def _failures_in(phase: str, epoch: int):
-    """Report a non-finite value as a failure of this phase and epoch.
+    """Report any package error as a failure of this phase and epoch.
 
-    Wraps an epoch's training and the prediction passes on its result, so a
-    last SGD step that diverges is charged to the epoch that took it.
+    Wraps an epoch's work and the prediction passes on its result, so a last
+    SGD step that diverges is charged to the epoch that took it. Whatever
+    plan() accepted may fail only this way once training has started.
     """
     try:
         yield
-    except FloatingPointError as exc:
+    except BtwError as exc:
         raise TrainingFailureError(phase, epoch, str(exc)) from exc
 
 
@@ -272,12 +271,34 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
     return split(dataset, fractions, seed=config.seed + _SPLIT_SEED_OFFSET)
 
 
-def default_moe_config(dataset: Dataset) -> MoeConfig:
-    return MoeConfig(
-        input_dims=tuple(f.shape[1] for f in dataset.features),
-        task=dataset.task,
-        n_classes=dataset.n_classes,
-    )
+def plan(config: ExperimentConfig) -> tuple[ExperimentConfig, Dataset]:
+    """Decide whether a run can start; return its config and dataset if so.
+
+    Resolves the dataset (raising its data errors), fills a None config.moe
+    from the dataset's dims, and raises InvalidInputError naming the first
+    split too small for what reads it. val and test are scored: regression metrics need 2 instances,
+    classification metrics 1. MI variants estimate modality MI on the train
+    split: KSG needs _KSG_K + 2 instances, discrete MI 2.
+    """
+    dataset = resolve_dataset(config)
+    if config.moe is None:
+        config = replace(config, moe=MoeConfig(
+            input_dims=tuple(f.shape[1] for f in dataset.features),
+            task=dataset.task,
+            n_classes=dataset.n_classes,
+        ))
+    if dataset.task == REGRESSION:
+        metrics, mi = (2, "regression metrics need"), (_KSG_K + 2, "KSG mutual information needs")
+    else:
+        metrics, mi = (1, "classification metrics need"), (2, "discrete mutual information needs")
+    needs = [("train", mi)] if config.variant in MI_VARIANTS else []
+    for name, (need, reader) in needs + [("val", metrics), ("test", metrics)]:
+        have = dataset.indices(name).size
+        if have < need:
+            raise InvalidInputError(
+                f"{reader} at least {need} instances; the {name} split has {have}"
+            )
+    return config, dataset
 
 
 def train_unimodal_all(
@@ -290,7 +311,7 @@ def train_unimodal_all(
     also draws its batch order. So runs can be parallelized without changing
     results.
     """
-    moe_cfg = config.moe or default_moe_config(dataset)
+    moe_cfg = config.moe
     train = dataset.batch("train")
 
     models: list[ModelParams] = []
@@ -328,17 +349,17 @@ def train_multimodal_warm(
                 params, train_batch, _epoch_lr(config, epoch_index), config.batch_size, rng
             )
             val_loss, val_metrics = _score(params, dataset.batch("val"))
-        record = EpochRecord(
-            epoch=epoch_index,
-            phase="warm",
-            train_loss=train_loss,
-            val_loss=val_loss,
-            val_metrics=val_metrics,
-            alpha=config.alpha_init,
-            mean_weights=uniform_row.copy(),
-            duration_s=time.perf_counter() - started,
-        )
-        record.validate()
+            record = EpochRecord(
+                epoch=epoch_index,
+                phase="warm",
+                train_loss=train_loss,
+                val_loss=val_loss,
+                val_metrics=val_metrics,
+                alpha=config.alpha_init,
+                mean_weights=uniform_row.copy(),
+                duration_s=time.perf_counter() - started,
+            )
+            record.validate()
         records.append(record)
     return params
 
@@ -385,9 +406,17 @@ def run_weighted_phase(
     train_batch = dataset.batch("train")
     n_train = train_batch.n_instances
     n_mod = moe_cfg.n_modalities
-    train_preds = PredictionSet.from_predictions(
-        moe_cfg.task, train_batch.targets, uni_train, _collect_predictions(params, train_batch)
-    )
+    # The warm model's train outputs and val score are prediction passes on
+    # the last warm epoch's result.
+    with _failures_in("warm", len(records)):
+        train_preds = PredictionSet.from_predictions(
+            moe_cfg.task, train_batch.targets, uni_train, _collect_predictions(params, train_batch)
+        )
+        # Smoothing metric: validation quality at the end of the previous epoch.
+        if records:
+            current_metric = records[-1].val_metrics[metric_key]
+        elif config.epochs_weighted:
+            current_metric = _score(params, dataset.batch("val"))[1][metric_key]
     # The warm phase trains under implicitly uniform weights, so the EMA
     # recursion starts from the uniform matrix rather than from nothing.
     state = SmoothingState(
@@ -399,41 +428,25 @@ def run_weighted_phase(
         prev_metric=None,
     )
 
-    # Smoothing metric: validation quality at the end of the previous epoch.
-    if records:
-        current_metric = records[-1].val_metrics[metric_key]
-    elif config.epochs_weighted:
-        current_metric = _score(params, dataset.batch("val"))[1][metric_key]
-
     for weighted_epoch in range(1, config.epochs_weighted + 1):
         epoch_index = len(records) + 1
         started = time.perf_counter()
-
-        raw = instance_kl_weights(train_preds)
-        mi = None
-        if config.variant in MI_VARIANTS:
-            if config.force_uniform_mi:
-                mi = np.ones(n_mod)
-            else:
+        with _failures_in("weighted", epoch_index):
+            raw = instance_kl_weights(train_preds)
+            mi = None
+            if config.variant in MI_VARIANTS:
                 mi = modality_mi(
                     train_preds,
                     jitter_seed=config.seed + _JITTER_SEED_OFFSET + weighted_epoch,
                 )
-
-        new_weights = _combine(config, raw, mi)
-        smoothed, state = smooth_update(state, new_weights, current_metric, direction)
-        # Weights are applied at relative scale (M * W, mean scale 1): the
-        # row-stochastic rows express modality proportions, and rescaling by
-        # M makes uniform rows reproduce the unweighted baseline exactly.
-        # The all-ones hook overrides application while the pipeline (and
-        # its records) keep running, so losses stay comparable.
-        if config.force_unit_weights:
-            applied = np.ones((n_train, n_mod))
-        else:
+            new_weights = _combine(config, raw, mi)
+            smoothed, state = smooth_update(state, new_weights, current_metric, direction)
+            # Weights are applied at relative scale (M * W, mean scale 1): the
+            # row-stochastic rows express modality proportions, and rescaling
+            # by M makes uniform rows reproduce the unweighted baseline exactly.
             applied = n_mod * smoothed
-        applied_row = applied.mean(axis=0)
+            applied_row = applied.mean(axis=0)
 
-        with _failures_in("weighted", epoch_index):
             params, train_loss = _train_one_epoch(
                 params, train_batch, _epoch_lr(config, epoch_index), config.batch_size, rng,
                 weights=applied,
@@ -442,53 +455,30 @@ def run_weighted_phase(
                 _collect_predictions(params, train_batch, weights=applied)
             )
             val_loss, val_metrics = _score(params, dataset.batch("val"), applied_row)
-        current_metric = val_metrics[metric_key]
+            current_metric = val_metrics[metric_key]
 
-        record = EpochRecord(
-            epoch=epoch_index,
-            phase="weighted",
-            train_loss=train_loss,
-            val_loss=val_loss,
-            val_metrics=val_metrics,
-            alpha=state.alpha,
-            mean_weights=smoothed.mean(axis=0),
-            duration_s=time.perf_counter() - started,
-            weights=smoothed,
-            mi=mi,
-            eval_weights=applied_row,
-        )
-        record.validate()
+            record = EpochRecord(
+                epoch=epoch_index,
+                phase="weighted",
+                train_loss=train_loss,
+                val_loss=val_loss,
+                val_metrics=val_metrics,
+                alpha=state.alpha,
+                mean_weights=smoothed.mean(axis=0),
+                duration_s=time.perf_counter() - started,
+                weights=smoothed,
+                mi=mi,
+                eval_weights=applied_row,
+            )
+            record.validate()
         records.append(record)
 
     return params, train_preds
 
 
-def _check_split_sizes(variant: str, dataset: Dataset) -> None:
-    """Raise InvalidInputError naming the first split too small for what reads it.
-
-    val and test are scored: regression metrics need 2 instances,
-    classification metrics 1. MI variants estimate modality MI on the train
-    split: KSG needs _KSG_K + 2 instances, discrete MI 2.
-    """
-    if dataset.task == REGRESSION:
-        metrics, mi = (2, "regression metrics need"), (_KSG_K + 2, "KSG mutual information needs")
-    else:
-        metrics, mi = (1, "classification metrics need"), (2, "discrete mutual information needs")
-    needs = [("train", mi)] if variant in MI_VARIANTS else []
-    for name, (need, reader) in needs + [("val", metrics), ("test", metrics)]:
-        have = dataset.indices(name).size
-        if have < need:
-            raise InvalidInputError(
-                f"{reader} at least {need} instances; the {name} split has {have}"
-            )
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full three-phase experiment deterministically."""
-    dataset = resolve_dataset(config)
-    _check_split_sizes(config.variant, dataset)
-    moe_cfg = config.moe or default_moe_config(dataset)
-    config = replace(config, moe=moe_cfg)
+    config, dataset = plan(config)
 
     needs_weights = config.variant != "unweighted"
     if needs_weights:
@@ -508,10 +498,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     # Evaluation applies the last weighted epoch's per-modality row (None
     # when no weighted epoch ran). The last epoch already scored the val
-    # split with these parameters and weights.
+    # split with these parameters and weights; scoring is a prediction pass
+    # on its result.
     eval_row = records[-1].eval_weights if records else None
-    val_bundle = records[-1].val_metrics if records else evaluate(params, dataset, "val")
-    test_bundle = evaluate(params, dataset, "test", eval_row)
+    with _failures_in(records[-1].phase if records else "warm", len(records)):
+        val_bundle = records[-1].val_metrics if records else evaluate(params, dataset, "val")
+        test_bundle = evaluate(params, dataset, "test", eval_row)
     return ExperimentResult(
         config, dataset, records, unimodal_params, params, train_preds, val_bundle, test_bundle
     )

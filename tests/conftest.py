@@ -5,6 +5,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from btwmoe.config import load_experiment_config
@@ -29,6 +30,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def default_config():
     """The bundled default 3-modality noise config (single source of truth)."""
     return load_experiment_config(DEFAULT_CONFIG_PATH)
+
+
+def uniform_mi(preds, jitter_seed):
+    """Stands in for training.modality_mi: every modality equally informative."""
+    return np.ones(preds.n_modalities)
+
+
+def unit_weight_smoothing(smooth_update):
+    """Wrap training.smooth_update so each smoothed row is uniform, which makes
+    the applied weights M * (1/M) exactly one; the smoothing state, and so
+    alpha, still advances from the real blend."""
+
+    def fake(state, new_weights, current_metric, direction):
+        smoothed, next_state = smooth_update(state, new_weights, current_metric, direction)
+        return np.full_like(smoothed, 1.0 / smoothed.shape[1]), next_state
+
+    return fake
 
 
 class RunCache:

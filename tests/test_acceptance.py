@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, uniform_mi, unit_weight_smoothing
 
 from btwmoe.distributions import GaussianParams, gaussian_kl, kl_quadrature_oracle
 from btwmoe.metrics import acc_k, f1_scores
@@ -112,10 +112,11 @@ def test_criterion_4_gradient_fidelity_both_heads():
         assert elapsed < 10.0
 
 
-def test_criterion_5_equation_reduction_identities(default_config):
+def test_criterion_5_equation_reduction_identities(default_config, monkeypatch):
     with criterion(5, "weight-combination reduction identities, bit-for-bit") as out:
         from dataclasses import replace
 
+        from btwmoe import training
         from btwmoe.training import run_experiment
 
         # Shrink the default config so the four runs stay fast.
@@ -125,19 +126,23 @@ def test_criterion_5_equation_reduction_identities(default_config):
             epochs_weighted=3, batch_size=64,
         )
 
-        r_btw = run_experiment(replace(base, variant="btw", force_uniform_mi=True))
         r_local = run_experiment(replace(base, variant="btw_local"))
+        r_unweighted = run_experiment(replace(base, variant="unweighted"))
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "modality_mi", uniform_mi)
+            r_btw = run_experiment(replace(base, variant="btw"))
         assert len(r_btw.weight_matrices) == len(r_local.weight_matrices) > 0
         for wa, wb in zip(r_btw.weight_matrices, r_local.weight_matrices):
             assert np.array_equal(wa, wb)
 
-        r_hooked = run_experiment(replace(base, variant="btw_local", force_unit_weights=True))
-        r_unweighted = run_experiment(replace(base, variant="unweighted"))
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "smooth_update", unit_weight_smoothing(training.smooth_update))
+            r_hooked = run_experiment(replace(base, variant="btw_local"))
         assert len(r_hooked.records) == len(r_unweighted.records)
         for a, b in zip(r_hooked.records, r_unweighted.records):
             assert a.train_loss == b.train_loss
             assert a.val_loss == b.val_loss
-        out["detail"] = "(uniform-MI == local; all-ones hook == baseline)"
+        out["detail"] = "(uniform-MI == local; all-ones weights == baseline)"
 
 
 def test_criterion_6_noise_modality_mi_demotion(run_cache):

@@ -24,7 +24,7 @@ from btwmoe.config import (
     load_experiment_config,
     parse_config_text,
 )
-from btwmoe.errors import ConfigParseError
+from btwmoe.errors import ConfigParseError, InvalidInputError
 from btwmoe.synthetic import generate, load_dataset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -124,8 +124,6 @@ class TestConfigParsing:
             "alpha.min": ("alpha_min", "0.05", 0.05),
             "alpha.max": ("alpha_max", "0.95", 0.95),
             "split.fractions": ("split_fractions", "0.6,0.2,0.2", (0.6, 0.2, 0.2)),
-            "hooks.force_uniform_mi": ("force_uniform_mi", "true", True),
-            "hooks.force_unit_weights": ("force_unit_weights", "true", True),
         }
         assert set(cases) == {
             k for k in _EXPERIMENT_KEYS if not k.startswith(("moe.", "data."))
@@ -289,6 +287,31 @@ class TestTrain:
         cfg.write_text(SMALL_EXPERIMENT.replace("lr=0.02", "lr=500.0"))
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_TRAINING
+
+    def test_weighting_error_is_a_training_failure(self, experiment_cfg, tmp_path, capsys,
+                                                   monkeypatch):
+        def failing_kl(preds):
+            raise InvalidInputError("weight entries must be finite and non-negative")
+
+        monkeypatch.setattr(training, "instance_kl_weights", failing_kl)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(experiment_cfg), "--out", str(out)]) \
+            == EXIT_TRAINING
+        # epochs.warm=1, so the first weighted epoch is epoch 2.
+        assert capsys.readouterr().err == (
+            "error: training failed in phase 'weighted' at epoch 2: "
+            "weight entries must be finite and non-negative\n"
+        )
+        assert not out.exists()
+
+    def test_near_coincident_gaussians_train(self, tmp_path):
+        # On this seed a unimodal and the multimodal Gaussian nearly coincide
+        # in the first weighted epoch, where an unclamped KL rounds below 0.
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text((CONFIGS / "noise_default.cfg").read_text()
+                       .replace("\nseed=0\n", "\nseed=1034217556\n"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
     def test_split_too_small_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -508,6 +531,16 @@ class TestCompare:
                      "--seeds", "0,1", "--out", str(out)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(data) in err and "failed:" not in err
+        assert not out.exists()
+
+    def test_split_error_every_cell_hits_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(SMALL_EXPERIMENT.replace("data.n_instances=200", "data.n_instances=8"))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg), "--variants", "unweighted,btw",
+                     "--seeds", "0", "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == \
+            "error: regression metrics need at least 2 instances; the val split has 1\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow")

@@ -206,9 +206,7 @@ class TestModelFacingProperties:
         # A unimodal model on a 0.9-informative modality must beat one on a
         # 0.1-informative modality, for every one of 5 seeds.
         from btwmoe.moe import DataBatch, forward
-        from btwmoe.training import ExperimentConfig, resolve_dataset, train_unimodal_all
-        from btwmoe.training import default_moe_config
-        from dataclasses import replace
+        from btwmoe.training import ExperimentConfig, plan, train_unimodal_all
 
         wins = 0
         for seed in range(5):
@@ -224,8 +222,7 @@ class TestModelFacingProperties:
                 variant="unweighted", data=spec, seed=seed, epochs_unimodal=6,
                 epochs_warm=0, epochs_weighted=0,
             )
-            dataset = resolve_dataset(cfg)
-            cfg = replace(cfg, moe=default_moe_config(dataset))
+            cfg, dataset = plan(cfg)
             models, _uni_train = train_unimodal_all(cfg, dataset)
             val = dataset.batch("val")
             mae_strong = mae(forward(models[0], DataBatch([val.features[0]]))[0], val.targets)
@@ -239,13 +236,11 @@ class TestModelFacingProperties:
         from btwmoe.mi import ksg_mi
         from btwmoe.training import (
             ExperimentConfig,
-            default_moe_config,
-            resolve_dataset,
+            plan,
             train_multimodal_warm,
             train_unimodal_all,
             _collect_predictions,
         )
-        from dataclasses import replace
 
         hits = 0
         for seed in range(10):
@@ -261,8 +256,7 @@ class TestModelFacingProperties:
                 variant="unweighted", data=spec, seed=seed, epochs_unimodal=5,
                 epochs_warm=3, epochs_weighted=0,
             )
-            dataset = resolve_dataset(cfg)
-            cfg = replace(cfg, moe=default_moe_config(dataset))
+            cfg, dataset = plan(cfg)
             _models, uni_train = train_unimodal_all(cfg, dataset)
             rng = np.random.default_rng(cfg.seed)
             params = train_multimodal_warm(cfg, dataset, rng, 3, records=[])

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import uniform_mi, unit_weight_smoothing
+
 from btwmoe import training
 from btwmoe.errors import InvalidInputError, TrainingFailureError
 from btwmoe.metrics import mae
@@ -14,9 +16,9 @@ from btwmoe.reports import export_result
 from btwmoe.synthetic import SyntheticSpec
 from btwmoe.training import (
     ExperimentConfig,
-    default_moe_config,
     evaluate,
     improvement_direction,
+    plan,
     resolve_dataset,
     run_experiment,
     train_unimodal_all,
@@ -104,8 +106,7 @@ class TestSingleModalityDegeneracy:
             epochs_warm=3,
             epochs_weighted=0,
         )
-        dataset = resolve_dataset(cfg)
-        cfg = replace(cfg, moe=default_moe_config(dataset))
+        cfg, dataset = plan(cfg)
         models, uni_train = train_unimodal_all(cfg, dataset)
 
         from btwmoe.training import train_multimodal_warm, _collect_predictions
@@ -141,18 +142,22 @@ class TestPhaseIsolation:
 
 
 class TestEquationReductionHooks:
-    def test_uniform_mi_reduces_btw_to_btw_local(self):
+    # The hooks are fakes monkeypatched into training; neither touches the
+    # training RNG stream.
+    def test_uniform_mi_reduces_btw_to_btw_local(self, monkeypatch):
         base = small_config()
-        r_btw = run_experiment(replace(base, variant="btw", force_uniform_mi=True))
         r_local = run_experiment(replace(base, variant="btw_local"))
+        monkeypatch.setattr(training, "modality_mi", uniform_mi)
+        r_btw = run_experiment(replace(base, variant="btw"))
         assert len(r_btw.weight_matrices) == len(r_local.weight_matrices)
         for wa, wb in zip(r_btw.weight_matrices, r_local.weight_matrices):
             assert np.array_equal(wa, wb)
 
-    def test_unit_weight_hook_matches_unweighted_baseline(self):
+    def test_unit_weight_hook_matches_unweighted_baseline(self, monkeypatch):
         base = small_config()
-        r_hooked = run_experiment(replace(base, variant="btw_local", force_unit_weights=True))
         r_base = run_experiment(replace(base, variant="unweighted"))
+        monkeypatch.setattr(training, "smooth_update", unit_weight_smoothing(training.smooth_update))
+        r_hooked = run_experiment(replace(base, variant="btw_local"))
         for a, b in zip(r_hooked.records, r_base.records):
             assert a.train_loss == b.train_loss
             assert a.val_loss == b.val_loss
@@ -253,10 +258,13 @@ class TestFinalBundles:
         assert result.val_bundle == evaluate(result.final_params, result.dataset, "val", eval_row)
 
 
+CLASSIFICATION_3 = dict(task="classification", n_classes=3)
+
+
 class TestExportBytes:
-    # sha256 of the three data files export_result writes for a small
-    # regression btw run and a small classification btw_global_mi run. A
-    # change to how a run is recorded in memory must leave these bytes alone.
+    # sha256 of the three data files export_result writes for every variant
+    # on a small regression and a small 3-class classification run. A change
+    # to how a run is planned or recorded must leave these bytes alone.
     @pytest.mark.parametrize("overrides, digests", [
         (dict(variant="btw"), {
             "records.csv": "74c100552723919ff6ed4e078431f60ca112d56aa4bc48853e33fbd28077658a",
@@ -264,11 +272,59 @@ class TestExportBytes:
                 "bb415d2ca9b024907dc0bab4c4a4cc38c2451ea9d5fda013d2687b159693e236",
             "metrics.json": "8f2363c2a4b2b4ad9aa14a9336e9c670b28b70abcf7417620c432214e83cee31",
         }),
-        (dict(variant="btw_global_mi", spec=dict(task="classification", n_classes=3)), {
+        (dict(variant="btw_global_mi", spec=CLASSIFICATION_3), {
             "records.csv": "26f0d7a4593a6e4bfa672ca2cf2d58160b4a9e27136ebaaf6407258c64997e21",
             "weights_trajectory.csv":
                 "fe031f776a8e4592e8245800daec86db5cc5c700e0fb4509a7164c0b4660036b",
             "metrics.json": "d70b7254452d69c0ec239fe145f4195f70b82ba07308f52a64e115fedff31dd4",
+        }),
+        (dict(variant="unweighted"), {
+            "records.csv": "2d0ecd2021b265055e6a8204b63025cd581ba4711e0b1c5ac4c4e06a490967da",
+            "weights_trajectory.csv":
+                "1c1927afa82089ebda70b2837e7ac98046d1b254410b23c8a420b35dcc484f80",
+            "metrics.json": "4b1113ca18ca586e7b53e7ca16d1db3f8eac655ea3d035cb9e026495a2145564",
+        }),
+        (dict(variant="btw_local"), {
+            "records.csv": "aae2f878fbe42f7856465a73cc531a69d1524840c87eba3bfc4514b1f0c4e211",
+            "weights_trajectory.csv":
+                "583d5e3886201d4f41554577ccf1afe74134b21a24c0e8cf512a797ff89edd62",
+            "metrics.json": "304203505a2913352e5abd91344897a8eda0fd3bef02d18d514a1de1e6423140",
+        }),
+        (dict(variant="btw_global_kl"), {
+            "records.csv": "c3059f609b6d68f5a61d98e1bdfc950344da5f5555487bcc79048b035264549f",
+            "weights_trajectory.csv":
+                "1c6dca3d8843c167f06f9b087c03a1493856b942401c816a43890e432c480020",
+            "metrics.json": "4144f5dd6dbe7591da51617a825902ab49b3eaaf942a0d37c50970ac4d4aaa4d",
+        }),
+        (dict(variant="btw_global_mi"), {
+            "records.csv": "455c0a83010c0851f1a722eaabe1db08240bf3b097927dc1b27207a50d1360eb",
+            "weights_trajectory.csv":
+                "47cf62cf263d523ab1794b67c08d871b2587ef056ee3ebb885e6cfebb27ec188",
+            "metrics.json": "96ffa6a41eab33c7632266c07e408fc35961cda00b48a012ce79fd9cd28ed4f1",
+        }),
+        (dict(variant="unweighted", spec=CLASSIFICATION_3), {
+            "records.csv": "c4923eab01972bcd35c6090eb0d9daa30fda43108c2671730febf4403d72ae9a",
+            "weights_trajectory.csv":
+                "1c1927afa82089ebda70b2837e7ac98046d1b254410b23c8a420b35dcc484f80",
+            "metrics.json": "6d9a89b506ed84968aca71cd07cbb5bf684c5609ead381e5504e726e4d12b6d9",
+        }),
+        (dict(variant="btw_local", spec=CLASSIFICATION_3), {
+            "records.csv": "49fc6348968db9747bebcccbcd666306e283235ddfabf0ad5edce9a7b0566ca5",
+            "weights_trajectory.csv":
+                "5f2dc03ce4f0f234e8caa61c565bc473035613c9517a7374b94b3c0deda999b1",
+            "metrics.json": "ee197420f925a6f73078f9a146ada5f2cf3a7169d046ec932fd51d6b952d59d5",
+        }),
+        (dict(variant="btw_global_kl", spec=CLASSIFICATION_3), {
+            "records.csv": "5a95fcb17853858dff3e13156d6c94222d851cb89c918f6895324bbad3949e7c",
+            "weights_trajectory.csv":
+                "9a4a676385de9504fdb8e9644517e6c51e1060e43a51afb63eb34d52a49cfed4",
+            "metrics.json": "c68164dfa74ff704a1442eb1471093ec4418c058315df2c470113b5d4cd6fd44",
+        }),
+        (dict(variant="btw", spec=CLASSIFICATION_3), {
+            "records.csv": "9348738705ac02ddc7db832fa8cfaf94fd54e82c6ddd5140962b895c83014764",
+            "weights_trajectory.csv":
+                "ebe12b41569fd113cc1560ae6a2f6ef115a74ecfd6a394c713c895650cfafd19",
+            "metrics.json": "20a1708a93cfeee1ba763c5bf8298762f9cdd287b2fa9fc906721ac387464e28",
         }),
     ])
     def test_exported_files_pinned(self, tmp_path, overrides, digests):
@@ -289,8 +345,7 @@ class TestUnimodalOrdering:
             moe=None,
             epochs_unimodal=5,
         )
-        dataset = resolve_dataset(cfg)
-        cfg = replace(cfg, moe=default_moe_config(dataset))
+        cfg, dataset = plan(cfg)
         models, _uni_train = train_unimodal_all(cfg, dataset)
         val = dataset.batch("val")
         val_mae = [
