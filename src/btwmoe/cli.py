@@ -17,7 +17,7 @@ from .config import load_data_config, load_experiment_config
 from .errors import BtwError, ConfigParseError, TrainingFailureError
 from .reports import export_result, write_manifest, write_summary_csv
 from .synthetic import generate, save_dataset, split
-from .training import plan, run_experiment
+from .training import plan, run_planned
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -56,10 +56,9 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_experiment_config(args.config)
-    plan(config)
+    config, dataset = plan(load_experiment_config(args.config))
     _check_out_dir(args.out, args.force)
-    result = run_experiment(config)
+    result = run_planned(config, dataset)
     written = export_result(result, args.out)
     write_manifest(args.out, "train", args.config, written, {"seed": config.seed,
                                                              "variant": config.variant})
@@ -70,15 +69,20 @@ def cmd_train(args) -> int:
 
 
 def _compare_cell(payload):
-    config, cell_dir = payload
+    """Run one cell from its plan: (config, (config, dataset) or the plan's error, dir)."""
+    config, planned, cell_dir = payload
+    if isinstance(planned, BtwError):
+        return config.variant, config.seed, None, str(planned), []
     try:
-        result = run_experiment(config)
+        result = run_planned(*planned)
     except BtwError as exc:
         return config.variant, config.seed, None, str(exc), []
     return config.variant, config.seed, result.test_bundle, None, export_result(result, cell_dir)
 
 
 def cmd_compare(args) -> int:
+    if args.jobs < 1:
+        raise ConfigParseError("--jobs must be >= 1")
     config = load_experiment_config(args.config)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     try:
@@ -88,26 +92,28 @@ def cmd_compare(args) -> int:
     if not variants or not seeds:
         raise ConfigParseError("need at least one variant and one seed")
     cell_configs = [replace(config, variant=v, seed=s) for v in variants for s in seeds]
-    # A cell that cannot be planned fails again, alone, when it runs; an error
-    # every cell hits is a usage error.
-    plan_errors = []
+    # A cell that cannot be planned fails alone; an error every cell hits is
+    # a usage error.
+    plans = []
     for cell_config in cell_configs:
         try:
-            plan(cell_config)
+            plans.append(plan(cell_config))
         except BtwError as exc:
-            plan_errors.append(exc)
-    if len(plan_errors) == len(cell_configs):
-        raise plan_errors[0]
+            plans.append(exc)
+    if all(isinstance(planned, BtwError) for planned in plans):
+        raise plans[0]
     _check_out_dir(args.out, args.force)
 
     cells = []
-    for cell_config in cell_configs:
+    for cell_config, planned in zip(cell_configs, plans):
         cell_dir = Path(args.out) / cell_config.variant / f"seed_{cell_config.seed}"
         cell_dir.mkdir(parents=True, exist_ok=True)
-        cells.append((cell_config, cell_dir))
+        cells.append((cell_config, planned, cell_dir))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The fork start method starts every worker up front, needed or not.
+    workers = min(args.jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_compare_cell, cells))
     else:
         outcomes = [_compare_cell(cell) for cell in cells]

@@ -39,10 +39,17 @@ class TrainingFailureError(BtwError, RuntimeError):
     def __init__(self, phase: str, epoch: int, detail: str = ""):
         self.phase = phase
         self.epoch = epoch
+        self.detail = detail
         msg = f"training failed in phase '{phase}' at epoch {epoch}"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # Exceptions pickle as cls(*self.args), and args holds only the
+        # formatted message; a failure sent back from a worker process
+        # rebuilds from its fields instead.
+        return type(self), (self.phase, self.epoch, self.detail)
 
 
 class ConfigParseError(BtwError, ValueError):

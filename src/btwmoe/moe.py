@@ -164,6 +164,11 @@ class ModelParams:
         (self.enc_b, self.router_w, self.exp_w1, self.exp_b1,
          self.exp_w2, self.exp_b2, self.head_w, self.head_b) = arrays[n_mod:]
 
+    def __reduce__(self):
+        # Pickle the buffer alone: pickled views would unpickle as copies
+        # that no longer share it.
+        return type(self), (self.config, self.flat, self.version)
+
     def tensors(self):
         """(name, view) pairs in the checkpoint's fixed order."""
         cfg = self.config

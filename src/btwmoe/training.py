@@ -21,10 +21,13 @@ jitter from S + 101 + weighted-epoch.
 from __future__ import annotations
 
 import math
+import os
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 
 import numpy as np
 
@@ -301,6 +304,21 @@ def plan(config: ExperimentConfig) -> tuple[ExperimentConfig, Dataset]:
     return config, dataset
 
 
+def _train_unimodal(
+    config: ExperimentConfig, dataset: Dataset, m: int
+) -> tuple[ModelParams, np.ndarray]:
+    """Unimodal model m and its train-split outputs (see train_unimodal_all)."""
+    train_idx = dataset.indices("train")
+    batch = DataBatch([dataset.features[m][train_idx]], dataset.targets[train_idx])
+    rng = np.random.default_rng(config.seed + m)
+    params = modality_slice(init_params(config.moe, rng), m)
+    for epoch in range(1, config.epochs_unimodal + 1):
+        with _failures_in(f"unimodal[{m}]", epoch):
+            params, _ = _train_one_epoch(params, batch, config.lr, config.batch_size, rng)
+    with _failures_in(f"unimodal[{m}]", config.epochs_unimodal):
+        return params, _collect_predictions(params, batch)
+
+
 def train_unimodal_all(
     config: ExperimentConfig, dataset: Dataset
 ) -> tuple[list[ModelParams], list[np.ndarray]]:
@@ -308,25 +326,13 @@ def train_unimodal_all(
 
     Model m is a single-modality MoE: modality m's slice of a multimodal model
     initialised from the random stream seeded with config.seed + m, which then
-    also draws its batch order. So runs can be parallelized without changing
-    results.
+    also draws its batch order. No model reads another's stream or result, so
+    run_experiment trains them on separate cores next to the warm phase (see
+    _run_lanes) with the same results, bit for bit. This trains them one
+    after another.
     """
-    moe_cfg = config.moe
-    train = dataset.batch("train")
-
-    models: list[ModelParams] = []
-    uni_train = []
-    for m in range(moe_cfg.n_modalities):
-        rng = np.random.default_rng(config.seed + m)
-        params = modality_slice(init_params(moe_cfg, rng), m)
-        batch = DataBatch([train.features[m]], train.targets)
-        for epoch in range(1, config.epochs_unimodal + 1):
-            with _failures_in(f"unimodal[{m}]", epoch):
-                params, _ = _train_one_epoch(params, batch, config.lr, config.batch_size, rng)
-        with _failures_in(f"unimodal[{m}]", config.epochs_unimodal):
-            uni_train.append(_collect_predictions(params, batch))
-        models.append(params)
-    return models, uni_train
+    trained = [_train_unimodal(config, dataset, m) for m in range(config.moe.n_modalities)]
+    return [params for params, _ in trained], [preds for _, preds in trained]
 
 
 def train_multimodal_warm(
@@ -476,24 +482,141 @@ def run_weighted_phase(
     return params, train_preds
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _lane_count(n_tasks: int) -> int:
+    """One lane per usable core and at most one per task; 1 where a fork is
+    unavailable or unsafe."""
+    lanes = min(_usable_cores(), n_tasks)
+    if lanes < 2:
+        return 1
+    import multiprocessing
+    import threading
+
+    # A process that is itself a worker (a compare --jobs cell, or a lane)
+    # already has its core. A forked child keeps only the forking thread, so
+    # a lock another thread holds at the fork would stay held in the child.
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.parent_process() is not None
+        or threading.active_count() > 1
+    ):
+        return 1
+    return lanes
+
+
+def _run_lane(tasks) -> list[tuple[bool, object]]:
+    """Run tasks in order up to the first that raises: (True, result) for
+    each that finished, then (False, exception) for the one that failed."""
+    outcomes = []
+    for task in tasks:
+        try:
+            outcomes.append((True, task()))
+        except Exception as exc:  # _run_lanes raises it once every lane is done
+            outcomes.append((False, exc))
+            break
+    return outcomes
+
+
+def _child_lane(tasks, writer) -> None:
+    writer.send(_run_lane(tasks))
+
+
+def _receive(reader, child, phase: str) -> list[tuple[bool, object]]:
+    """A child lane's outcomes; a child that exits without sending them fails
+    as phase, its share's first, at epoch 0."""
+    try:
+        return reader.recv()
+    except EOFError:
+        child.join()
+        detail = f"its process exited with code {child.exitcode} before reporting"
+        return [(False, TrainingFailureError(phase, 0, detail))]
+
+
+def _run_lanes(tasks: list[tuple[str, Callable]]) -> list:
+    """Run independent (phase, task) pairs on up to one lane per usable core;
+    return their results in task order.
+
+    The tasks are cut into contiguous shares, one per lane. This process runs
+    the last share. Each other share runs in a child forked from it, which
+    inherits the tasks and their inputs and sends its outcomes back through a
+    pipe, so only results are pickled. Every lane runs its share in order up
+    to its first failure. After every child is joined, the first failure in
+    task order is raised, which is the failure one lane would have raised: a
+    task that a failure kept from running comes after it.
+    """
+    n_lanes = _lane_count(len(tasks))
+    bounds = [len(tasks) * k // n_lanes for k in range(n_lanes + 1)]
+    shares = [tasks[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    children = []
+    try:
+        if n_lanes > 1:
+            import multiprocessing
+
+            context = multiprocessing.get_context("fork")
+            for share in shares[:-1]:
+                reader, writer = context.Pipe(duplex=False)
+                child = context.Process(
+                    target=_child_lane, args=([task for _, task in share], writer), daemon=True
+                )
+                child.start()
+                writer.close()
+                children.append((reader, child))
+        own = _run_lane(task for _, task in shares[-1])
+        lanes = [_receive(reader, child, share[0][0])
+                 for (reader, child), share in zip(children, shares)]
+    except BaseException:
+        for _, child in children:
+            child.terminate()
+        raise
+    finally:
+        for reader, child in children:
+            child.join()
+            reader.close()
+
+    results = []
+    for finished, value in chain(*lanes, own):
+        if not finished:
+            raise value
+        results.append(value)
+    return results
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full three-phase experiment deterministically."""
-    config, dataset = plan(config)
+    return run_planned(*plan(config))
 
+
+def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
+    """Run an experiment from the config and dataset plan() returned for it.
+
+    The unimodal models and the warm phase read nothing of each other, so
+    they run side by side on lanes (_run_lanes); the weighted phase starts
+    from all of them.
+    """
     needs_weights = config.variant != "unweighted"
-    if needs_weights:
-        unimodal_params, uni_train = train_unimodal_all(config, dataset)
-    else:
-        unimodal_params, uni_train = [], None
-
     records: list[EpochRecord] = []
     rng = np.random.default_rng(config.seed)
     # The unweighted baseline folds its nominally weighted epochs into the
     # warm loop, so every variant trains the same total number of epochs.
     n_warm = config.epochs_warm + (0 if needs_weights else config.epochs_weighted)
-    params = train_multimodal_warm(config, dataset, rng, n_warm, records)
+    n_unimodal = config.moe.n_modalities if needs_weights else 0
+    prefix = [(f"unimodal[{m}]", partial(_train_unimodal, config, dataset, m))
+              for m in range(n_unimodal)]
+    # Warm goes last: the last share runs in this process, which owns rng
+    # and records.
+    prefix.append(("warm", lambda: train_multimodal_warm(config, dataset, rng, n_warm, records)))
+    *unimodal, params = _run_lanes(prefix)
+    unimodal_params = [model for model, _ in unimodal]
     train_preds = None
     if needs_weights:
+        uni_train = [preds for _, preds in unimodal]
         params, train_preds = run_weighted_phase(config, dataset, params, uni_train, rng, records)
 
     # Evaluation applies the last weighted epoch's per-modality row (None

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from btwmoe import training
+from btwmoe import cli, training
 from btwmoe.cli import (
     EXIT_OK,
     EXIT_OUTPUT_SAFETY,
@@ -24,7 +24,7 @@ from btwmoe.config import (
     load_experiment_config,
     parse_config_text,
 )
-from btwmoe.errors import ConfigParseError, InvalidInputError
+from btwmoe.errors import ConfigParseError, InvalidInputError, NumericOverflowError
 from btwmoe.synthetic import generate, load_dataset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -330,9 +330,9 @@ class TestTrain:
     def test_split_sizes_checked_before_training(self, tmp_path, capsys, monkeypatch,
                                                  extra, message):
         calls = []
-        train_unimodal_all = training.train_unimodal_all
-        monkeypatch.setattr(training, "train_unimodal_all",
-                            lambda *args: calls.append(args) or train_unimodal_all(*args))
+        run_lanes = training._run_lanes
+        monkeypatch.setattr(training, "_run_lanes",
+                            lambda *args: calls.append(args) or run_lanes(*args))
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(
             SMALL_EXPERIMENT.replace("data.n_instances=200", "data.n_instances=8") + extra
@@ -472,6 +472,36 @@ class TestTrain:
         assert "phase 'warm' at epoch 1: loss diverged" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_failure_in_a_child_lane_names_its_model(self, tmp_path, capsys, monkeypatch):
+        # With two usable cores the models of widths 4 and 6 train in a forked
+        # child and the width-8 model and the warm phase here.
+        train_one_epoch = training._train_one_epoch
+
+        def failing_on_width_6(params, *args, **kwargs):
+            if params.config.input_dims == (6,):
+                raise NumericOverflowError("loss diverged to inf")
+            return train_one_epoch(params, *args, **kwargs)
+
+        monkeypatch.setattr(training, "_train_one_epoch", failing_on_width_6)
+        cfg = tmp_path / "widths.cfg"
+        cfg.write_text(SMALL_EXPERIMENT.replace("data.modality_dims=6,6,6",
+                                                "data.modality_dims=4,6,8"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_TRAINING
+        assert capsys.readouterr().err == (
+            "error: training failed in phase 'unimodal[1]' at epoch 1: loss diverged to inf\n"
+        )
+        assert not out.exists()
+
+    def test_plans_its_run_once(self, experiment_cfg, tmp_path, monkeypatch):
+        calls = []
+        resolve_dataset = training.resolve_dataset
+        monkeypatch.setattr(training, "resolve_dataset",
+                            lambda config: calls.append(config) or resolve_dataset(config))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(experiment_cfg), "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
+
     def test_unweighted_records_cover_folded_schedule(self, tmp_path):
         cfg = tmp_path / "unweighted.cfg"
         cfg.write_text(SMALL_EXPERIMENT.replace("variant=btw", "variant=unweighted"))
@@ -581,3 +611,47 @@ class TestCompare:
         assert main(args + ["--out", str(out_seq)]) == EXIT_OK
         assert main(args + ["--out", str(out_par), "--jobs", "4"]) == EXIT_OK
         assert (out_seq / "summary.csv").read_bytes() == (out_par / "summary.csv").read_bytes()
+
+    def test_plans_each_cell_once(self, experiment_cfg, tmp_path, monkeypatch):
+        calls = []
+        resolve_dataset = training.resolve_dataset
+        monkeypatch.setattr(training, "resolve_dataset",
+                            lambda config: calls.append(config) or resolve_dataset(config))
+        assert main(["compare", "--config", str(experiment_cfg), "--variants",
+                     "unweighted,btw", "--seeds", "0,1", "--out", str(tmp_path / "cmp")]) == EXIT_OK
+        assert sorted((c.variant, c.seed) for c in calls) == [
+            ("btw", 0), ("btw", 1), ("unweighted", 0), ("unweighted", 1)
+        ]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, experiment_cfg, tmp_path, capsys, jobs):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(experiment_cfg), "--variants", "unweighted",
+                     "--seeds", "0", "--out", str(out), "--jobs", jobs]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
+        assert not out.exists()
+
+    def test_pool_never_outnumbers_the_cells(self, experiment_cfg, tmp_path, monkeypatch):
+        # Runs the cells in this process and records the pool size asked for:
+        # a real pool with the fork start method starts every worker up front.
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+        args = ["compare", "--config", str(experiment_cfg), "--variants", "unweighted",
+                "--jobs", "64"]
+        assert main(args + ["--seeds", "0,1", "--out", str(tmp_path / "two")]) == EXIT_OK
+        assert main(args + ["--seeds", "0", "--out", str(tmp_path / "one")]) == EXIT_OK
+        assert sizes == [2]

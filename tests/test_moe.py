@@ -1,6 +1,7 @@
 """Forward/backward correctness for the NumPy mixture-of-experts model."""
 
 import hashlib
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -353,6 +354,15 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.config == reg_cfg
         assert np.array_equal(forward(params, batch)[0], forward(loaded, batch)[0])
+
+    def test_pickle_keeps_views_on_one_buffer(self, reg_cfg):
+        params = init_params(reg_cfg, 9)
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy.config == reg_cfg and copy.version == params.version
+        assert np.array_equal(copy.flat, params.flat)
+        for (name, view), (_, original) in zip(copy.tensors(), params.tensors()):
+            assert np.shares_memory(view, copy.flat), name
+            assert np.array_equal(view, original), name
 
     def test_format_bytes_pinned(self, reg_cfg, tmp_path):
         # Format v1 as written before parameters moved into one flat buffer.

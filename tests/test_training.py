@@ -1,7 +1,12 @@
 """Three-phase orchestration: schedules, hooks, equivalences, determinism."""
 
 import hashlib
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,3 +388,92 @@ class TestFailureHandling:
         r1 = run_experiment(cfg_inline)
         r2 = run_experiment(cfg_path)
         assert r1.records[0].train_loss == r2.records[0].train_loss
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestLanes:
+    # run_experiment trains the unimodal models and the warm phase on lanes:
+    # this process and children forked from it, one lane per usable core.
+
+    @pytest.mark.parametrize("spec", [{}, CLASSIFICATION_3], ids=["regression", "classification"])
+    def test_lane_count_changes_no_exported_byte(self, tmp_path, monkeypatch, spec):
+        exported = {}
+        for cores in (1, 2, 4):
+            monkeypatch.setattr(training, "_usable_cores", lambda cores=cores: cores)
+            export_result(run_experiment(small_config(spec=spec)), tmp_path / str(cores))
+            exported[cores] = _tree_bytes(tmp_path / str(cores))
+        assert "checkpoints/unimodal_2.btwm" in exported[1]
+        assert exported[2] == exported[1]
+        assert exported[4] == exported[1]
+
+    @pytest.mark.skipif(training._lane_count(2) < 2,
+                        reason="one usable core, or no safe fork: one lane")
+    def test_a_child_lane_trains_when_a_second_core_is_usable(self, tmp_path, monkeypatch):
+        log = tmp_path / "pids"
+        train_unimodal = training._train_unimodal
+
+        def logging_train_unimodal(config, dataset, m):
+            with open(log, "a") as fh:
+                fh.write(f"{m} {os.getpid()}\n")
+            return train_unimodal(config, dataset, m)
+
+        monkeypatch.setattr(training, "_train_unimodal", logging_train_unimodal)
+        run_experiment(small_config())
+        pids = dict(line.split() for line in log.read_text().splitlines())
+        assert sorted(pids) == ["0", "1", "2"]
+        assert set(pids.values()) - {str(os.getpid())}
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_no_lane_outlives_a_run(self, monkeypatch):
+        monkeypatch.setattr(training, "_usable_cores", lambda: 4)
+        run_experiment(small_config())
+        assert multiprocessing.active_children() == []
+        with pytest.raises(TrainingFailureError, match=r"phase 'unimodal\[0\]' at epoch 1"):
+            run_experiment(small_config(lr=1e150, batch_size=256, epochs_unimodal=1))
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupt_stops_and_joins_every_child_lane(self, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(training, "train_multimodal_warm", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(small_config())
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_lane_that_dies_fails_as_its_first_phase(self, monkeypatch):
+        parent = os.getpid()
+        train_unimodal = training._train_unimodal
+
+        def dying(config, dataset, m):
+            if os.getpid() != parent:
+                os._exit(3)
+            return train_unimodal(config, dataset, m)
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+        if training._lane_count(2) < 2:
+            pytest.skip("no safe fork here: one lane")
+        monkeypatch.setattr(training, "_train_unimodal", dying)
+        with pytest.raises(TrainingFailureError) as info:
+            run_experiment(small_config())
+        assert (info.value.phase, info.value.epoch) == ("unimodal[0]", 0)
+        assert "exited with code 3" in str(info.value)
+        assert multiprocessing.active_children() == []
+
+
+def test_training_import_leaves_multiprocessing_unloaded():
+    # The lanes import multiprocessing on first use, so a process that only
+    # sets a run up never loads it.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = "import sys, btwmoe.training; assert 'multiprocessing' not in sys.modules"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
