@@ -49,20 +49,14 @@ print("=== From predictions to a per-instance weight matrix ===")
 # Three instances, two modalities. Modality 0 predicts well; modality 1 is
 # essentially guessing the mean.
 targets = np.array([1.2, -0.8, 2.0])
-uni_mean = np.array([
+uni = np.array([
     [1.1, -0.7, 1.8],   # modality 0: close to the targets
     [0.1, 0.0, -0.1],   # modality 1: no signal
 ])
-multi_mean = np.array([1.0, -0.6, 1.7])
-preds = PredictionSet(
-    task="regression",
-    targets=targets,
-    uni_mean=uni_mean,
-    uni_var=np.array([[residual_variance(t, m) for t, m in zip(targets, row)]
-                      for row in uni_mean]),
-    multi_mean=multi_mean,
-    multi_var=np.array([residual_variance(t, m) for t, m in zip(targets, multi_mean)]),
-)
+multi = np.array([1.0, -0.6, 1.7])
+# instance_kl_weights turns each output into a Gaussian whose variance is the
+# residual variance above.
+preds = PredictionSet(task="regression", targets=targets, uni=uni, multi=multi)
 raw = instance_kl_weights(preds)
 weights = combine_local(raw)
 print("raw KL matrix (instances x modalities):")

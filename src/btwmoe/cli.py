@@ -91,6 +91,10 @@ def cmd_compare(args) -> int:
         raise ConfigParseError(f"--seeds: {exc}") from exc
     if not variants or not seeds:
         raise ConfigParseError("need at least one variant and one seed")
+    for flag, values in (("--variants", variants), ("--seeds", seeds)):
+        repeated = list(dict.fromkeys(str(v) for v in values if values.count(v) > 1))
+        if repeated:
+            raise ConfigParseError(f"{flag}: repeated {', '.join(repeated)}")
     cell_configs = [replace(config, variant=v, seed=s) for v in variants for s in seeds]
     # A cell that cannot be planned fails alone; an error every cell hits is
     # a usage error.
@@ -104,11 +108,10 @@ def cmd_compare(args) -> int:
         raise plans[0]
     _check_out_dir(args.out, args.force)
 
-    cells = []
-    for cell_config, planned in zip(cell_configs, plans):
-        cell_dir = Path(args.out) / cell_config.variant / f"seed_{cell_config.seed}"
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        cells.append((cell_config, planned, cell_dir))
+    # export_result makes a cell's directory, so a failed cell leaves none.
+    out = Path(args.out)
+    cells = [(cell, planned, out / cell.variant / f"seed_{cell.seed}")
+             for cell, planned in zip(cell_configs, plans)]
 
     # The fork start method starts every worker up front, needed or not.
     workers = min(args.jobs, len(cells))
@@ -124,7 +127,8 @@ def cmd_compare(args) -> int:
         if err is None:
             bundles.setdefault(variant, []).append(bundle)
 
-    summary_path = Path(args.out) / "summary.csv"
+    out.mkdir(parents=True, exist_ok=True)
+    summary_path = out / "summary.csv"
     write_summary_csv(summary_path, variants, bundles)
     written = [summary_path] + [path for *_, cell_written in outcomes for path in cell_written]
     write_manifest(args.out, "compare", args.config, written,

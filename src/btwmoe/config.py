@@ -14,7 +14,6 @@ _EXPERIMENT_KEYS = {
     "variant": str,
     "seed": int,
     "lr": float,
-    "lr_decay": float,
     "batch_size": int,
     "epochs.unimodal": int,
     "epochs.warm": int,

@@ -304,7 +304,6 @@ class ForwardTrace:
     weights: np.ndarray | None
     layer_caches: list[_LayerCache]  # [layer], streams stacked in modality order
     pooled: np.ndarray
-    scores: np.ndarray
     probs: np.ndarray | None
 
 
@@ -427,7 +426,6 @@ def _forward(
         weights=weights,
         layer_caches=layer_caches,
         pooled=pooled,
-        scores=scores,
         probs=probs,
     )
     return predictions, trace

@@ -41,6 +41,8 @@ class SyntheticSpec:
             object.__setattr__(self, "class_priors", tuple(float(p) for p in self.class_priors))
         if self.n_instances < 2:
             raise InvalidSpecError("n_instances must be >= 2")
+        if self.seed < 0:
+            raise InvalidSpecError(f"data.seed must be >= 0, got {self.seed}")
         if len(self.modality_dims) != len(self.informativeness):
             raise InvalidSpecError("informativeness length must equal modality count")
         if any(not 0.0 <= a <= 1.0 for a in self.informativeness):
@@ -174,6 +176,8 @@ def split(dataset: Dataset, fractions, seed: int) -> Dataset:
         raise InvalidInputError(f"fractions must all be positive, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise InvalidInputError(f"fractions sum to {sum(fractions)}, not 1")
+    if seed < 0:
+        raise InvalidInputError(f"split.seed must be >= 0, got {seed}")
 
     n = dataset.n_instances
     n_train = int(round(fractions[0] * n))

@@ -80,9 +80,6 @@ class ExperimentConfig:
     epochs_warm: int = 2
     epochs_weighted: int = 8
     lr: float = 0.02
-    # Multiplicative per-epoch lr decay after the warm phase, keyed to the
-    # global epoch index so it is variant-independent.
-    lr_decay: float = 1.0
     batch_size: int = 256
     moe: MoeConfig | None = None
     data: SyntheticSpec | None = None
@@ -103,14 +100,13 @@ class ExperimentConfig:
             )
         if min(self.epochs_unimodal, self.epochs_warm, self.epochs_weighted) < 0:
             raise InvalidInputError("epoch counts must be >= 0")
-        for name in ("lr", "lr_decay", "alpha_init", "alpha_step", "alpha_min", "alpha_max"):
+        for name in ("lr", "alpha_init", "alpha_step", "alpha_min", "alpha_max"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise InvalidInputError(f"lr must be > 0, got {self.lr}")
-        for name in ("lr_decay", "alpha_step"):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.alpha_step < 0:
+            raise InvalidInputError(f"alpha_step must be >= 0, got {self.alpha_step}")
         if not self.alpha_min <= self.alpha_init <= self.alpha_max:
             raise InvalidInputError(
                 f"need alpha_min <= alpha_init <= alpha_max, got "
@@ -118,6 +114,8 @@ class ExperimentConfig:
             )
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.data is None and self.data_path is None:
             raise InvalidInputError("config needs either an inline data spec or a data path")
 
@@ -182,12 +180,6 @@ def improvement_direction(task: str) -> tuple[str, str]:
     if task == REGRESSION:
         return "mae", LOWER_IS_BETTER
     return "weighted_f1", HIGHER_IS_BETTER
-
-
-def _epoch_lr(config: ExperimentConfig, epoch_index: int) -> float:
-    """Learning rate for a multimodal epoch, decayed after the warm phase."""
-    past_warm = max(0, epoch_index - config.epochs_warm)
-    return config.lr * config.lr_decay**past_warm
 
 
 def _collect_predictions(params: ModelParams, batch: DataBatch, weights=None) -> np.ndarray:
@@ -352,7 +344,7 @@ def train_multimodal_warm(
         started = time.perf_counter()
         with _failures_in("warm", epoch_index):
             params, train_loss = _train_one_epoch(
-                params, train_batch, _epoch_lr(config, epoch_index), config.batch_size, rng
+                params, train_batch, config.lr, config.batch_size, rng
             )
             val_loss, val_metrics = _score(params, dataset.batch("val"))
             record = EpochRecord(
@@ -376,10 +368,10 @@ def modality_mi(preds: PredictionSet, jitter_seed: int) -> np.ndarray:
     out = np.zeros(m)
     if preds.task == REGRESSION:
         for j in range(m):
-            out[j] = ksg_mi(preds.uni_mean[j], preds.multi_mean, k=_KSG_K, jitter_seed=jitter_seed)
+            out[j] = ksg_mi(preds.uni[j], preds.multi, k=_KSG_K, jitter_seed=jitter_seed)
     else:
-        multi_labels = preds.multi_labels
-        uni_labels = preds.uni_labels
+        multi_labels = np.argmax(preds.multi, axis=1)
+        uni_labels = np.argmax(preds.uni, axis=2)
         for j in range(m):
             out[j] = discrete_mi(uni_labels[j], multi_labels)
     return out
@@ -454,8 +446,7 @@ def run_weighted_phase(
             applied_row = applied.mean(axis=0)
 
             params, train_loss = _train_one_epoch(
-                params, train_batch, _epoch_lr(config, epoch_index), config.batch_size, rng,
-                weights=applied,
+                params, train_batch, config.lr, config.batch_size, rng, weights=applied
             )
             train_preds = train_preds.with_multimodal(
                 _collect_predictions(params, train_batch, weights=applied)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import categorical_kl_array, gaussian_kl_array
+from .distributions import categorical_kl_array, gaussian_kl_array, residual_variance_array
 from .errors import InvalidInputError, ShapeError
 from .predictions import REGRESSION, PredictionSet
 
@@ -58,14 +58,18 @@ def validate_weight_matrix(w: np.ndarray, atol: float = 1e-9) -> None:
 def instance_kl_weights(preds: PredictionSet) -> np.ndarray:
     """Raw per-instance weights: KL(unimodal_i^(m) || multimodal_i), (N, M).
 
-    Regression compares the per-instance Gaussians (means with residual
-    variances); classification compares full class-probability vectors. One
-    broadcast kernel call covers every instance and modality.
+    Regression compares per-instance Gaussians: an output is the mean, and
+    its residual variance against the target is the variance. Classification
+    compares the class-probability vectors. One broadcast kernel call covers
+    every instance and modality.
     """
     if preds.task == REGRESSION:
-        raw = gaussian_kl_array(preds.uni_mean, preds.uni_var, preds.multi_mean, preds.multi_var)
+        raw = gaussian_kl_array(
+            preds.uni, residual_variance_array(preds.targets, preds.uni),
+            preds.multi, residual_variance_array(preds.targets, preds.multi),
+        )
     else:
-        raw = categorical_kl_array(preds.uni_probs, preds.multi_probs)
+        raw = categorical_kl_array(preds.uni, preds.multi)
     return np.ascontiguousarray(raw.T)
 
 

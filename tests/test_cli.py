@@ -114,7 +114,6 @@ class TestConfigParsing:
             "variant": ("variant", "btw_local", "btw_local"),
             "seed": ("seed", "7", 7),
             "lr": ("lr", "0.5", 0.5),
-            "lr_decay": ("lr_decay", "0.9", 0.9),
             "batch_size": ("batch_size", "17", 17),
             "epochs.unimodal": ("epochs_unimodal", "4", 4),
             "epochs.warm": ("epochs_warm", "5", 5),
@@ -235,6 +234,24 @@ def test_missing_config_file_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, config, old, new, message", [
+    ("train", SMALL_EXPERIMENT, "\nseed=0\n", "\nseed=-1\n", "seed must be >= 0, got -1"),
+    ("train", SMALL_EXPERIMENT, "data.seed=0", "data.seed=-3", "data.seed must be >= 0, got -3"),
+    ("gen-data", SMALL_DATASET, "split.seed=4", "split.seed=-1",
+     "split.seed must be >= 0, got -1"),
+    ("compare", SMALL_EXPERIMENT, "", "", "seed must be >= 0, got -1"),
+], ids=["seed", "data.seed", "split.seed", "compare-seeds"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command, config, old, new, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config.replace(old, new) if old else config)
+    out = tmp_path / "out"
+    args = command_args(command, cfg, out)
+    if command == "compare":
+        args[args.index("--seeds") + 1] = "-1"
+    assert main(args) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
 
 @pytest.mark.parametrize("command, config, written", [
     ("gen-data", SMALL_DATASET, ["meta.json", "modality_0.bin", "modality_1.bin",
@@ -346,7 +363,6 @@ class TestTrain:
         ("lr=nan", "lr must be finite"),
         ("lr=inf", "lr must be finite"),
         ("lr=-0.1", "lr must be > 0"),
-        ("lr_decay=-1", "lr_decay must be >= 0"),
         ("alpha.step=-0.5", "alpha_step must be >= 0"),
         ("alpha.step=nan", "alpha_step must be finite"),
         ("alpha.max=inf", "alpha_max must be finite"),
@@ -603,6 +619,34 @@ class TestCompare:
         with open(out / "summary.csv") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 2  # header + surviving unweighted row
+
+    @pytest.mark.parametrize("variants, seeds, message", [
+        ("unweighted,unweighted", "0,0", "--variants: repeated unweighted"),
+        ("btw,unweighted,btw", "0", "--variants: repeated btw"),
+        ("unweighted", "1,0,1", "--seeds: repeated 1"),
+    ])
+    def test_repeated_cell_is_a_usage_error(self, experiment_cfg, tmp_path, capsys,
+                                            variants, seeds, message):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(experiment_cfg), "--variants", variants,
+                     "--seeds", seeds, "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_failed_cell_leaves_no_directory(self, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        # Too few train instances for the kNN MI estimator: the btw cell fails.
+        cfg.write_text(
+            SMALL_EXPERIMENT.replace("data.n_instances=200", "data.n_instances=8")
+            + "split.fractions=0.5,0.25,0.25\n"
+        )
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg), "--variants", "unweighted,btw",
+                     "--seeds", "0", "--out", str(out)]) == EXIT_PARTIAL_COMPARE
+        assert not (out / "btw").exists()
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        on_disk = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert on_disk == sorted(listed + ["manifest.json"])
 
     def test_parallel_jobs_match_sequential(self, experiment_cfg, tmp_path):
         out_seq, out_par = tmp_path / "seq", tmp_path / "par"

@@ -88,7 +88,7 @@ class TestSchedules:
     def test_zero_unimodal_epochs_still_wellformed(self):
         result = run_experiment(small_config(epochs_unimodal=0))
         assert result.train_preds is not None
-        assert np.all(np.isfinite(result.train_preds.uni_mean))
+        assert np.all(np.isfinite(result.train_preds.uni))
 
     def test_zero_warm_epochs_uses_initialized_model(self):
         result = run_experiment(small_config(epochs_warm=0, epochs_weighted=2))
@@ -140,10 +140,9 @@ class TestDeterminism:
 class TestPhaseIsolation:
     def test_unimodal_predictions_frozen(self):
         result = run_experiment(small_config())
-        assert not result.train_preds.uni_mean.flags.writeable
-        assert not result.train_preds.uni_var.flags.writeable
+        assert not result.train_preds.uni.flags.writeable
         with pytest.raises(ValueError):
-            result.train_preds.uni_mean[0, 0] = 99.0
+            result.train_preds.uni[0, 0] = 99.0
 
 
 class TestEquationReductionHooks:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from btwmoe.distributions import residual_variance_array
+from btwmoe.distributions import gaussian_kl_array, residual_variance_array
 from btwmoe.errors import IncompleteInputError, InvalidInputError, ShapeError
 from btwmoe.predictions import PredictionSet
 from btwmoe.reports import write_weight_trajectory_csv
@@ -33,24 +33,35 @@ raw_matrices = hnp.arrays(
 
 class TestInstanceKlWeights:
     def test_regression_row_matches_scalar_kl(self):
+        # Residual variances against the target 2: 1 and 4 for the unimodal
+        # outputs, 4 for the multimodal one.
         preds = PredictionSet(
             task="regression",
-            targets=np.zeros(1),
-            uni_mean=np.array([[0.0], [1.0]]),
-            uni_var=np.array([[1.0], [4.0]]),
-            multi_mean=np.array([1.0]),
-            multi_var=np.array([4.0]),
+            targets=np.array([2.0]),
+            uni=np.array([[1.0], [0.0]]),
+            multi=np.array([0.0]),
         )
         raw = instance_kl_weights(preds)
         np.testing.assert_allclose(raw, [[0.4431471806, 0.0]], atol=1e-9)
+
+    def test_regression_gaussians_take_residual_variances(self):
+        targets = np.array([0.0, 1.0, 2.0, -3.0])
+        uni = np.array([[0.5, 1.0, 1.5, -1.0], [2.0, -1.0, 2.0, 0.0]])
+        multi = np.array([0.1, 0.9, 2.5, -2.0])
+        preds = PredictionSet(task="regression", targets=targets, uni=uni, multi=multi)
+        expected = gaussian_kl_array(
+            uni, residual_variance_array(targets, uni),
+            multi, residual_variance_array(targets, multi),
+        ).T
+        assert np.array_equal(instance_kl_weights(preds), expected)
 
     def test_classification_identical_predictions_give_zero_matrix(self):
         probs = np.full((2, 3, 4), 0.25)
         preds = PredictionSet(
             task="classification",
             targets=np.zeros(3, dtype=np.int64),
-            uni_probs=probs,
-            multi_probs=np.full((3, 4), 0.25),
+            uni=probs,
+            multi=np.full((3, 4), 0.25),
         )
         assert np.all(instance_kl_weights(preds) == 0.0)
 
@@ -59,59 +70,69 @@ class TestInstanceKlWeights:
         preds = PredictionSet(
             task="classification",
             targets=np.zeros(1, dtype=np.int64),
-            uni_probs=uni,
-            multi_probs=np.array([[0.5, 0.5]]),
+            uni=uni,
+            multi=np.array([[0.5, 0.5]]),
         )
         raw = instance_kl_weights(preds)
         np.testing.assert_allclose(raw, [[np.log(2), 0.0]], atol=1e-9)
 
 
 class TestPredictionSetFromPredictions:
-    def test_regression_adds_residual_variances_and_freezes_unimodal(self):
+    def test_regression_stacks_and_freezes_unimodal(self):
         targets = np.array([0.0, 1.0, 2.0, -3.0])
         uni_list = [np.array([0.5, 1.0, 1.5, -1.0]), np.array([2.0, -1.0, 2.0, 0.0])]
         multi = np.array([0.1, 0.9, 2.5, -2.0])
         preds = PredictionSet.from_predictions("regression", targets, uni_list, multi)
-        assert np.array_equal(preds.uni_mean, np.stack(uni_list))
-        for m, uni in enumerate(uni_list):
-            assert np.array_equal(preds.uni_var[m], residual_variance_array(targets, uni))
-        assert np.array_equal(preds.multi_mean, multi)
-        assert np.array_equal(preds.multi_var, residual_variance_array(targets, multi))
-        for arr in (preds.uni_mean, preds.uni_var):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0, 0] = 1.0
+        assert np.array_equal(preds.uni, np.stack(uni_list))
+        assert preds.multi is multi
+        assert preds.n_modalities == 2
+        assert not preds.uni.flags.writeable
+        with pytest.raises(ValueError):
+            preds.uni[0, 0] = 1.0
 
-    def test_regression_with_multimodal_keeps_unimodal_and_recomputes_variance(self):
+    def test_regression_with_multimodal_keeps_unimodal(self):
         targets = np.array([0.0, 1.0, 2.0])
         preds = PredictionSet.from_predictions(
             "regression", targets, [np.array([0.0, 0.5, 1.0])], np.zeros(3)
         )
         multi = np.array([1.0, 1.0, 4.0])
         updated = preds.with_multimodal(multi)
-        assert updated.uni_mean is preds.uni_mean
-        assert updated.uni_var is preds.uni_var
-        assert np.array_equal(updated.multi_mean, multi)
-        assert np.array_equal(updated.multi_var, residual_variance_array(targets, multi))
-        assert np.array_equal(preds.multi_mean, np.zeros(3))
+        assert updated.uni is preds.uni
+        assert updated.multi is multi
+        assert np.array_equal(preds.multi, np.zeros(3))
 
     def test_classification_probabilities_pass_through(self):
         targets = np.array([0, 1], dtype=np.int64)
         uni_list = [np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([[0.5, 0.5], [1.0, 0.0]])]
         multi = np.array([[0.6, 0.4], [0.1, 0.9]])
         preds = PredictionSet.from_predictions("classification", targets, uni_list, multi)
-        assert np.array_equal(preds.uni_probs, np.stack(uni_list))
-        assert not preds.uni_probs.flags.writeable
-        assert preds.multi_probs is multi
-        assert preds.uni_mean is None and preds.uni_var is None and preds.multi_var is None
+        assert np.array_equal(preds.uni, np.stack(uni_list))
+        assert not preds.uni.flags.writeable
+        assert preds.multi is multi
         new_multi = np.array([[0.3, 0.7], [0.9, 0.1]])
         updated = preds.with_multimodal(new_multi)
-        assert updated.uni_probs is preds.uni_probs
-        assert updated.multi_probs is new_multi
+        assert updated.uni is preds.uni
+        assert updated.multi is new_multi
 
     def test_no_unimodal_predictions_rejected(self):
         with pytest.raises(IncompleteInputError):
             PredictionSet.from_predictions("regression", np.zeros(2), [], np.zeros(2))
+
+    @pytest.mark.parametrize("task, uni, multi", [
+        ("regression", np.zeros((2, 4)), np.zeros(4)),  # outputs misaligned with targets
+        ("regression", np.zeros((2, 4)), np.zeros(3)),  # uni misaligned with multi
+        ("regression", np.zeros((2, 3, 2)), np.zeros((3, 2))),  # probabilities
+        ("classification", np.zeros((2, 3)), np.zeros(3)),  # means
+        ("classification", np.zeros((2, 3, 2)), np.zeros((3, 4))),  # class counts differ
+    ])
+    def test_misaligned_outputs_rejected(self, task, uni, multi):
+        with pytest.raises(ShapeError):
+            PredictionSet(task=task, targets=np.zeros(3), uni=uni, multi=multi)
+
+    def test_unknown_task_rejected(self):
+        with pytest.raises(InvalidInputError, match="unknown task"):
+            PredictionSet(task="ranking", targets=np.zeros(1), uni=np.zeros((1, 1)),
+                          multi=np.zeros(1))
 
 
 class TestCombinators:
