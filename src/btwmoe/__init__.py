@@ -49,48 +49,3 @@ from .weighting import (
     instance_kl_weights,
     smooth_update,
 )
-
-__all__ = [
-    "CategoricalDist",
-    "DataBatch",
-    "Dataset",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "GaussianParams",
-    "MoeConfig",
-    "PredictionSet",
-    "SmoothingState",
-    "SyntheticSpec",
-    "acc_k",
-    "backward",
-    "categorical_kl",
-    "combine_bilevel",
-    "combine_global_kl",
-    "combine_global_mi",
-    "combine_local",
-    "discrete_mi",
-    "evaluate",
-    "f1_scores",
-    "forward",
-    "gaussian_kl",
-    "gaussian_mi_analytic",
-    "generate",
-    "grad_check",
-    "init_params",
-    "instance_kl_weights",
-    "kl_quadrature_oracle",
-    "ksg_mi",
-    "load_checkpoint",
-    "load_dataset",
-    "mae",
-    "modality_mi",
-    "pearson",
-    "residual_variance",
-    "run_experiment",
-    "save_checkpoint",
-    "save_dataset",
-    "sgd_step",
-    "smooth_update",
-    "split",
-    "train_unimodal_all",
-]

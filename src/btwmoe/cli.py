@@ -1,5 +1,8 @@
 """Command-line entry point: generate data, train variants, compare runs.
 
+compare runs its cells on training's lanes (_run_lanes), one per usable
+core, seed-major; there is no knob for the core count.
+
 Exit codes: 0 success, 2 parse error or invalid data/config, 3 output-safety
 refusal, 4 training failure, 5 partial comparison failure.
 """
@@ -8,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -17,7 +20,7 @@ from .config import load_data_config, load_experiment_config
 from .errors import BtwError, ConfigParseError, TrainingFailureError
 from .reports import export_result, write_manifest, write_summary_csv
 from .synthetic import generate, save_dataset, split
-from .training import plan, run_planned
+from .training import _run_lanes, plan, run_planned
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -68,21 +71,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _compare_cell(payload):
-    """Run one cell from its plan: (config, (config, dataset) or the plan's error, dir)."""
-    config, planned, cell_dir = payload
-    if isinstance(planned, BtwError):
-        return config.variant, config.seed, None, str(planned), []
+def _run_cell(config, dataset, cell_dir) -> tuple[dict | None, str | None, list[Path]]:
+    """Run one planned cell: (test bundle, None, paths written), or
+    (None, its error, []). export_result makes the cell's directory, so a
+    failed cell leaves none."""
     try:
-        result = run_planned(*planned)
+        result = run_planned(config, dataset)
     except BtwError as exc:
-        return config.variant, config.seed, None, str(exc), []
-    return config.variant, config.seed, result.test_bundle, None, export_result(result, cell_dir)
+        return None, str(exc), []
+    return result.test_bundle, None, export_result(result, cell_dir)
 
 
 def cmd_compare(args) -> int:
-    if args.jobs < 1:
-        raise ConfigParseError("--jobs must be >= 1")
     config = load_experiment_config(args.config)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     try:
@@ -95,37 +95,36 @@ def cmd_compare(args) -> int:
         repeated = list(dict.fromkeys(str(v) for v in values if values.count(v) > 1))
         if repeated:
             raise ConfigParseError(f"{flag}: repeated {', '.join(repeated)}")
-    cell_configs = [replace(config, variant=v, seed=s) for v in variants for s in seeds]
+    # Seed-major, so the lanes' contiguous shares hold whole seeds.
+    cells = [replace(config, variant=v, seed=s) for s in seeds for v in variants]
     # A cell that cannot be planned fails alone; an error every cell hits is
     # a usage error.
     plans = []
-    for cell_config in cell_configs:
+    for cell in cells:
         try:
-            plans.append(plan(cell_config))
+            plans.append(plan(cell))
         except BtwError as exc:
             plans.append(exc)
     if all(isinstance(planned, BtwError) for planned in plans):
         raise plans[0]
     _check_out_dir(args.out, args.force)
 
-    # export_result makes a cell's directory, so a failed cell leaves none.
     out = Path(args.out)
-    cells = [(cell, planned, out / cell.variant / f"seed_{cell.seed}")
-             for cell, planned in zip(cell_configs, plans)]
+    ran = iter(_run_lanes([
+        (f"{cell.variant}/seed_{cell.seed}",
+         partial(_run_cell, *planned, out / cell.variant / f"seed_{cell.seed}"))
+        for cell, planned in zip(cells, plans) if not isinstance(planned, BtwError)
+    ]))
+    outcomes = [(None, str(planned), []) if isinstance(planned, BtwError) else next(ran)
+                for planned in plans]
 
-    # The fork start method starts every worker up front, needed or not.
-    workers = min(args.jobs, len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_compare_cell, cells))
-    else:
-        outcomes = [_compare_cell(cell) for cell in cells]
-
-    failures = [(v, s, err) for v, s, _b, err, _w in outcomes if err is not None]
     bundles: dict[str, list[dict]] = {}
-    for variant, _seed, bundle, err, _w in outcomes:
+    failures = []
+    for cell, (bundle, err, _w) in zip(cells, outcomes):
         if err is None:
-            bundles.setdefault(variant, []).append(bundle)
+            bundles.setdefault(cell.variant, []).append(bundle)
+        else:
+            failures.append(f"failed: {cell.variant} seed {cell.seed}: {err}")
 
     out.mkdir(parents=True, exist_ok=True)
     summary_path = out / "summary.csv"
@@ -134,11 +133,9 @@ def cmd_compare(args) -> int:
     write_manifest(args.out, "compare", args.config, written,
                    {"variants": variants, "seeds": seeds})
     print(f"summary -> {summary_path}")
-    if failures:
-        for variant, seed, err in failures:
-            print(f"failed: {variant} seed {seed}: {err}", file=sys.stderr)
-        return EXIT_PARTIAL_COMPARE
-    return EXIT_OK
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return EXIT_PARTIAL_COMPARE if failures else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seeds", required=True, help="comma-separated integer seeds")
     p_cmp.add_argument("--out", required=True)
     p_cmp.add_argument("--force", action="store_true")
-    p_cmp.add_argument("--jobs", type=int, default=1)
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 

@@ -65,7 +65,6 @@ class MoeConfig:
     n_moe_layers: int = 1
     task: str = REGRESSION
     n_classes: int = 0
-    activation: str = "gelu"
 
     def __post_init__(self):
         object.__setattr__(self, "input_dims", tuple(int(d) for d in self.input_dims))
@@ -79,8 +78,6 @@ class MoeConfig:
             raise InvalidInputError(f"unknown task {self.task!r}")
         if self.task == CLASSIFICATION and self.n_classes < 2:
             raise InvalidInputError("classification needs n_classes >= 2")
-        if self.activation != "gelu":
-            raise InvalidInputError(f"unsupported activation {self.activation!r}")
 
     @property
     def n_modalities(self) -> int:
@@ -116,12 +113,15 @@ class MoeConfig:
             "n_moe_layers": self.n_moe_layers,
             "task": self.task,
             "n_classes": self.n_classes,
-            "activation": self.activation,
+            "activation": "gelu",  # a format constant: the experts' only activation
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MoeConfig":
         d = dict(d)
+        activation = d.pop("activation")
+        if activation != "gelu":
+            raise InvalidInputError(f"unsupported activation {activation!r}")
         d["input_dims"] = tuple(d["input_dims"])
         return cls(**d)
 

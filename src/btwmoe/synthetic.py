@@ -9,6 +9,7 @@ are the signal itself (regression) or its quantile bins (classification).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -45,23 +46,28 @@ class SyntheticSpec:
             raise InvalidSpecError(f"data.seed must be >= 0, got {self.seed}")
         if len(self.modality_dims) != len(self.informativeness):
             raise InvalidSpecError("informativeness length must equal modality count")
+        if any(d < 1 for d in self.modality_dims):
+            raise InvalidSpecError(f"modality_dims must all be >= 1, got {self.modality_dims}")
         if any(not 0.0 <= a <= 1.0 for a in self.informativeness):
             raise InvalidSpecError("informativeness values must lie in [0, 1]")
         if not any(a > 0 for a in self.informativeness):
             raise InvalidSpecError("at least one modality must have informativeness > 0")
-        if self.noise_sigma < 0:
-            raise InvalidSpecError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise InvalidSpecError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.task not in (REGRESSION, CLASSIFICATION):
             raise InvalidSpecError(f"unknown task {self.task!r}")
-        if self.task == CLASSIFICATION and self.n_classes < 2:
-            raise InvalidSpecError("classification needs n_classes >= 2")
+        if self.task == CLASSIFICATION and not 2 <= self.n_classes <= self.n_instances:
+            raise InvalidSpecError(f"classification needs 2 <= n_classes <= n_instances "
+                                   f"({self.n_instances}), got {self.n_classes}")
         if self.nonlinearity not in ("linear", "tanh-mixed"):
             raise InvalidSpecError(f"unknown nonlinearity {self.nonlinearity!r}")
         if self.class_priors is not None:
             if len(self.class_priors) != self.n_classes:
                 raise InvalidSpecError("class_priors length must equal n_classes")
-            if any(p <= 0 for p in self.class_priors):
-                raise InvalidSpecError("class_priors must be positive")
+            if not (all(p > 0 for p in self.class_priors)
+                    and math.isfinite(sum(self.class_priors))):
+                raise InvalidSpecError(f"class_priors must be positive with a finite sum, "
+                                       f"got {self.class_priors}")
 
     @property
     def n_modalities(self) -> int:
@@ -147,6 +153,8 @@ def generate(spec: SyntheticSpec) -> Dataset:
         # level and projection draw; keeps training stable across specs.
         mat = mat - mat.mean(axis=0)
         stds = mat.std(axis=0)
+        if not np.isfinite(stds).all():
+            raise InvalidSpecError(f"noise_sigma {spec.noise_sigma} overflows modality {m}")
         stds[stds == 0] = 1.0
         features.append(mat / stds)
 
@@ -172,7 +180,7 @@ def split(dataset: Dataset, fractions, seed: int) -> Dataset:
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3:
         raise InvalidInputError("expected exactly three fractions")
-    if any(f <= 0 for f in fractions):
+    if not all(f > 0 for f in fractions):  # also rejects nan
         raise InvalidInputError(f"fractions must all be positive, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise InvalidInputError(f"fractions sum to {sum(fractions)}, not 1")
@@ -229,7 +237,9 @@ def save_dataset(dataset: Dataset, out_dir) -> list[Path]:
 
 def load_dataset(in_dir) -> Dataset:
     """Read a directory written by save_dataset. A missing, truncated or
-    malformed file raises InvalidInputError naming that file."""
+    malformed file, or one holding a value no run can use (non-finite, a
+    class label outside 0..n_classes-1, a split tag other than 0, 1, 2),
+    raises InvalidInputError naming that file."""
     src = Path(in_dir)
     meta_path = src / "meta.json"
     try:
@@ -240,14 +250,18 @@ def load_dataset(in_dir) -> Dataset:
         raise InvalidInputError(f"unrecognized dataset format in {src}")
     try:
         paths = [src / name for name in [*meta["modality_files"], meta["targets_file"]]]
-        task, n_classes = meta["task"], meta["n_classes"]
-        split_tags = np.asarray(meta["split_tags"], dtype=np.int8)
+        task, n_classes = meta["task"], int(meta["n_classes"])
+        split_tags = np.asarray(meta["split_tags"])
         spec = SyntheticSpec.from_dict(meta["spec"]) if meta.get("spec") else None
         split_fractions = tuple(meta["split_fractions"]) if meta.get("split_fractions") else None
     except KeyError as exc:
         raise InvalidInputError(f"dataset metadata {meta_path} has no key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed dataset metadata {meta_path}: {exc}") from exc
+
+    if split_tags.ndim != 1 or not np.isin(split_tags, (TRAIN, VAL, TEST)).all():
+        raise InvalidInputError(f"dataset metadata {meta_path} has split tags outside 0, 1, 2")
+    split_tags = split_tags.astype(np.int8)
 
     matrices = []
     for path in paths:
@@ -263,7 +277,12 @@ def load_dataset(in_dir) -> Dataset:
                 f"dataset file {path} has shape {mat.shape}, but {meta_path} lists "
                 f"{split_tags.size} split tags"
             )
+        if not np.isfinite(mat).all():
+            raise InvalidInputError(f"dataset file {path} holds a non-finite value")
     if task == CLASSIFICATION:
+        if ((targets < 0) | (targets >= n_classes) | (targets != np.floor(targets))).any():
+            raise InvalidInputError(f"dataset file {paths[-1]} holds a class label outside "
+                                    f"0..{n_classes - 1}")
         targets = targets.astype(np.int64)
     return Dataset(
         features=features,

@@ -482,24 +482,25 @@ def _usable_cores() -> int:
 
 
 def _lane_count(n_tasks: int) -> int:
-    """One lane per usable core and at most one per task; 1 where a fork is
-    unavailable or unsafe."""
-    lanes = min(_usable_cores(), n_tasks)
-    if lanes < 2:
+    """One lane per free usable core and at most one per task; 1 where a fork
+    is unavailable or unsafe."""
+    cores = _usable_cores()
+    if min(cores, n_tasks) < 2:
         return 1
     import multiprocessing
     import threading
 
-    # A process that is itself a worker (a compare --jobs cell, or a lane)
-    # already has its core. A forked child keeps only the forking thread, so
-    # a lock another thread holds at the fork would stay held in the child.
+    # A child lane already has its core. A forked child keeps only the
+    # forking thread, so a lock another thread holds at the fork would stay
+    # held in the child.
     if (
         "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.parent_process() is not None
         or threading.active_count() > 1
     ):
         return 1
-    return lanes
+    # Each live child lane of this process (a compare cell's) holds a core.
+    return max(1, min(cores - len(multiprocessing.active_children()), n_tasks))
 
 
 def _run_lane(tasks) -> list[tuple[bool, object]]:
@@ -535,15 +536,17 @@ def _run_lanes(tasks: list[tuple[str, Callable]]) -> list:
     return their results in task order.
 
     The tasks are cut into contiguous shares, one per lane. This process runs
-    the last share. Each other share runs in a child forked from it, which
-    inherits the tasks and their inputs and sends its outcomes back through a
-    pipe, so only results are pickled. Every lane runs its share in order up
-    to its first failure. After every child is joined, the first failure in
-    task order is raised, which is the failure one lane would have raised: a
-    task that a failure kept from running comes after it.
+    the last share, which is the smallest: only this process may fork lanes
+    of its own, onto cores that exited children free. Each other share runs
+    in a child forked from it, which inherits the tasks and their inputs and
+    sends its outcomes back through a pipe, so only results are pickled.
+    Every lane runs its share in order up to its first failure. After every
+    child is joined, the first failure in task order is raised, which is the
+    failure one lane would have raised: a task that a failure kept from
+    running comes after it.
     """
     n_lanes = _lane_count(len(tasks))
-    bounds = [len(tasks) * k // n_lanes for k in range(n_lanes + 1)]
+    bounds = [-(-len(tasks) * k // n_lanes) for k in range(n_lanes + 1)]
     shares = [tasks[start:stop] for start, stop in zip(bounds, bounds[1:])]
     children = []
     try:

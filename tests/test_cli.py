@@ -1,13 +1,20 @@
 """Command-line surface: exit codes, file outputs, manifests, determinism."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
+import multiprocessing
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btwmoe import cli, training
 from btwmoe.cli import (
@@ -25,6 +32,7 @@ from btwmoe.config import (
     parse_config_text,
 )
 from btwmoe.errors import ConfigParseError, InvalidInputError, NumericOverflowError
+from btwmoe.moe import write_tensor_record
 from btwmoe.synthetic import generate, load_dataset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -251,6 +259,133 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command, config, old, 
     assert main(args) == EXIT_PARSE
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+CLASSIFICATION_EXPERIMENT = SMALL_EXPERIMENT.replace(
+    "data.task=regression", "data.task=classification\ndata.n_classes=4")
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+@pytest.mark.parametrize("config, line, message", [
+    (SMALL_EXPERIMENT, "data.modality_dims=-3,6,6", "modality_dims must all be >= 1"),
+    (SMALL_EXPERIMENT, "data.modality_dims=0,6,6", "modality_dims must all be >= 1"),
+    (SMALL_EXPERIMENT, "data.noise_sigma=nan", "noise_sigma must be finite and >= 0, got nan"),
+    (SMALL_EXPERIMENT, "data.noise_sigma=inf", "noise_sigma must be finite and >= 0, got inf"),
+    (SMALL_EXPERIMENT, "data.noise_sigma=1e200", "noise_sigma 1e+200 overflows modality 0"),
+    (CLASSIFICATION_EXPERIMENT, "data.class_priors=inf,1,1,1",
+     "class_priors must be positive with a finite sum"),
+    (CLASSIFICATION_EXPERIMENT, "data.class_priors=1e308,1e308,1,1",
+     "class_priors must be positive with a finite sum"),
+    (CLASSIFICATION_EXPERIMENT, "data.n_classes=201",
+     "classification needs 2 <= n_classes <= n_instances (200), got 201"),
+    (CLASSIFICATION_EXPERIMENT, f"data.n_classes={2**62}",  # overflowed the bins' int64
+     f"classification needs 2 <= n_classes <= n_instances (200), got {2**62}"),
+    (SMALL_EXPERIMENT, "split.fractions=nan,0.5,0.5", "fractions must all be positive"),
+], ids=["dims-negative", "dims-zero", "noise-nan", "noise-inf", "noise-overflow",
+        "priors-inf", "priors-sum-overflow", "classes-past-instances", "classes-huge",
+        "fractions-nan"])
+def test_hostile_data_value_is_a_usage_error(tmp_path, capsys, command, config, line, message):
+    key = line.split("=", 1)[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{kept}\n" for kept in config.splitlines()
+                           if not kept.startswith(f"{key}=")) + line + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_out_of_range_stored_label_is_a_usage_error(dataset_cfg, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    dataset_cfg.write_text(SMALL_DATASET.replace("data.task=regression",
+                                                 "data.task=classification\ndata.n_classes=4"))
+    assert main(["gen-data", "--config", str(dataset_cfg), "--out", str(data)]) == EXIT_OK
+    targets = load_dataset(data).targets.astype(np.float64)
+    targets[5] = 7
+    with open(data / "targets.bin", "wb") as fh:
+        write_tensor_record(fh, targets)
+    cfg = tmp_path / "path.cfg"
+    cfg.write_text(f"variant=btw\ndata.path={data}\n")
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dataset file {data / 'targets.bin'} holds a class label")
+    assert not out.exists()
+
+
+_FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e-320", "2", "1e200", "1e308", "x", ""]
+_INTS = ["-3", "-1", "0", "1", "64", str(2**62), str(2**70), "1.5", "x"]
+
+
+@st.composite
+def data_configs(draw):
+    """A valid gen-data config with up to three data.* or split.* values made
+    hostile (a random value, or the key dropped), maybe a duplicate or
+    malformed line, in random order."""
+    m, n_classes = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    values = {
+        "data.n_instances": str(draw(st.integers(2, 64))),
+        "data.modality_dims": ",".join(str(draw(st.integers(1, 5))) for _ in range(m)),
+        "data.informativeness": ",".join(
+            ["0.9"] + [draw(st.sampled_from(["0", "0.3", "1"])) for _ in range(m - 1)]),
+        "data.noise_sigma": draw(st.sampled_from(["0", "0.5", "2"])),
+        "data.task": draw(st.sampled_from(["regression", "classification"])),
+        "data.n_classes": str(n_classes),
+        "data.nonlinearity": draw(st.sampled_from(["linear", "tanh-mixed"])),
+        "data.seed": str(draw(st.integers(0, 9))),
+        "data.class_priors": ",".join(draw(st.sampled_from(["0.2", "1", "3"]))
+                                      for _ in range(n_classes)),
+        "split.fractions": "0.6,0.2,0.2",
+        "split.seed": str(draw(st.integers(0, 9))),
+    }
+    if values["data.task"] == "regression" or draw(st.booleans()):
+        del values["data.class_priors"]
+    hostile = {
+        "data.n_instances": st.sampled_from(["-1", "0", "1", "x"]),
+        "data.modality_dims": st.lists(st.sampled_from(["-3", "0", "1", "5", "x"]),
+                                       min_size=m, max_size=m).map(",".join),
+        "data.informativeness": st.lists(st.sampled_from(_FLOATS + ["0.5", "1"]),
+                                         min_size=1, max_size=3).map(",".join),
+        "data.noise_sigma": st.sampled_from(_FLOATS),
+        "data.task": st.sampled_from(["classification", "bogus"]),
+        "data.n_classes": st.sampled_from(_INTS),
+        "data.nonlinearity": st.sampled_from(["cubic", ""]),
+        "data.seed": st.sampled_from(_INTS),
+        "data.class_priors": st.lists(st.sampled_from(_FLOATS + ["1"]), min_size=n_classes,
+                                      max_size=n_classes + 1).map(",".join),
+        "split.fractions": st.lists(st.sampled_from(_FLOATS + ["0.5", "0.25"]),
+                                    min_size=2, max_size=4).map(",".join),
+        "split.seed": st.sampled_from(_INTS),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(hostile)), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            values[key] = draw(hostile[key])
+        else:
+            values.pop(key, None)
+    lines = [f"{key}={value}" for key, value in values.items()]
+    lines += draw(st.lists(st.sampled_from(["garbage", "=1", "data.bogus=1", *lines]),
+                           max_size=1))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@given(text=data_configs())
+@settings(max_examples=200, deadline=None)
+def test_gen_data_fuzz_exits_0_or_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "data"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(["gen-data", "--config", str(cfg), "--out", str(out)])
+        assert status in (EXIT_OK, EXIT_PARSE), err.getvalue()
+        if status == EXIT_PARSE:
+            assert err.getvalue().startswith("error: ") and not out.exists()
+            return
+        saved = load_dataset(out)
+        assert all(f.shape[1] >= 1 and np.isfinite(f).all() for f in saved.features)
+        if saved.task == "classification":
+            assert set(np.unique(saved.targets)) <= set(range(saved.n_classes))
 
 
 @pytest.mark.parametrize("command, config, written", [
@@ -648,13 +783,18 @@ class TestCompare:
         on_disk = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
         assert on_disk == sorted(listed + ["manifest.json"])
 
-    def test_parallel_jobs_match_sequential(self, experiment_cfg, tmp_path):
-        out_seq, out_par = tmp_path / "seq", tmp_path / "par"
-        args = ["compare", "--config", str(experiment_cfg),
-                "--variants", "unweighted,btw", "--seeds", "0,1"]
-        assert main(args + ["--out", str(out_seq)]) == EXIT_OK
-        assert main(args + ["--out", str(out_par), "--jobs", "4"]) == EXIT_OK
-        assert (out_seq / "summary.csv").read_bytes() == (out_par / "summary.csv").read_bytes()
+    def test_core_count_changes_no_output_byte(self, experiment_cfg, tmp_path, monkeypatch):
+        trees = {}
+        for cores in (1, 2, 4):
+            monkeypatch.setattr(training, "_usable_cores", lambda cores=cores: cores)
+            out = tmp_path / str(cores)
+            assert main(["compare", "--config", str(experiment_cfg), "--variants",
+                         "unweighted,btw", "--seeds", "0,1", "--out", str(out)]) == EXIT_OK
+            trees[cores] = {p.relative_to(out).as_posix(): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()}
+        assert {"summary.csv", "manifest.json", "btw/seed_1/metrics.json"} <= set(trees[1])
+        assert trees[2] == trees[1]
+        assert trees[4] == trees[1]
 
     def test_plans_each_cell_once(self, experiment_cfg, tmp_path, monkeypatch):
         calls = []
@@ -667,35 +807,46 @@ class TestCompare:
             ("btw", 0), ("btw", 1), ("unweighted", 0), ("unweighted", 1)
         ]
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_is_a_usage_error(self, experiment_cfg, tmp_path, capsys, jobs):
-        out = tmp_path / "cmp"
-        assert main(["compare", "--config", str(experiment_cfg), "--variants", "unweighted",
-                     "--seeds", "0", "--out", str(out), "--jobs", jobs]) == EXIT_PARSE
-        assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
-        assert not out.exists()
+    @pytest.mark.skipif(training._lane_count(2) < 2,
+                        reason="one usable core, or no safe fork: one lane")
+    def test_lanes_never_outnumber_the_cells(self, experiment_cfg, tmp_path, monkeypatch):
+        # unweighted cells train nothing beside their warm epochs, so every
+        # fork is a cell lane.
+        forks = []
+        fork = os.fork
 
-    def test_pool_never_outnumbers_the_cells(self, experiment_cfg, tmp_path, monkeypatch):
-        # Runs the cells in this process and records the pool size asked for:
-        # a real pool with the fork start method starts every worker up front.
-        sizes = []
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
-        args = ["compare", "--config", str(experiment_cfg), "--variants", "unweighted",
-                "--jobs", "64"]
+        monkeypatch.setattr(training, "_usable_cores", lambda: 64)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        args = ["compare", "--config", str(experiment_cfg), "--variants", "unweighted"]
         assert main(args + ["--seeds", "0,1", "--out", str(tmp_path / "two")]) == EXIT_OK
         assert main(args + ["--seeds", "0", "--out", str(tmp_path / "one")]) == EXIT_OK
-        assert sizes == [2]
+        assert len(forks) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(training._lane_count(2) < 2,
+                        reason="one usable core, or no safe fork: one lane")
+    def test_a_cell_lane_that_dies_fails_as_its_first_cell(self, experiment_cfg, tmp_path,
+                                                            monkeypatch, capsys):
+        parent = os.getpid()
+        run_planned = cli.run_planned
+
+        def dying(config, dataset):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run_planned(config, dataset)
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(cli, "run_planned", dying)
+        assert main(["compare", "--config", str(experiment_cfg), "--variants", "unweighted",
+                     "--seeds", "0,1", "--out", str(tmp_path / "cmp")]) == EXIT_TRAINING
+        assert capsys.readouterr().err == (
+            "error: training failed in phase 'unweighted/seed_0' at epoch 0: "
+            "its process exited with code 3 before reporting\n"
+        )
+        assert multiprocessing.active_children() == []

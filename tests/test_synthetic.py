@@ -59,6 +59,8 @@ DAMAGE = {
     "undecodable-config": lambda raw, start: with_config(raw, lambda cfg: cfg[:-1]),
     "unknown-config-key": lambda raw, start: with_config(
         raw, lambda cfg: json.dumps({**json.loads(cfg), "bogus": 1}).encode()),
+    "other-activation": lambda raw, start: with_config(
+        raw, lambda cfg: json.dumps({**json.loads(cfg), "activation": "relu"}).encode()),
 }
 
 
@@ -172,13 +174,46 @@ class TestSerialization:
         *[(make, damage) for make in (checkpoint_file, dataset_file)
           for damage in ("truncated-record-header", "truncated-payload", "trailing-bytes")],
         *[(checkpoint_file, damage) for damage in
-          ("truncated-file-header", "undecodable-config", "unknown-config-key")],
+          ("truncated-file-header", "undecodable-config", "unknown-config-key",
+           "other-activation")],
     ], ids=lambda v: getattr(v, "__name__", v))
     def test_damaged_file_names_the_file(self, tmp_path, make_file, damage):
         path, load, start = make_file(tmp_path)
         path.write_bytes(DAMAGE[damage](path.read_bytes(), start))
         with pytest.raises(InvalidInputError, match=re.escape(str(path))):
             load(path)
+
+    @pytest.mark.parametrize("name, index, value", [
+        ("targets.bin", 3, 7.0),  # past the last of 4 classes
+        ("targets.bin", 3, -1.0),
+        ("targets.bin", 3, 2.5),
+        ("targets.bin", 3, np.nan),
+        ("modality_1.bin", (4, 2), np.nan),
+        ("modality_0.bin", (0, 0), np.inf),
+    ], ids=["label-past-last-class", "negative-label", "non-integer-label", "nan-label",
+            "nan-feature", "inf-feature"])
+    def test_tampered_value_names_the_file(self, tmp_path, name, index, value):
+        data = tmp_path / "data"
+        spec = base_spec(n_instances=40, informativeness=(0.9, 0.5), task="classification",
+                         n_classes=4)
+        save_dataset(generate(spec), data)
+        path = data / name
+        mat = read_tensor_records(path, path.read_bytes(), 0, 1)[0]
+        mat[index] = value
+        with open(path, "wb") as fh:
+            write_tensor_record(fh, mat)
+        with pytest.raises(InvalidInputError, match=re.escape(f"dataset file {path} holds")):
+            load_dataset(data)
+
+    @pytest.mark.parametrize("tag", [3, -1, 0.5], ids=["3", "-1", "0.5"])
+    def test_split_tag_outside_the_three_splits_names_the_file(self, tmp_path, tag):
+        data = tmp_path / "data"
+        save_dataset(split(generate(base_spec(n_instances=40)), (0.7, 0.15, 0.15), 3), data)
+        meta = json.loads((data / "meta.json").read_text())
+        meta["split_tags"][5] = tag
+        (data / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(InvalidInputError, match=re.escape(f"{data / 'meta.json'} has split")):
+            load_dataset(data)
 
     def test_dataset_round_trip(self, tmp_path):
         ds = split(generate(base_spec(n_instances=200, noise_sigma=0.2)), (0.7, 0.15, 0.15), 3)

@@ -426,6 +426,21 @@ class TestLanes:
         assert sorted(pids) == ["0", "1", "2"]
         assert set(pids.values()) - {str(os.getpid())}
 
+    def test_a_live_child_lane_holds_a_core(self, monkeypatch):
+        monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+        if training._lane_count(4) < 2:
+            pytest.skip("no safe fork here: one lane")
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        child = multiprocessing.get_context("fork").Process(target=reader.recv, daemon=True)
+        child.start()
+        try:
+            assert training._lane_count(4) == 1
+        finally:
+            writer.send(None)
+            child.join(timeout=30)
+        assert not child.is_alive()
+        assert training._lane_count(4) == 2
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_no_lane_outlives_a_run(self, monkeypatch):
@@ -468,11 +483,12 @@ class TestLanes:
 
 def test_training_import_leaves_multiprocessing_unloaded():
     # The lanes import multiprocessing on first use, so a process that only
-    # sets a run up never loads it.
+    # sets a run up, or parses a command line, never loads it.
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    code = "import sys, btwmoe.training; assert 'multiprocessing' not in sys.modules"
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
+    for module in ("btwmoe.training", "btwmoe.cli"):
+        code = f"import sys, {module}; assert 'multiprocessing' not in sys.modules"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, f"{module}: {done.stderr[-2000:]}"
