@@ -115,8 +115,15 @@ def cmd_compare(args) -> int:
          partial(_run_cell, *planned, out / cell.variant / f"seed_{cell.seed}"))
         for cell, planned in zip(cells, plans) if not isinstance(planned, BtwError)
     ]))
-    outcomes = [(None, str(planned), []) if isinstance(planned, BtwError) else next(ran)
-                for planned in plans]
+    outcomes = []
+    for planned in plans:
+        finished, value = (False, planned) if isinstance(planned, BtwError) else next(ran)
+        # _run_cell reports its package errors, so only an error of another
+        # kind stops a lane early; each outcome before it is its own cell's.
+        if not (finished or isinstance(value, BtwError)):
+            raise value
+        # A package error here: the cell's plan failed, or its lane died.
+        outcomes.append(value if finished else (None, str(value), []))
 
     bundles: dict[str, list[dict]] = {}
     failures = []

@@ -18,10 +18,6 @@ _EXPERIMENT_KEYS = {
     "epochs.unimodal": int,
     "epochs.warm": int,
     "epochs.weighted": int,
-    "alpha.init": float,
-    "alpha.step": float,
-    "alpha.min": float,
-    "alpha.max": float,
     "split.fractions": "floats",
     "moe.embed_dim": int,
     "moe.n_experts": int,

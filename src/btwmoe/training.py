@@ -50,9 +50,6 @@ from .predictions import PredictionSet
 from .synthetic import Dataset, SyntheticSpec, generate, load_dataset, split
 from .weighting import (
     ALPHA_INIT,
-    ALPHA_MAX,
-    ALPHA_MIN,
-    ALPHA_STEP,
     HIGHER_IS_BETTER,
     LOWER_IS_BETTER,
     SmoothingState,
@@ -87,10 +84,6 @@ class ExperimentConfig:
     # None: a loaded dataset's stored split if it has one, else
     # DEFAULT_SPLIT_FRACTIONS. A stored split cannot be re-split.
     split_fractions: tuple[float, float, float] | None = None
-    alpha_init: float = ALPHA_INIT
-    alpha_step: float = ALPHA_STEP
-    alpha_min: float = ALPHA_MIN
-    alpha_max: float = ALPHA_MAX
     seed: int = 0
 
     def __post_init__(self):
@@ -100,18 +93,10 @@ class ExperimentConfig:
             )
         if min(self.epochs_unimodal, self.epochs_warm, self.epochs_weighted) < 0:
             raise InvalidInputError("epoch counts must be >= 0")
-        for name in ("lr", "alpha_init", "alpha_step", "alpha_min", "alpha_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.lr):
+            raise InvalidInputError(f"lr must be finite, got {self.lr}")
         if self.lr <= 0:
             raise InvalidInputError(f"lr must be > 0, got {self.lr}")
-        if self.alpha_step < 0:
-            raise InvalidInputError(f"alpha_step must be >= 0, got {self.alpha_step}")
-        if not self.alpha_min <= self.alpha_init <= self.alpha_max:
-            raise InvalidInputError(
-                f"need alpha_min <= alpha_init <= alpha_max, got "
-                f"{self.alpha_min}, {self.alpha_init}, {self.alpha_max}"
-            )
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if self.seed < 0:
@@ -353,7 +338,7 @@ def train_multimodal_warm(
                 train_loss=train_loss,
                 val_loss=val_loss,
                 val_metrics=val_metrics,
-                alpha=config.alpha_init,
+                alpha=ALPHA_INIT,
                 mean_weights=uniform_row.copy(),
                 duration_s=time.perf_counter() - started,
             )
@@ -417,14 +402,7 @@ def run_weighted_phase(
             current_metric = _score(params, dataset.batch("val"))[1][metric_key]
     # The warm phase trains under implicitly uniform weights, so the EMA
     # recursion starts from the uniform matrix rather than from nothing.
-    state = SmoothingState(
-        alpha=config.alpha_init,
-        alpha_step=config.alpha_step,
-        alpha_min=config.alpha_min,
-        alpha_max=config.alpha_max,
-        prev_weights=np.full((n_train, n_mod), 1.0 / n_mod),
-        prev_metric=None,
-    )
+    state = SmoothingState(prev_weights=np.full((n_train, n_mod), 1.0 / n_mod))
 
     for weighted_epoch in range(1, config.epochs_weighted + 1):
         epoch_index = len(records) + 1
@@ -510,7 +488,7 @@ def _run_lane(tasks) -> list[tuple[bool, object]]:
     for task in tasks:
         try:
             outcomes.append((True, task()))
-        except Exception as exc:  # _run_lanes raises it once every lane is done
+        except Exception as exc:  # raised by the caller once every lane is done
             outcomes.append((False, exc))
             break
     return outcomes
@@ -520,30 +498,30 @@ def _child_lane(tasks, writer) -> None:
     writer.send(_run_lane(tasks))
 
 
-def _receive(reader, child, phase: str) -> list[tuple[bool, object]]:
+def _receive(reader, child, phases: list[str]) -> list[tuple[bool, object]]:
     """A child lane's outcomes; a child that exits without sending them fails
-    as phase, its share's first, at epoch 0."""
+    each task of its share, as that task's phase, at epoch 0."""
     try:
         return reader.recv()
     except EOFError:
         child.join()
         detail = f"its process exited with code {child.exitcode} before reporting"
-        return [(False, TrainingFailureError(phase, 0, detail))]
+        return [(False, TrainingFailureError(phase, 0, detail)) for phase in phases]
 
 
-def _run_lanes(tasks: list[tuple[str, Callable]]) -> list:
+def _run_lanes(tasks: list[tuple[str, Callable]]) -> list[tuple[bool, object]]:
     """Run independent (phase, task) pairs on up to one lane per usable core;
-    return their results in task order.
+    return their outcomes (see _run_lane) in task order.
 
     The tasks are cut into contiguous shares, one per lane. This process runs
     the last share, which is the smallest: only this process may fork lanes
     of its own, onto cores that exited children free. Each other share runs
     in a child forked from it, which inherits the tasks and their inputs and
     sends its outcomes back through a pipe, so only results are pickled.
-    Every lane runs its share in order up to its first failure. After every
-    child is joined, the first failure in task order is raised, which is the
-    failure one lane would have raised: a task that a failure kept from
-    running comes after it.
+    Every lane runs its share in order up to its first failure, so a task
+    that a failure kept from running has no outcome and comes after it; a
+    child that dies fails every task of its share (_receive). Every child is
+    joined before this returns.
     """
     n_lanes = _lane_count(len(tasks))
     bounds = [-(-len(tasks) * k // n_lanes) for k in range(n_lanes + 1)]
@@ -563,7 +541,7 @@ def _run_lanes(tasks: list[tuple[str, Callable]]) -> list:
                 writer.close()
                 children.append((reader, child))
         own = _run_lane(task for _, task in shares[-1])
-        lanes = [_receive(reader, child, share[0][0])
+        lanes = [_receive(reader, child, [phase for phase, _ in share])
                  for (reader, child), share in zip(children, shares)]
     except BaseException:
         for _, child in children:
@@ -574,12 +552,7 @@ def _run_lanes(tasks: list[tuple[str, Callable]]) -> list:
             child.join()
             reader.close()
 
-    results = []
-    for finished, value in chain(*lanes, own):
-        if not finished:
-            raise value
-        results.append(value)
-    return results
+    return list(chain(*lanes, own))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -606,7 +579,12 @@ def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
     # Warm goes last: the last share runs in this process, which owns rng
     # and records.
     prefix.append(("warm", lambda: train_multimodal_warm(config, dataset, rng, n_warm, records)))
-    *unimodal, params = _run_lanes(prefix)
+    outcomes = _run_lanes(prefix)
+    # The first failure in task order is the one a single lane would raise.
+    for finished, value in outcomes:
+        if not finished:
+            raise value
+    *unimodal, params = [value for _, value in outcomes]
     unimodal_params = [model for model, _ in unimodal]
     train_preds = None
     if needs_weights:

@@ -16,8 +16,8 @@ from .distributions import categorical_kl_array, gaussian_kl_array, residual_var
 from .errors import InvalidInputError, ShapeError
 from .predictions import REGRESSION, PredictionSet
 
-# Defaults for the adaptive smoothing factor: start mid-range, move in fixed
-# steps, never leave the clamp interval.
+# The adaptive smoothing schedule, a constant of the method: start mid-range,
+# move in fixed steps, never leave the clamp interval.
 ALPHA_INIT = 0.5
 ALPHA_STEP = 0.1
 ALPHA_MIN = 0.1
@@ -115,17 +115,12 @@ class SmoothingState:
     """Adaptive EMA state: current factor, previous smoothed weights and metric."""
 
     alpha: float = ALPHA_INIT
-    alpha_step: float = ALPHA_STEP
-    alpha_min: float = ALPHA_MIN
-    alpha_max: float = ALPHA_MAX
     prev_weights: np.ndarray | None = None
     prev_metric: float | None = None
 
     def __post_init__(self):
-        if not (self.alpha_min <= self.alpha <= self.alpha_max):
-            raise InvalidInputError(
-                f"alpha {self.alpha} outside [{self.alpha_min}, {self.alpha_max}]"
-            )
+        if not (ALPHA_MIN <= self.alpha <= ALPHA_MAX):
+            raise InvalidInputError(f"alpha {self.alpha} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
         if self.prev_weights is not None:
             validate_weight_matrix(self.prev_weights)
 
@@ -138,10 +133,11 @@ def smooth_update(
 ) -> tuple[np.ndarray, SmoothingState]:
     """Blend new weights into the previous smoothed weights with adaptive alpha.
 
-    Alpha steps up when the metric strictly improved since the last update
-    and down otherwise, clamped to [alpha_min, alpha_max]; the blended rows
-    are re-normalized to absorb float drift. The first update passes the new
-    weights through unchanged.
+    Alpha steps up by ALPHA_STEP when the metric strictly improved since the
+    last update and down by it otherwise, clamped to [ALPHA_MIN, ALPHA_MAX];
+    the blended rows are re-normalized to absorb float drift. A state with no
+    previous metric keeps its alpha; one with no previous weights passes the
+    new weights through unchanged.
     """
     if metric_improves_when not in (LOWER_IS_BETTER, HIGHER_IS_BETTER):
         raise InvalidInputError(f"unknown direction {metric_improves_when!r}")
@@ -153,8 +149,8 @@ def smooth_update(
             improved = current_metric < state.prev_metric
         else:
             improved = current_metric > state.prev_metric
-        step = state.alpha_step if improved else -state.alpha_step
-        alpha = min(max(alpha + step, state.alpha_min), state.alpha_max)
+        step = ALPHA_STEP if improved else -ALPHA_STEP
+        alpha = min(max(alpha + step, ALPHA_MIN), ALPHA_MAX)
 
     if state.prev_weights is None:
         smoothed = new_weights.copy()

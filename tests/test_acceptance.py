@@ -18,6 +18,7 @@ from btwmoe.distributions import GaussianParams, gaussian_kl, kl_quadrature_orac
 from btwmoe.metrics import acc_k, f1_scores
 from btwmoe.mi import discrete_mi, empirical_entropy, gaussian_mi_analytic, ksg_mi
 from btwmoe.moe import DataBatch, MoeConfig, grad_check, init_params
+from btwmoe.weighting import ALPHA_INIT
 
 
 @contextmanager
@@ -198,7 +199,7 @@ def test_criterion_7_end_to_end_directional_improvement(run_cache):
 def test_criterion_8_smoothing_contract(run_cache):
     with criterion(8, "alpha clamp, exact steps, row-stochastic weights") as out:
         result = run_cache.get("btw", 0)
-        alphas = [result.config.alpha_init] + [r.alpha for r in result.weighted_records]
+        alphas = [ALPHA_INIT] + [r.alpha for r in result.weighted_records]
         for prev, cur in zip(alphas, alphas[1:]):
             assert 0.1 <= cur <= 0.9
             step = cur - prev

@@ -36,6 +36,18 @@ def test_bundled_config_carries_its_moe_config(name):
     assert isinstance(load_experiment_config(REPO_ROOT / "configs" / name).moe, MoeConfig)
 
 
+def test_every_workload_config_loads(monkeypatch, tmp_path):
+    # A config key removed from the package fails here while a workload or
+    # a bundled config still sets it.
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    harness = importlib.import_module("harness")
+    for name, workload in harness.WORKLOADS.items():
+        path = tmp_path / f"{name}.cfg"
+        base = (REPO_ROOT / "configs" / workload.base).read_text()
+        path.write_text(harness.config_text(base, workload.overrides))
+        assert isinstance(load_experiment_config(path).moe, MoeConfig), name
+
+
 def test_run_names_the_benchmark_reads():
     for fn in (training.resolve_dataset, training.run_experiment, reports.export_result):
         assert callable(fn)

@@ -28,6 +28,7 @@ from btwmoe.training import (
     run_experiment,
     train_unimodal_all,
 )
+from btwmoe.weighting import ALPHA_INIT
 
 
 def small_config(**overrides):
@@ -180,7 +181,7 @@ class TestWeightTrajectories:
 
     def test_alpha_stays_clamped_with_exact_steps(self):
         result = run_experiment(small_config(epochs_weighted=6))
-        alphas = [result.config.alpha_init] + [r.alpha for r in result.weighted_records]
+        alphas = [ALPHA_INIT] + [r.alpha for r in result.weighted_records]
         for prev, cur in zip(alphas, alphas[1:]):
             assert 0.1 <= cur <= 0.9
             step = cur - prev
@@ -459,6 +460,26 @@ class TestLanes:
         monkeypatch.setattr(training, "train_multimodal_warm", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(small_config())
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_lane_that_dies_fails_each_task_of_its_share(self, monkeypatch):
+        parent = os.getpid()
+
+        def task():
+            if os.getpid() != parent:
+                os._exit(3)
+            return "done"
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+        if training._lane_count(3) < 2:
+            pytest.skip("no safe fork here: one lane")
+        # Two lanes: a child runs a and b, this process runs c.
+        outcomes = training._run_lanes([("a", task), ("b", task), ("c", task)])
+        assert [(finished, str(value)) for finished, value in outcomes] == [
+            (False, f"training failed in phase '{phase}' at epoch 0: "
+                    "its process exited with code 3 before reporting")
+            for phase in "ab"
+        ] + [(True, "done")]
         assert multiprocessing.active_children() == []
 
     def test_a_child_lane_that_dies_fails_as_its_first_phase(self, monkeypatch):

@@ -249,6 +249,11 @@ class TestSmoothing:
         _, next_state = smooth_update(state, np.array([[1.0, 0.0]]), current_metric=2.0)
         assert next_state.alpha == 0.1
 
+    @pytest.mark.parametrize("alpha", [0.95, 0.05])
+    def test_alpha_outside_the_clamp_is_rejected(self, alpha):
+        with pytest.raises(InvalidInputError, match=f"alpha {alpha} outside"):
+            SmoothingState(alpha=alpha)
+
     def test_alpha_moves_by_exact_steps(self):
         state = SmoothingState(prev_weights=np.array([[0.5, 0.5]]), prev_metric=1.0)
         metrics = [0.9, 0.95, 0.8, 0.7, 0.99, 0.5]
