@@ -35,7 +35,6 @@ from .synthetic import Dataset, SyntheticSpec, generate, load_dataset, save_data
 from .training import (
     ExperimentConfig,
     ExperimentResult,
-    evaluate,
     modality_mi,
     run_experiment,
     train_unimodal_all,

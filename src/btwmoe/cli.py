@@ -1,10 +1,13 @@
 """Command-line entry point: generate data, train variants, compare runs.
 
-compare runs its cells on training's lanes (_run_lanes), one per usable
+compare runs its cells on training's lanes (run_lanes), one per usable
 core, seed-major; there is no knob for the core count.
 
 Exit codes: 0 success, 2 parse error or invalid data/config, 3 output-safety
-refusal, 4 training failure, 5 partial comparison failure.
+refusal, 4 training failure, 5 partial comparison failure. Exits 2 to 4 print
+one `error:` line to stderr, after argparse's usage for a malformed command
+line. NumPy's floating-point warnings stay silent: the checks that catch a
+non-finite value name it in that line instead.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import load_data_config, load_experiment_config
 from .errors import BtwError, ConfigParseError, TrainingFailureError
 from .reports import export_result, write_manifest, write_summary_csv
 from .synthetic import generate, save_dataset, split
-from .training import _run_lanes, plan, run_planned
+from .training import plan, run_lanes, run_planned
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -110,7 +115,7 @@ def cmd_compare(args) -> int:
     _check_out_dir(args.out, args.force)
 
     out = Path(args.out)
-    ran = iter(_run_lanes([
+    ran = iter(run_lanes([
         (f"{cell.variant}/seed_{cell.seed}",
          partial(_run_cell, *planned, out / cell.variant / f"seed_{cell.seed}"))
         for cell, planned in zip(cells, plans) if not isinstance(planned, BtwError)
@@ -177,9 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error, help or version
+        return exc.code
+    try:
+        # Forked lanes inherit this state.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (_OutputRefused, BtwError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, _OutputRefused):

@@ -21,10 +21,6 @@ class IncompleteInputError(BtwError, ValueError):
     """A prediction set is missing a required modality or side."""
 
 
-class InvalidStateError(BtwError, RuntimeError):
-    """An object is used outside its valid lifecycle (e.g. a stale forward trace)."""
-
-
 class NumericOverflowError(BtwError, FloatingPointError):
     """A non-finite value appeared during a forward pass; the message names the layer."""
 

@@ -56,14 +56,6 @@ def discrete_mi(a: np.ndarray, b: np.ndarray) -> float:
     return max(mi, 0.0)
 
 
-def empirical_entropy(a: np.ndarray) -> float:
-    """Shannon entropy of a label series under empirical frequencies, in nats."""
-    a = np.asarray(a)
-    _, counts = np.unique(a, return_counts=True)
-    p = counts / a.shape[0]
-    return float(-np.sum(p * np.log(p)))
-
-
 def _series_jitter(x: np.ndarray, jitter_seed: int) -> np.ndarray:
     """Deterministic tie-breaking jitter derived from the series content.
 

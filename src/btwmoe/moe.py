@@ -37,12 +37,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .errors import (
-    InvalidInputError,
-    InvalidStateError,
-    NumericOverflowError,
-    ShapeError,
-)
+from .errors import InvalidInputError, NumericOverflowError, ShapeError
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
@@ -153,11 +148,10 @@ class ModelParams:
     Gradients are ModelParams of the same layout. Without flat, all zeros.
     """
 
-    def __init__(self, config: MoeConfig, flat: np.ndarray | None = None, version: int = 0):
+    def __init__(self, config: MoeConfig, flat: np.ndarray | None = None):
         size, views = config.layout
         self.config = config
         self.flat = np.zeros(size) if flat is None else flat
-        self.version = version
         arrays = [self.flat[start:stop].reshape(shape) for start, stop, shape in views]
         n_mod = config.n_modalities
         self.enc_w = arrays[:n_mod]
@@ -167,7 +161,7 @@ class ModelParams:
     def __reduce__(self):
         # Pickle the buffer alone: pickled views would unpickle as copies
         # that no longer share it.
-        return type(self), (self.config, self.flat, self.version)
+        return type(self), (self.config, self.flat)
 
     def tensors(self):
         """(name, view) pairs in the checkpoint's fixed order."""
@@ -299,7 +293,6 @@ class _LayerCache:
 @dataclass
 class ForwardTrace:
     params: ModelParams
-    params_version: int
     features: list[np.ndarray]
     weights: np.ndarray | None
     layer_caches: list[_LayerCache]  # [layer], streams stacked in modality order
@@ -421,7 +414,6 @@ def _forward(
 
     trace = ForwardTrace(
         params=params,
-        params_version=params.version,
         features=batch.features,
         weights=weights,
         layer_caches=layer_caches,
@@ -454,8 +446,6 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
     softmax is differentiated here). Top-k selection is held constant.
     """
     params = trace.params
-    if params.version != trace.params_version:
-        raise InvalidStateError("stale trace: parameters changed since the forward pass")
     cfg = params.config
     grads = ModelParams(cfg)
 
@@ -524,7 +514,7 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     if not np.isfinite(grads.flat).all():
         name = next(name for name, g in grads.tensors() if not np.all(np.isfinite(g)))
         raise NumericOverflowError(f"non-finite gradient for {name}")
-    return ModelParams(params.config, params.flat - lr * grads.flat, params.version + 1)
+    return ModelParams(params.config, params.flat - lr * grads.flat)
 
 
 def mse_loss_and_grad(predictions: np.ndarray, targets: np.ndarray):

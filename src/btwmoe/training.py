@@ -141,7 +141,6 @@ class ExperimentResult:
     records: list[EpochRecord]
     unimodal_params: list[ModelParams]
     final_params: ModelParams
-    train_preds: PredictionSet | None
     val_bundle: dict[str, float]
     test_bundle: dict[str, float]
 
@@ -179,7 +178,8 @@ def _collect_predictions(params: ModelParams, batch: DataBatch, weights=None) ->
 
 
 def _score(params: ModelParams, batch: DataBatch, weights=None) -> tuple[float, dict[str, float]]:
-    """(loss, metric bundle) of the model on a batch."""
+    """(loss, metric bundle) of the model on a batch; weights as for
+    _collect_predictions, None meaning unweighted."""
     preds = _collect_predictions(params, batch, weights)
     cfg = params.config
     loss, _ = loss_and_pred_grad(cfg, preds, batch.targets)
@@ -305,8 +305,9 @@ def train_unimodal_all(
     initialised from the random stream seeded with config.seed + m, which then
     also draws its batch order. No model reads another's stream or result, so
     run_experiment trains them on separate cores next to the warm phase (see
-    _run_lanes) with the same results, bit for bit. This trains them one
-    after another.
+    run_lanes) with the same results, bit for bit. This is the sequential
+    reference for that: it trains them one after another, and the tests and
+    the benchmark's tracer call it by name.
     """
     trained = [_train_unimodal(config, dataset, m) for m in range(config.moe.n_modalities)]
     return [params for params, _ in trained], [preds for _, preds in trained]
@@ -379,9 +380,9 @@ def run_weighted_phase(
     uni_train: list[np.ndarray],
     rng: np.random.Generator,
     records: list[EpochRecord],
-) -> tuple[ModelParams, PredictionSet]:
+) -> ModelParams:
     """The dynamically weighted epochs: appends one EpochRecord per epoch and
-    returns the final parameters and the train predictions refreshed after it."""
+    returns the final parameters."""
     if config.variant == "unweighted":
         raise InvalidInputError("the unweighted variant has no weighted phase")
     moe_cfg = config.moe
@@ -392,7 +393,7 @@ def run_weighted_phase(
     # The warm model's train outputs and val score are prediction passes on
     # the last warm epoch's result.
     with _failures_in("warm", len(records)):
-        train_preds = PredictionSet.from_predictions(
+        preds = PredictionSet.from_predictions(
             moe_cfg.task, train_batch.targets, uni_train, _collect_predictions(params, train_batch)
         )
         # Smoothing metric: validation quality at the end of the previous epoch.
@@ -401,18 +402,18 @@ def run_weighted_phase(
         elif config.epochs_weighted:
             current_metric = _score(params, dataset.batch("val"))[1][metric_key]
     # The warm phase trains under implicitly uniform weights, so the EMA
-    # recursion starts from the uniform matrix rather than from nothing.
+    # recursion starts from the uniform matrix.
     state = SmoothingState(prev_weights=np.full((n_train, n_mod), 1.0 / n_mod))
 
     for weighted_epoch in range(1, config.epochs_weighted + 1):
         epoch_index = len(records) + 1
         started = time.perf_counter()
         with _failures_in("weighted", epoch_index):
-            raw = instance_kl_weights(train_preds)
+            raw = instance_kl_weights(preds)
             mi = None
             if config.variant in MI_VARIANTS:
                 mi = modality_mi(
-                    train_preds,
+                    preds,
                     jitter_seed=config.seed + _JITTER_SEED_OFFSET + weighted_epoch,
                 )
             new_weights = _combine(config, raw, mi)
@@ -426,7 +427,7 @@ def run_weighted_phase(
             params, train_loss = _train_one_epoch(
                 params, train_batch, config.lr, config.batch_size, rng, weights=applied
             )
-            train_preds = train_preds.with_multimodal(
+            preds = preds.with_multimodal(
                 _collect_predictions(params, train_batch, weights=applied)
             )
             val_loss, val_metrics = _score(params, dataset.batch("val"), applied_row)
@@ -448,7 +449,7 @@ def run_weighted_phase(
             record.validate()
         records.append(record)
 
-    return params, train_preds
+    return params
 
 
 def _usable_cores() -> int:
@@ -509,7 +510,7 @@ def _receive(reader, child, phases: list[str]) -> list[tuple[bool, object]]:
         return [(False, TrainingFailureError(phase, 0, detail)) for phase in phases]
 
 
-def _run_lanes(tasks: list[tuple[str, Callable]]) -> list[tuple[bool, object]]:
+def run_lanes(tasks: list[tuple[str, Callable]]) -> list[tuple[bool, object]]:
     """Run independent (phase, task) pairs on up to one lane per usable core;
     return their outcomes (see _run_lane) in task order.
 
@@ -564,7 +565,7 @@ def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
     """Run an experiment from the config and dataset plan() returned for it.
 
     The unimodal models and the warm phase read nothing of each other, so
-    they run side by side on lanes (_run_lanes); the weighted phase starts
+    they run side by side on lanes (run_lanes); the weighted phase starts
     from all of them.
     """
     needs_weights = config.variant != "unweighted"
@@ -579,40 +580,25 @@ def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
     # Warm goes last: the last share runs in this process, which owns rng
     # and records.
     prefix.append(("warm", lambda: train_multimodal_warm(config, dataset, rng, n_warm, records)))
-    outcomes = _run_lanes(prefix)
+    outcomes = run_lanes(prefix)
     # The first failure in task order is the one a single lane would raise.
     for finished, value in outcomes:
         if not finished:
             raise value
     *unimodal, params = [value for _, value in outcomes]
     unimodal_params = [model for model, _ in unimodal]
-    train_preds = None
     if needs_weights:
         uni_train = [preds for _, preds in unimodal]
-        params, train_preds = run_weighted_phase(config, dataset, params, uni_train, rng, records)
+        params = run_weighted_phase(config, dataset, params, uni_train, rng, records)
 
-    # Evaluation applies the last weighted epoch's per-modality row (None
-    # when no weighted epoch ran). The last epoch already scored the val
-    # split with these parameters and weights; scoring is a prediction pass
-    # on its result.
+    # Instance weights need ground truth, so evaluation applies the last
+    # weighted epoch's per-modality row to every instance (None, unweighted,
+    # when no weighted epoch ran). That epoch already scored the val split
+    # with these parameters and weights; scoring is a pass on its result.
     eval_row = records[-1].eval_weights if records else None
     with _failures_in(records[-1].phase if records else "warm", len(records)):
-        val_bundle = records[-1].val_metrics if records else evaluate(params, dataset, "val")
-        test_bundle = evaluate(params, dataset, "test", eval_row)
+        val_bundle = records[-1].val_metrics if records else _score(params, dataset.batch("val"))[1]
+        test_bundle = _score(params, dataset.batch("test"), eval_row)[1]
     return ExperimentResult(
-        config, dataset, records, unimodal_params, params, train_preds, val_bundle, test_bundle
+        config, dataset, records, unimodal_params, params, val_bundle, test_bundle
     )
-
-
-def evaluate(
-    params: ModelParams,
-    dataset: Dataset,
-    split_name: str,
-    eval_weights: np.ndarray | None = None,
-) -> dict[str, float]:
-    """Metric bundle on a split, with per-modality weights broadcast to all rows.
-
-    Instance-level weights need ground truth, so evaluation reuses the final
-    per-modality mean weights uniformly; None means unweighted.
-    """
-    return _score(params, dataset.batch(split_name), eval_weights)[1]

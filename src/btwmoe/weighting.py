@@ -112,17 +112,18 @@ def combine_global_mi(mi: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothingState:
-    """Adaptive EMA state: current factor, previous smoothed weights and metric."""
+    """Adaptive EMA state: previous smoothed weights, current factor and
+    previous metric. The first state holds the weights that training used
+    before smoothing began (the uniform matrix after the warm phase)."""
 
+    prev_weights: np.ndarray
     alpha: float = ALPHA_INIT
-    prev_weights: np.ndarray | None = None
     prev_metric: float | None = None
 
     def __post_init__(self):
         if not (ALPHA_MIN <= self.alpha <= ALPHA_MAX):
             raise InvalidInputError(f"alpha {self.alpha} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
-        if self.prev_weights is not None:
-            validate_weight_matrix(self.prev_weights)
+        validate_weight_matrix(self.prev_weights)
 
 
 def smooth_update(
@@ -136,8 +137,7 @@ def smooth_update(
     Alpha steps up by ALPHA_STEP when the metric strictly improved since the
     last update and down by it otherwise, clamped to [ALPHA_MIN, ALPHA_MAX];
     the blended rows are re-normalized to absorb float drift. A state with no
-    previous metric keeps its alpha; one with no previous weights passes the
-    new weights through unchanged.
+    previous metric keeps its alpha.
     """
     if metric_improves_when not in (LOWER_IS_BETTER, HIGHER_IS_BETTER):
         raise InvalidInputError(f"unknown direction {metric_improves_when!r}")
@@ -152,14 +152,9 @@ def smooth_update(
         step = ALPHA_STEP if improved else -ALPHA_STEP
         alpha = min(max(alpha + step, ALPHA_MIN), ALPHA_MAX)
 
-    if state.prev_weights is None:
-        smoothed = new_weights.copy()
-    else:
-        if state.prev_weights.shape != new_weights.shape:
-            raise ShapeError(
-                f"shape drift: prev {state.prev_weights.shape} vs new {new_weights.shape}"
-            )
-        smoothed = _normalize_rows(alpha * new_weights + (1.0 - alpha) * state.prev_weights)
+    if state.prev_weights.shape != new_weights.shape:
+        raise ShapeError(f"shape drift: prev {state.prev_weights.shape} vs new {new_weights.shape}")
+    smoothed = _normalize_rows(alpha * new_weights + (1.0 - alpha) * state.prev_weights)
 
     return smoothed, replace(
         state, alpha=alpha, prev_weights=smoothed, prev_metric=float(current_metric)

@@ -37,6 +37,15 @@ def uniform_mi(preds, jitter_seed):
     return np.ones(preds.n_modalities)
 
 
+def empirical_entropy(a) -> float:
+    """Shannon entropy of a label series under empirical frequencies, in nats:
+    what discrete_mi(a, a) must equal."""
+    a = np.asarray(a)
+    _, counts = np.unique(a, return_counts=True)
+    p = counts / a.shape[0]
+    return float(-np.sum(p * np.log(p)))
+
+
 def unit_weight_smoothing(smooth_update):
     """Wrap training.smooth_update so each smoothed row is uniform, which makes
     the applied weights M * (1/M) exactly one; the smoothing state, and so

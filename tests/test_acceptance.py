@@ -12,11 +12,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES, uniform_mi, unit_weight_smoothing
+from conftest import ACCEPTANCE_LINES, empirical_entropy, uniform_mi, unit_weight_smoothing
 
 from btwmoe.distributions import GaussianParams, gaussian_kl, kl_quadrature_oracle
 from btwmoe.metrics import acc_k, f1_scores
-from btwmoe.mi import discrete_mi, empirical_entropy, gaussian_mi_analytic, ksg_mi
+from btwmoe.mi import discrete_mi, gaussian_mi_analytic, ksg_mi
 from btwmoe.moe import DataBatch, MoeConfig, grad_check, init_params
 from btwmoe.weighting import ALPHA_INIT
 

@@ -8,12 +8,15 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btwmoe import cli, training
@@ -261,7 +264,6 @@ CLASSIFICATION_EXPERIMENT = SMALL_EXPERIMENT.replace(
     "data.task=regression", "data.task=classification\ndata.n_classes=4")
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.parametrize("command", ["gen-data", "train"])
 @pytest.mark.parametrize("config, line, message", [
     (SMALL_EXPERIMENT, "data.modality_dims=-3,6,6", "modality_dims must all be >= 1"),
@@ -290,6 +292,34 @@ def test_hostile_data_value_is_a_usage_error(tmp_path, capsys, command, config, 
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, status, message", [
+    ("train", SMALL_EXPERIMENT.replace("lr=0.02", "lr=1e308")
+     .replace("data.n_instances=200", "data.n_instances=48")
+     .replace("data.modality_dims=6,6,6", "data.modality_dims=6,6")
+     .replace("data.informativeness=0.9,0.5,0.0", "data.informativeness=0.9,0.5")
+     .replace("data.task=regression", "data.task=classification\ndata.n_classes=3"),
+     EXIT_TRAINING, "training failed in phase 'unimodal[0]' at epoch 2: "
+                    "non-finite activation in router[0][0]"),
+    ("gen-data", (CONFIGS / "noise_default.cfg").read_text()
+     .replace("data.noise_sigma=1.5", "data.noise_sigma=1e200"),
+     EXIT_PARSE, "noise_sigma 1e+200 overflows modality 0"),
+], ids=["train-overflow", "gen-data-overflow"])
+def test_floating_point_fault_prints_only_its_error_line(tmp_path, command, config, status,
+                                                         message):
+    # A fresh process with every warning shown: in-process, a warning prints
+    # only once per source line.
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(config)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONWARNINGS="always")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    done = subprocess.run([sys.executable, "-m", "btwmoe.cli", command, "--config", str(cfg),
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (status, f"error: {message}\n")
     assert not out.exists()
 
 
@@ -385,11 +415,12 @@ def test_gen_data_fuzz_exits_0_or_2(text):
 
 
 @st.composite
-def train_configs(draw):
-    """A tiny valid train config with up to three experiment values made
-    hostile (an invalid or malformed value, or the key dropped), maybe a
-    duplicate, unknown or malformed line. Sizes and epoch counts are only
-    ever made invalid, never large, so that no example trains at scale."""
+def train_configs(draw, max_hostile=3, max_bad_lines=1):
+    """A tiny valid train config with up to max_hostile experiment values made
+    hostile (an invalid or malformed value, or the key dropped), and up to
+    max_bad_lines duplicate, unknown or malformed lines. Sizes and epoch
+    counts are only ever made invalid, never large, so that no example
+    trains at scale."""
     m, task = draw(st.integers(1, 3)), draw(st.sampled_from(["regression", "classification"]))
     values = {
         "variant": draw(st.sampled_from(training.VARIANTS)),
@@ -430,34 +461,107 @@ def train_configs(draw):
         "moe.expert_hidden": invalid_size,
         "moe.n_moe_layers": invalid_size,
     }
-    for key in draw(st.lists(st.sampled_from(sorted(hostile)), max_size=3, unique=True)):
+    for key in draw(st.lists(st.sampled_from(sorted(hostile)), max_size=max_hostile,
+                             unique=True)):
         if draw(st.booleans()):
             values[key] = draw(hostile[key])
         else:
             del values[key]
     lines = [f"{key}={value}" for key, value in values.items()]
-    lines += draw(st.lists(st.sampled_from(["garbage", "alpha.init=0.5", *lines]), max_size=1))
+    lines += draw(st.lists(st.sampled_from(["garbage", "alpha.init=0.5", *lines]),
+                           max_size=max_bad_lines))
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
+def run_quietly(argv) -> tuple[int, str]:
+    """(exit status, stderr) of an in-process CLI run. Every warning is
+    recorded, however often its line has warned before, and fails the run:
+    the CLI's stderr holds its own messages only."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return status, err.getvalue()
+
+
 @given(text=train_configs())
 @settings(max_examples=100, deadline=None)
 def test_train_fuzz_exits_0_2_or_4(text):
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "run"
         cfg.write_text(text)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            status = main(["train", "--config", str(cfg), "--out", str(out)])
-        assert status in (EXIT_OK, EXIT_PARSE, EXIT_TRAINING), err.getvalue()
+        status, err = run_quietly(["train", "--config", str(cfg), "--out", str(out)])
+        assert status in (EXIT_OK, EXIT_PARSE, EXIT_TRAINING), err
         if status == EXIT_OK:
-            assert (out / "manifest.json").exists()
+            assert (out / "manifest.json").exists() and err == ""
         elif status == EXIT_PARSE:
-            assert err.getvalue().startswith("error: ") and not out.exists()
+            assert err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
         else:
-            assert err.getvalue().startswith("error: training failed in phase '")
+            assert err.startswith("error: training failed in phase '") and err.count("\n") == 1
+
+
+# Valid names twice over, so that about two tokens in three name a cell.
+_CELL_VARIANTS = [*training.VARIANTS * 2, "bogus", "BTW", "", " btw"]
+_CELL_SEEDS = ["0", "1", "2", "0", "1", "01", " 2", str(2**70), "-1", "1.5", "x", ""]
+
+
+@st.composite
+def compare_args(draw):
+    """A tiny train config with up to two hostile values, and --variants and
+    --seeds strings naming at most two cells between them, maybe empty,
+    repeated, unknown, negative or not an integer."""
+    n_variants = draw(st.integers(1, 2))
+    variants = draw(st.lists(st.sampled_from(_CELL_VARIANTS), min_size=n_variants,
+                             max_size=n_variants))
+    seeds = draw(st.lists(st.sampled_from(_CELL_SEEDS), min_size=1, max_size=2 // n_variants))
+    config = draw(train_configs(max_hostile=1, max_bad_lines=0))
+    # The second hostile value fails cells, and compare goes on without them:
+    # a step that overflows fails regression cells in training, and a train
+    # split too small for KSG fails the regression MI variants' plans.
+    line = draw(st.sampled_from([None, "lr=1e308", "split.fractions=0.1,0.45,0.45"]))
+    if line is not None:
+        key = line.split("=", 1)[0]
+        config = "".join(f"{kept}\n" for kept in config.splitlines()
+                         if not kept.startswith(f"{key}=")) + line + "\n"
+    return config, ",".join(variants), ",".join(seeds)
+
+
+# Too few train instances for KSG: btw fails its plan and unweighted runs.
+@example(args=(SMALL_EXPERIMENT.replace("data.n_instances=200", "data.n_instances=8")
+               + "split.fractions=0.5,0.25,0.25\n", "unweighted,btw", "0"))
+@given(args=compare_args())
+@settings(max_examples=100, deadline=None)
+def test_compare_fuzz_exits_0_2_3_or_5(args):
+    text, variants, seeds = args
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "cmp"
+        cfg.write_text(text)
+        status, err = run_quietly(["compare", "--config", str(cfg), "--variants", variants,
+                                   "--seeds", seeds, "--out", str(out)])
+        assert status in (EXIT_OK, EXIT_PARSE, EXIT_OUTPUT_SAFETY, EXIT_PARTIAL_COMPARE), err
+        if status in (EXIT_PARSE, EXIT_OUTPUT_SAFETY):
+            # argparse rejects a value that looks like an option, after its usage lines.
+            assert err.startswith(("error: ", "usage: ")) and not out.exists()
+            assert err.splitlines()[-1].startswith(("error: ", "btwmoe compare: error: "))
+            return
+        manifest = json.loads((out / "manifest.json").read_text())
+        cells = [(v, s) for s in manifest["seeds"] for v in manifest["variants"]]
+        failed = [line.split(":")[1].strip() for line in err.splitlines()]
+        assert all(line.startswith("failed: ") for line in err.splitlines()), err
+        finished = [(v, s) for v, s in cells if f"{v} seed {s}" not in failed]
+        assert len(finished) + len(failed) == len(cells)
+        assert (status == EXIT_PARTIAL_COMPARE) == bool(failed)
+        listed = manifest["outputs"]
+        assert {tuple(path.split("/")[:2]) for path in listed if "/" in path} == \
+            {(v, f"seed_{s}") for v, s in finished}
+        on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        assert on_disk == sorted(listed + ["manifest.json"])
+        with open(out / "summary.csv") as fh:
+            rows = {row["variant"]: int(row["n_seeds"]) for row in csv.DictReader(fh)}
+        assert rows == {v: n for v in manifest["variants"]
+                        if (n := sum(cell[0] == v for cell in finished))}
 
 
 @pytest.mark.parametrize("command, config, written", [
@@ -504,8 +608,6 @@ class TestTrain:
         assert (out1 / "weights_trajectory.csv").read_bytes() == \
             (out2 / "weights_trajectory.csv").read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_training_failure_exits_4(self, tmp_path):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(SMALL_EXPERIMENT.replace("lr=0.02", "lr=500.0"))
@@ -554,8 +656,8 @@ class TestTrain:
     def test_split_sizes_checked_before_training(self, tmp_path, capsys, monkeypatch,
                                                  extra, message):
         calls = []
-        run_lanes = training._run_lanes
-        monkeypatch.setattr(training, "_run_lanes",
+        run_lanes = training.run_lanes
+        monkeypatch.setattr(training, "run_lanes",
                             lambda *args: calls.append(args) or run_lanes(*args))
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(
@@ -672,8 +774,6 @@ class TestTrain:
                      "checkpoints/final.btwm"):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_on_a_phase_last_step_names_phase_and_epoch(self, tmp_path, capsys):
         # One SGD step per epoch (140 training rows, batch 256): the step
         # diverges and the first pass to see it is the prediction pass after it.
@@ -686,8 +786,6 @@ class TestTrain:
         assert "phase 'unimodal[0]' at epoch 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_diverged_validation_loss_names_phase_and_epoch(self, tmp_path, capsys):
         # One SGD step per epoch: the warm step leaves the train loss finite
         # but the validation loss after it overflows.
@@ -801,8 +899,6 @@ class TestCompare:
             "error: regression metrics need at least 2 instances; the val split has 1\n"
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_all_failed_grid_summary_has_no_metric_columns(self, tmp_path):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(SMALL_EXPERIMENT.replace("lr=0.02", "lr=1e150")
@@ -843,6 +939,16 @@ class TestCompare:
         assert main(["compare", "--config", str(experiment_cfg), "--variants", variants,
                      "--seeds", seeds, "--out", str(out)]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_option_like_seeds_return_2(self, experiment_cfg, tmp_path, capsys):
+        # argparse reads "-1,0" as an option, not as the value of --seeds; main
+        # returns its usage error's status rather than raising SystemExit.
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(experiment_cfg), "--variants", "btw",
+                     "--seeds", "-1,0", "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err.endswith(
+            "btwmoe compare: error: argument --seeds: expected one argument\n")
         assert not out.exists()
 
     def test_failed_cell_leaves_no_directory(self, tmp_path):

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from conftest import empirical_entropy
+
 from btwmoe.errors import InsufficientDataError, InvalidInputError, ShapeError
 from btwmoe.mi import (
     _marginal_counts,
     discrete_mi,
-    empirical_entropy,
     gaussian_mi_analytic,
     ksg_mi,
 )

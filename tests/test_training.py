@@ -21,14 +21,13 @@ from btwmoe.reports import export_result
 from btwmoe.synthetic import SyntheticSpec
 from btwmoe.training import (
     ExperimentConfig,
-    evaluate,
     improvement_direction,
     plan,
     resolve_dataset,
     run_experiment,
     train_unimodal_all,
 )
-from btwmoe.weighting import ALPHA_INIT
+from btwmoe.weighting import ALPHA_INIT, validate_weight_matrix
 
 
 def small_config(**overrides):
@@ -88,8 +87,9 @@ class TestSchedules:
 
     def test_zero_unimodal_epochs_still_wellformed(self):
         result = run_experiment(small_config(epochs_unimodal=0))
-        assert result.train_preds is not None
-        assert np.all(np.isfinite(result.train_preds.uni))
+        assert len(result.weight_matrices) == 3
+        for w in result.weight_matrices:
+            validate_weight_matrix(w)
 
     def test_zero_warm_epochs_uses_initialized_model(self):
         result = run_experiment(small_config(epochs_warm=0, epochs_weighted=2))
@@ -136,14 +136,6 @@ class TestDeterminism:
         for wa, wb in zip(r1.weight_matrices, r2.weight_matrices):
             assert np.array_equal(wa, wb)
         assert r1.test_bundle == r2.test_bundle
-
-
-class TestPhaseIsolation:
-    def test_unimodal_predictions_frozen(self):
-        result = run_experiment(small_config())
-        assert not result.train_preds.uni.flags.writeable
-        with pytest.raises(ValueError):
-            result.train_preds.uni[0, 0] = 99.0
 
 
 class TestEquationReductionHooks:
@@ -204,8 +196,9 @@ class TestWeightTrajectories:
 class TestEvaluate:
     def test_all_ones_eval_weights_match_plain_forward(self):
         result = run_experiment(small_config(variant="unweighted"))
-        plain = evaluate(result.final_params, result.dataset, "test", None)
-        ones = evaluate(result.final_params, result.dataset, "test", np.ones(3))
+        test_batch = result.dataset.batch("test")
+        plain = training._score(result.final_params, test_batch, None)
+        ones = training._score(result.final_params, test_batch, np.ones(3))
         assert plain == ones
 
     def test_classification_bundle_keys(self):
@@ -260,7 +253,8 @@ class TestFinalBundles:
         result = run_experiment(cfg)
         assert sum(calls) == val_scores
         eval_row = result.records[-1].eval_weights if result.records else None
-        assert result.val_bundle == evaluate(result.final_params, result.dataset, "val", eval_row)
+        assert result.val_bundle == score(result.final_params, result.dataset.batch("val"),
+                                          eval_row)[1]
 
 
 CLASSIFICATION_3 = dict(task="classification", n_classes=3)
@@ -474,7 +468,7 @@ class TestLanes:
         if training._lane_count(3) < 2:
             pytest.skip("no safe fork here: one lane")
         # Two lanes: a child runs a and b, this process runs c.
-        outcomes = training._run_lanes([("a", task), ("b", task), ("c", task)])
+        outcomes = training.run_lanes([("a", task), ("b", task), ("c", task)])
         assert [(finished, str(value)) for finished, value in outcomes] == [
             (False, f"training failed in phase '{phase}' at epoch 0: "
                     "its process exited with code 3 before reporting")

@@ -232,14 +232,6 @@ class TestSmoothing:
         smoothed, _ = smooth_update(state, np.array([[0.8, 0.2]]), current_metric=1.0)
         np.testing.assert_allclose(smoothed, [[0.6, 0.4]])
 
-    def test_first_update_passes_through(self):
-        state = SmoothingState()
-        new = np.array([[0.7, 0.3]])
-        smoothed, next_state = smooth_update(state, new, current_metric=0.5)
-        np.testing.assert_array_equal(smoothed, new)
-        assert next_state.alpha == state.alpha
-        assert next_state.prev_metric == 0.5
-
     def test_alpha_clamps_at_bounds(self):
         state = SmoothingState(alpha=0.9, prev_weights=np.array([[1.0, 0.0]]), prev_metric=2.0)
         _, next_state = smooth_update(state, np.array([[1.0, 0.0]]), current_metric=1.0)
@@ -252,7 +244,7 @@ class TestSmoothing:
     @pytest.mark.parametrize("alpha", [0.95, 0.05])
     def test_alpha_outside_the_clamp_is_rejected(self, alpha):
         with pytest.raises(InvalidInputError, match=f"alpha {alpha} outside"):
-            SmoothingState(alpha=alpha)
+            SmoothingState(np.array([[0.5, 0.5]]), alpha=alpha)
 
     def test_alpha_moves_by_exact_steps(self):
         state = SmoothingState(prev_weights=np.array([[0.5, 0.5]]), prev_metric=1.0)
@@ -296,7 +288,7 @@ class TestSmoothing:
 
     def test_smoothed_rows_stay_stochastic_over_many_epochs(self):
         rng = np.random.default_rng(13)
-        state = SmoothingState()
+        state = SmoothingState(np.full((8, 3), 1.0 / 3))
         for epoch in range(50):
             new = combine_local(rng.uniform(0, 2, (8, 3)))
             smoothed, state = smooth_update(state, new, float(rng.uniform(0, 1)))
