@@ -13,6 +13,7 @@ non-finite value name it in that line instead.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from functools import partial
@@ -76,15 +77,11 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _run_cell(config, dataset, cell_dir) -> tuple[dict | None, str | None, list[Path]]:
-    """Run one planned cell: (test bundle, None, paths written), or
-    (None, its error, []). export_result makes the cell's directory, so a
-    failed cell leaves none."""
-    try:
-        result = run_planned(config, dataset)
-    except BtwError as exc:
-        return None, str(exc), []
-    return result.test_bundle, None, export_result(result, cell_dir)
+def _run_cell(config, dataset, cell_dir) -> tuple[dict, list[Path]]:
+    """Run one planned cell: (test bundle, paths written). export_result makes
+    the cell's directory, so a failed cell leaves none."""
+    result = run_planned(config, dataset)
+    return result.test_bundle, export_result(result, cell_dir)
 
 
 def cmd_compare(args) -> int:
@@ -107,42 +104,38 @@ def cmd_compare(args) -> int:
     plans = []
     for cell in cells:
         try:
-            plans.append(plan(cell))
+            plans.append((True, plan(cell)))
         except BtwError as exc:
-            plans.append(exc)
-    if all(isinstance(planned, BtwError) for planned in plans):
-        raise plans[0]
+            plans.append((False, exc))
+    if not any(planned for planned, _ in plans):
+        raise plans[0][1]
     _check_out_dir(args.out, args.force)
 
     out = Path(args.out)
     ran = iter(run_lanes([
         (f"{cell.variant}/seed_{cell.seed}",
-         partial(_run_cell, *planned, out / cell.variant / f"seed_{cell.seed}"))
-        for cell, planned in zip(cells, plans) if not isinstance(planned, BtwError)
+         partial(_run_cell, *value, out / cell.variant / f"seed_{cell.seed}"))
+        for cell, (planned, value) in zip(cells, plans) if planned
     ]))
-    outcomes = []
-    for planned in plans:
-        finished, value = (False, planned) if isinstance(planned, BtwError) else next(ran)
-        # _run_cell reports its package errors, so only an error of another
-        # kind stops a lane early; each outcome before it is its own cell's.
-        if not (finished or isinstance(value, BtwError)):
-            raise value
-        # A package error here: the cell's plan failed, or its lane died.
-        outcomes.append(value if finished else (None, str(value), []))
-
     bundles: dict[str, list[dict]] = {}
     failures = []
-    for cell, (bundle, err, _w) in zip(cells, outcomes):
-        if err is None:
+    written = []
+    for cell, (planned, value) in zip(cells, plans):
+        # A planned cell's outcome is its lane's; a plan failure is its own.
+        finished, value = next(ran) if planned else (False, value)
+        if finished:
+            bundle, cell_written = value
             bundles.setdefault(cell.variant, []).append(bundle)
+            written += cell_written
+        elif isinstance(value, BtwError):  # its plan, its run or its lane failed
+            failures.append(f"failed: {cell.variant} seed {cell.seed}: {value}")
         else:
-            failures.append(f"failed: {cell.variant} seed {cell.seed}: {err}")
+            raise value
 
     out.mkdir(parents=True, exist_ok=True)
     summary_path = out / "summary.csv"
     write_summary_csv(summary_path, variants, bundles)
-    written = [summary_path] + [path for *_, cell_written in outcomes for path in cell_written]
-    write_manifest(args.out, "compare", args.config, written,
+    write_manifest(args.out, "compare", args.config, [summary_path] + written,
                    {"variants": variants, "seeds": seeds})
     print(f"summary -> {summary_path}")
     for failure in failures:
@@ -178,6 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", required=True)
     p_cmp.add_argument("--force", action="store_true")
     p_cmp.set_defaults(func=cmd_compare)
+    # No option of compare looks like a number, so a value such as "-1,0" is
+    # the value of --seeds, which the seed check then rejects by name.
+    p_cmp._negative_number_matcher = re.compile(r"-\d")
     return parser
 
 

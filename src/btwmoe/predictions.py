@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,21 +35,9 @@ class PredictionSet:
                 f"{self.task} outputs misaligned: uni {self.uni.shape}, multi "
                 f"{self.multi.shape}, targets {self.targets.shape}"
             )
+        if self.uni.shape[0] == 0:
+            raise IncompleteInputError("no unimodal predictions")
 
     @property
     def n_modalities(self) -> int:
         return int(self.uni.shape[0])
-
-    @classmethod
-    def from_predictions(cls, task: str, targets: np.ndarray, uni_list, multi) -> "PredictionSet":
-        """Build a set from raw model outputs; the unimodal stack is made
-        read-only, as it is a fixed reference point."""
-        if len(uni_list) == 0:
-            raise IncompleteInputError("no unimodal predictions")
-        uni = np.stack(uni_list)
-        uni.flags.writeable = False
-        return cls(task=task, targets=targets, uni=uni, multi=multi)
-
-    def with_multimodal(self, multi: np.ndarray) -> "PredictionSet":
-        """Copy of this set with the multimodal outputs replaced."""
-        return replace(self, multi=multi)

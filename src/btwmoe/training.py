@@ -3,11 +3,11 @@ training, then dynamically weighted epochs.
 
 Phase one trains one model per modality and freezes its predictions; they are
 the reference points for every later weight computation. Phase two trains the
-multimodal model without weighting. Phase three, per epoch: rebuild the raw
-KL matrix from the frozen unimodal predictions against the current multimodal
-predictions, estimate modality MI when the variant calls for it, combine,
-smooth, train one epoch with the weights scaling the modality embeddings, and
-refresh the multimodal predictions.
+multimodal model without weighting. Phase three, per epoch: predict the train
+split with the current multimodal model under the weights it last trained
+with, rebuild the raw KL matrix from the frozen unimodal predictions against
+those, estimate modality MI when the variant calls for it, combine, smooth,
+and train one epoch with the weights scaling the modality embeddings.
 
 plan() decides whether a run can start before any of this; once it has,
 every package error is a training failure naming its phase and epoch.
@@ -390,25 +390,28 @@ def run_weighted_phase(
     train_batch = dataset.batch("train")
     n_train = train_batch.n_instances
     n_mod = moe_cfg.n_modalities
-    # The warm model's train outputs and val score are prediction passes on
-    # the last warm epoch's result.
-    with _failures_in("warm", len(records)):
-        preds = PredictionSet.from_predictions(
-            moe_cfg.task, train_batch.targets, uni_train, _collect_predictions(params, train_batch)
-        )
-        # Smoothing metric: validation quality at the end of the previous epoch.
-        if records:
-            current_metric = records[-1].val_metrics[metric_key]
-        elif config.epochs_weighted:
+    # The unimodal outputs are the fixed reference point of every epoch.
+    uni = np.stack(uni_train)
+    uni.flags.writeable = False
+    # Smoothing metric: validation quality at the end of the previous epoch,
+    # or of the initial model when no warm epoch ran.
+    if records:
+        current_metric = records[-1].val_metrics[metric_key]
+    elif config.epochs_weighted:
+        with _failures_in("warm", 0):
             current_metric = _score(params, dataset.batch("val"))[1][metric_key]
     # The warm phase trains under implicitly uniform weights, so the EMA
     # recursion starts from the uniform matrix.
     state = SmoothingState(prev_weights=np.full((n_train, n_mod), 1.0 / n_mod))
+    # The weights the model last trained with: none for the warm model.
+    applied = None
 
     for weighted_epoch in range(1, config.epochs_weighted + 1):
         epoch_index = len(records) + 1
         started = time.perf_counter()
         with _failures_in("weighted", epoch_index):
+            preds = PredictionSet(moe_cfg.task, train_batch.targets, uni,
+                                  _collect_predictions(params, train_batch, weights=applied))
             raw = instance_kl_weights(preds)
             mi = None
             if config.variant in MI_VARIANTS:
@@ -426,9 +429,6 @@ def run_weighted_phase(
 
             params, train_loss = _train_one_epoch(
                 params, train_batch, config.lr, config.batch_size, rng, weights=applied
-            )
-            preds = preds.with_multimodal(
-                _collect_predictions(params, train_batch, weights=applied)
             )
             val_loss, val_metrics = _score(params, dataset.batch("val"), applied_row)
             current_metric = val_metrics[metric_key]
@@ -483,15 +483,14 @@ def _lane_count(n_tasks: int) -> int:
 
 
 def _run_lane(tasks) -> list[tuple[bool, object]]:
-    """Run tasks in order up to the first that raises: (True, result) for
-    each that finished, then (False, exception) for the one that failed."""
+    """Run every task in order: (True, result) for each that returned,
+    (False, exception) for each that raised."""
     outcomes = []
     for task in tasks:
         try:
             outcomes.append((True, task()))
-        except Exception as exc:  # raised by the caller once every lane is done
+        except Exception as exc:  # the caller decides whether to raise it
             outcomes.append((False, exc))
-            break
     return outcomes
 
 
@@ -519,10 +518,9 @@ def run_lanes(tasks: list[tuple[str, Callable]]) -> list[tuple[bool, object]]:
     of its own, onto cores that exited children free. Each other share runs
     in a child forked from it, which inherits the tasks and their inputs and
     sends its outcomes back through a pipe, so only results are pickled.
-    Every lane runs its share in order up to its first failure, so a task
-    that a failure kept from running has no outcome and comes after it; a
-    child that dies fails every task of its share (_receive). Every child is
-    joined before this returns.
+    Every lane runs each task of its share in order, so every task has an
+    outcome; a child that dies fails every task of its share (_receive).
+    Every child is joined before this returns.
     """
     n_lanes = _lane_count(len(tasks))
     bounds = [-(-len(tasks) * k // n_lanes) for k in range(n_lanes + 1)]
@@ -581,7 +579,7 @@ def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
     # and records.
     prefix.append(("warm", lambda: train_multimodal_warm(config, dataset, rng, n_warm, records)))
     outcomes = run_lanes(prefix)
-    # The first failure in task order is the one a single lane would raise.
+    # Raise the first failure in task order, whichever lane ran it.
     for finished, value in outcomes:
         if not finished:
             raise value

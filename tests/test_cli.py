@@ -942,14 +942,35 @@ class TestCompare:
         assert not out.exists()
 
     def test_option_like_seeds_return_2(self, experiment_cfg, tmp_path, capsys):
-        # argparse reads "-1,0" as an option, not as the value of --seeds; main
-        # returns its usage error's status rather than raising SystemExit.
+        # "-1,0" is the value of --seeds, not an unknown option, so the seed
+        # check names the bad seed, as it does for --seeds=-1,0.
         out = tmp_path / "cmp"
         assert main(["compare", "--config", str(experiment_cfg), "--variants", "btw",
                      "--seeds", "-1,0", "--out", str(out)]) == EXIT_PARSE
-        assert capsys.readouterr().err.endswith(
-            "btwmoe compare: error: argument --seeds: expected one argument\n")
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_cell_error_of_another_kind_is_raised(self, experiment_cfg, tmp_path,
+                                                     monkeypatch, cores):
+        run_planned = cli.run_planned
+
+        def broken(config, dataset):
+            if config.seed == 0:
+                raise RuntimeError("not a package error")
+            return run_planned(config, dataset)
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+        if training._lane_count(2) < cores:
+            pytest.skip("no safe fork here: one lane")
+        monkeypatch.setattr(cli, "run_planned", broken)
+        out = tmp_path / "cmp"
+        # With two lanes, seed 0's cell runs in a child lane.
+        with pytest.raises(RuntimeError, match="not a package error"):
+            main(["compare", "--config", str(experiment_cfg), "--variants", "unweighted",
+                  "--seeds", "0,1", "--out", str(out)])
+        assert not (out / "summary.csv").exists()
+        assert multiprocessing.active_children() == []
 
     def test_failed_cell_leaves_no_directory(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"

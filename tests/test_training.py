@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,50 @@ class TestFinalBundles:
 CLASSIFICATION_3 = dict(task="classification", n_classes=3)
 
 
+class TestWeightedPhaseInputs:
+    @pytest.mark.parametrize("variant, warm", [("btw", 2), ("btw_local", 2), ("btw", 0)])
+    def test_one_train_pass_per_weighted_epoch(self, monkeypatch, variant, warm):
+        # Epoch k predicts the train split under the weights epoch k - 1
+        # trained with; the first weighted epoch's model trained unweighted.
+        cfg = small_config(variant=variant, epochs_warm=warm)
+        n_train = resolve_dataset(cfg).indices("train").size
+        passes = []
+        collect = training._collect_predictions
+
+        def spying_collect(params, batch, weights=None):
+            if len(batch.features) == 3 and batch.n_instances == n_train:
+                passes.append(None if weights is None else weights.copy())
+            return collect(params, batch, weights)
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(training, "_collect_predictions", spying_collect)
+        result = run_experiment(cfg)
+        assert len(passes) == cfg.epochs_weighted
+        assert passes[0] is None
+        for applied, record in zip(passes[1:], result.weighted_records):
+            assert np.array_equal(applied, 3 * record.weights)
+
+    @pytest.mark.parametrize("spec", [{}, CLASSIFICATION_3], ids=["regression", "classification"])
+    def test_unimodal_stack_reaching_the_kl_is_read_only(self, monkeypatch, spec):
+        cfg, dataset = plan(small_config(spec=spec))
+        _, uni_train = train_unimodal_all(cfg, dataset)
+        stacks = []
+        kl_weights = training.instance_kl_weights
+
+        def spying_kl_weights(preds):
+            stacks.append(preds.uni)
+            return kl_weights(preds)
+
+        monkeypatch.setattr(training, "instance_kl_weights", spying_kl_weights)
+        run_experiment(cfg)
+        assert len(stacks) == cfg.epochs_weighted
+        for uni in stacks:
+            assert np.array_equal(uni, np.stack(uni_train))
+            assert not uni.flags.writeable
+            with pytest.raises(ValueError):
+                uni[0, 0] = 1.0
+
+
 class TestExportBytes:
     # sha256 of the three data files export_result writes for every variant
     # on a small regression and a small 3-class classification run. A change
@@ -454,6 +499,23 @@ class TestLanes:
         monkeypatch.setattr(training, "train_multimodal_warm", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(small_config())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_every_task_of_a_lane_has_an_outcome(self, monkeypatch, cores):
+        def task(name):
+            if name in "ac":
+                raise ValueError(name)
+            return name
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+        if training._lane_count(3) < cores:
+            pytest.skip("no safe fork here: one lane")
+        # With two lanes a child runs a and b, and this process runs c.
+        outcomes = training.run_lanes([(name, partial(task, name)) for name in "abc"])
+        assert [(finished, str(value)) for finished, value in outcomes] == [
+            (False, "a"), (True, "b"), (False, "c")
+        ]
         assert multiprocessing.active_children() == []
 
     def test_a_child_lane_that_dies_fails_each_task_of_its_share(self, monkeypatch):

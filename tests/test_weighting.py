@@ -78,45 +78,9 @@ class TestInstanceKlWeights:
 
 
 class TestPredictionSetFromPredictions:
-    def test_regression_stacks_and_freezes_unimodal(self):
-        targets = np.array([0.0, 1.0, 2.0, -3.0])
-        uni_list = [np.array([0.5, 1.0, 1.5, -1.0]), np.array([2.0, -1.0, 2.0, 0.0])]
-        multi = np.array([0.1, 0.9, 2.5, -2.0])
-        preds = PredictionSet.from_predictions("regression", targets, uni_list, multi)
-        assert np.array_equal(preds.uni, np.stack(uni_list))
-        assert preds.multi is multi
-        assert preds.n_modalities == 2
-        assert not preds.uni.flags.writeable
-        with pytest.raises(ValueError):
-            preds.uni[0, 0] = 1.0
-
-    def test_regression_with_multimodal_keeps_unimodal(self):
-        targets = np.array([0.0, 1.0, 2.0])
-        preds = PredictionSet.from_predictions(
-            "regression", targets, [np.array([0.0, 0.5, 1.0])], np.zeros(3)
-        )
-        multi = np.array([1.0, 1.0, 4.0])
-        updated = preds.with_multimodal(multi)
-        assert updated.uni is preds.uni
-        assert updated.multi is multi
-        assert np.array_equal(preds.multi, np.zeros(3))
-
-    def test_classification_probabilities_pass_through(self):
-        targets = np.array([0, 1], dtype=np.int64)
-        uni_list = [np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([[0.5, 0.5], [1.0, 0.0]])]
-        multi = np.array([[0.6, 0.4], [0.1, 0.9]])
-        preds = PredictionSet.from_predictions("classification", targets, uni_list, multi)
-        assert np.array_equal(preds.uni, np.stack(uni_list))
-        assert not preds.uni.flags.writeable
-        assert preds.multi is multi
-        new_multi = np.array([[0.3, 0.7], [0.9, 0.1]])
-        updated = preds.with_multimodal(new_multi)
-        assert updated.uni is preds.uni
-        assert updated.multi is new_multi
-
     def test_no_unimodal_predictions_rejected(self):
         with pytest.raises(IncompleteInputError):
-            PredictionSet.from_predictions("regression", np.zeros(2), [], np.zeros(2))
+            PredictionSet("regression", np.zeros(2), np.zeros((0, 2)), np.zeros(2))
 
     @pytest.mark.parametrize("task, uni, multi", [
         ("regression", np.zeros((2, 4)), np.zeros(4)),  # outputs misaligned with targets
