@@ -3,10 +3,11 @@
 compare runs its cells on training's lanes (run_lanes), one per usable
 core, seed-major; there is no knob for the core count.
 
-Exit codes: 0 success, 2 parse error or invalid data/config, 3 output-safety
-refusal, 4 training failure, 5 partial comparison failure. Exits 2 to 4 print
-one `error:` line to stderr, after argparse's usage for a malformed command
-line. NumPy's floating-point warnings stay silent: the checks that catch a
+Exit codes: 0 success, 2 input the run cannot use (InvalidInputError, or a
+malformed command line), 3 output-safety refusal, 4 training failure
+(TrainingFailureError), 5 partial comparison failure. Exits 2 to 4 print one
+`error:` line to stderr, after argparse's usage for a malformed command line.
+NumPy's floating-point warnings stay silent: the checks that catch a
 non-finite value name it in that line instead.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_data_config, load_experiment_config
-from .errors import BtwError, ConfigParseError, TrainingFailureError
+from .errors import BtwError, InvalidInputError, TrainingFailureError
 from .reports import export_result, write_manifest, write_summary_csv
 from .synthetic import generate, save_dataset, split
 from .training import plan, run_lanes, run_planned
@@ -90,13 +91,13 @@ def cmd_compare(args) -> int:
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError as exc:
-        raise ConfigParseError(f"--seeds: {exc}") from exc
+        raise InvalidInputError(f"--seeds: {exc}") from exc
     if not variants or not seeds:
-        raise ConfigParseError("need at least one variant and one seed")
+        raise InvalidInputError("need at least one variant and one seed")
     for flag, values in (("--variants", variants), ("--seeds", seeds)):
         repeated = list(dict.fromkeys(str(v) for v in values if values.count(v) > 1))
         if repeated:
-            raise ConfigParseError(f"{flag}: repeated {', '.join(repeated)}")
+            raise InvalidInputError(f"{flag}: repeated {', '.join(repeated)}")
     # Seed-major, so the lanes' contiguous shares hold whole seeds.
     cells = [replace(config, variant=v, seed=s) for s in seeds for v in variants]
     # A cell that cannot be planned fails alone; an error every cell hits is
@@ -190,7 +191,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, _OutputRefused):
             return EXIT_OUTPUT_SAFETY
-        # Any other package error is a config, or data, the command cannot use.
+        # Any other package error is input the command cannot use.
         return EXIT_TRAINING if isinstance(exc, TrainingFailureError) else EXIT_PARSE
 
 

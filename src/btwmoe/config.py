@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import ConfigParseError
+from .errors import InvalidInputError
 from .moe import MoeConfig
 from .synthetic import SyntheticSpec
 from .training import ExperimentConfig
@@ -53,10 +53,10 @@ def _convert(key, kind, value, line_no):
         if kind == "floats":
             return tuple(float(v) for v in value.split(","))
     except ValueError as exc:
-        raise ConfigParseError(
+        raise InvalidInputError(
             f"line {line_no}: field '{key}' has malformed value {value!r}"
         ) from exc
-    raise ConfigParseError(f"line {line_no}: field '{key}' has unknown kind")
+    raise InvalidInputError(f"line {line_no}: field '{key}' has unknown kind")
 
 
 def parse_config_text(text: str, allowed: dict | None = None) -> dict:
@@ -69,14 +69,14 @@ def parse_config_text(text: str, allowed: dict | None = None) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigParseError(f"line {line_no}: expected 'key=value', got {raw_line!r}")
+            raise InvalidInputError(f"line {line_no}: expected 'key=value', got {raw_line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in allowed:
-            raise ConfigParseError(f"line {line_no}: unknown field '{key}'")
+            raise InvalidInputError(f"line {line_no}: unknown field '{key}'")
         if key in out:
-            raise ConfigParseError(f"line {line_no}: duplicate field '{key}'")
+            raise InvalidInputError(f"line {line_no}: duplicate field '{key}'")
         out[key] = _convert(key, allowed[key], value, line_no)
     return out
 
@@ -85,7 +85,7 @@ def parse_config_file(path, allowed: dict | None = None) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
+        raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, allowed)
 
 
@@ -93,13 +93,13 @@ def _build_data_spec(values: dict, require: bool) -> SyntheticSpec | None:
     data_keys = {k: v for k, v in values.items() if k.startswith("data.") and k != "data.path"}
     if not data_keys:
         if require:
-            raise ConfigParseError("field 'data.n_instances': missing data spec")
+            raise InvalidInputError("field 'data.n_instances': missing data spec")
         return None
     kwargs = {k.split(".", 1)[1]: v for k, v in data_keys.items()}
     try:
         return SyntheticSpec(**kwargs)
     except TypeError as exc:
-        raise ConfigParseError(f"data spec: {exc}") from exc
+        raise InvalidInputError(f"data spec: {exc}") from exc
 
 
 def build_experiment_config(values: dict) -> ExperimentConfig:
@@ -110,7 +110,7 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
     moe = None
     if moe_kwargs:
         if data_spec is None:
-            raise ConfigParseError("field 'moe.*': inline moe config needs an inline data spec")
+            raise InvalidInputError("field 'moe.*': inline moe config needs an inline data spec")
         moe = MoeConfig(
             input_dims=data_spec.modality_dims,
             task=data_spec.task,

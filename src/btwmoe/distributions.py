@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError
+from .errors import InvalidInputError
 
 # Squared residuals of exactly-correct predictions would give a degenerate
 # Gaussian and an infinite KL; every variance is clamped to this floor.
@@ -42,7 +42,7 @@ def _validate_gaussian(mean, variance) -> None:
 
 def _validate_probs(probs: np.ndarray) -> None:
     if probs.ndim < 1 or probs.shape[-1] < 2:
-        raise ShapeError(f"probs need a class axis of length >= 2, got shape {probs.shape}")
+        raise InvalidInputError(f"probs need a class axis of length >= 2, got shape {probs.shape}")
     if not np.all(np.isfinite(probs)):
         raise InvalidInputError("non-finite class probabilities")
     if np.any(probs < 0) or np.any(probs > 1):
@@ -78,7 +78,7 @@ class CategoricalDist:
         p = np.asarray(self.probs, dtype=np.float64)
         object.__setattr__(self, "probs", p)
         if p.ndim != 1:
-            raise ShapeError(f"probs must be a vector of length >= 2, got shape {p.shape}")
+            raise InvalidInputError(f"probs must be a vector of length >= 2, got shape {p.shape}")
         _validate_probs(p)
 
     @property
@@ -150,11 +150,11 @@ def categorical_kl_array(p, q) -> np.ndarray:
     _validate_probs(p)
     _validate_probs(q)
     if p.shape[-1] != q.shape[-1]:
-        raise ShapeError(f"class count mismatch: {p.shape[-1]} vs {q.shape[-1]}")
+        raise InvalidInputError(f"class count mismatch: {p.shape[-1]} vs {q.shape[-1]}")
     try:
         shape = np.broadcast_shapes(p.shape, q.shape)
     except ValueError as exc:
-        raise ShapeError(f"cannot broadcast {p.shape} against {q.shape}") from exc
+        raise InvalidInputError(f"cannot broadcast {p.shape} against {q.shape}") from exc
     identical = np.all(p == q, axis=-1)
     q = np.clip(q, PROB_FLOOR, 1.0)
     q = q / q.sum(axis=-1, keepdims=True)

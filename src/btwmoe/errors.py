@@ -6,31 +6,15 @@ class BtwError(Exception):
 
 
 class InvalidInputError(BtwError, ValueError):
-    """An argument violates a documented precondition (non-finite, out of range, ...)."""
-
-
-class ShapeError(BtwError, ValueError):
-    """Array arguments have mismatched or unsupported shapes."""
-
-
-class InsufficientDataError(BtwError, ValueError):
-    """A series is too short for the requested estimator."""
-
-
-class IncompleteInputError(BtwError, ValueError):
-    """A prediction set is missing a required modality or side."""
+    """A value, shape, sample size, data spec, config line or file the run cannot use."""
 
 
 class NumericOverflowError(BtwError, FloatingPointError):
-    """A non-finite value appeared during a forward pass; the message names the layer."""
-
-
-class InvalidSpecError(BtwError, ValueError):
-    """A synthetic-data spec violates its invariants."""
+    """A value went non-finite in a forward pass, a gradient or the loss; the message says where."""
 
 
 class TrainingFailureError(BtwError, RuntimeError):
-    """Training diverged; carries the phase name and epoch index."""
+    """Training diverged; carries the phase name and epoch index. The CLI exits 4."""
 
     def __init__(self, phase: str, epoch: int, detail: str = ""):
         self.phase = phase
@@ -46,7 +30,3 @@ class TrainingFailureError(BtwError, RuntimeError):
         # formatted message; a failure sent back from a worker process
         # rebuilds from its fields instead.
         return type(self), (self.phase, self.epoch, self.detail)
-
-
-class ConfigParseError(BtwError, ValueError):
-    """A config file failed to parse; the message names the line and field."""

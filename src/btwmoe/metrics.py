@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError
+from .errors import InvalidInputError
 
 
 class PearsonResult(NamedTuple):
@@ -29,9 +29,9 @@ def _check_regression_pair(predictions, targets):
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if p.ndim != 1 or t.ndim != 1:
-        raise ShapeError("predictions and targets must be one-dimensional")
+        raise InvalidInputError("predictions and targets must be one-dimensional")
     if p.shape != t.shape:
-        raise ShapeError(f"length mismatch: {p.shape[0]} vs {t.shape[0]}")
+        raise InvalidInputError(f"length mismatch: {p.shape[0]} vs {t.shape[0]}")
     if p.shape[0] < 2:
         raise InvalidInputError("regression metrics need at least 2 instances")
     return p, t
@@ -85,7 +85,7 @@ def f1_scores(predicted_labels, true_labels) -> tuple[float, float, float]:
     pred = np.asarray(predicted_labels)
     true = np.asarray(true_labels)
     if pred.ndim != 1 or true.ndim != 1 or pred.shape != true.shape:
-        raise ShapeError("label series must be aligned one-dimensional arrays")
+        raise InvalidInputError("label series must be aligned one-dimensional arrays")
     if pred.shape[0] < 1:
         raise InvalidInputError("need at least 1 instance")
 

@@ -12,7 +12,7 @@ import zlib
 import numpy as np
 from scipy.special import digamma
 
-from .errors import InsufficientDataError, InvalidInputError, ShapeError
+from .errors import InvalidInputError
 
 # Amplitude of the deterministic tie-breaking jitter, relative to the value
 # scale of each series. Exact ties would otherwise break the strict
@@ -30,11 +30,11 @@ def discrete_mi(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 1 or b.ndim != 1:
-        raise ShapeError("label series must be one-dimensional")
+        raise InvalidInputError("label series must be one-dimensional")
     if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
+        raise InvalidInputError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
     if a.shape[0] < 2:
-        raise InsufficientDataError("need at least 2 labels")
+        raise InvalidInputError("need at least 2 labels")
 
     n = a.shape[0]
     a_idx = np.unique(a, return_inverse=True)[1]
@@ -114,14 +114,14 @@ def ksg_mi(x: np.ndarray, y: np.ndarray, k: int = 3, jitter_seed: int = 0) -> fl
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1:
-        raise ShapeError("score series must be one-dimensional")
+        raise InvalidInputError("score series must be one-dimensional")
     if x.shape[0] != y.shape[0]:
-        raise ShapeError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
+        raise InvalidInputError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     n = x.shape[0]
     if n < k + 2:
-        raise InsufficientDataError(f"need at least k+2={k + 2} samples, got {n}")
+        raise InvalidInputError(f"need at least k+2={k + 2} samples, got {n}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InvalidInputError("score series must be finite")
     # Jitter would turn a constant series into noise, and two equal constant

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .errors import InvalidInputError, NumericOverflowError, ShapeError
+from .errors import InvalidInputError, NumericOverflowError
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
@@ -327,20 +327,30 @@ def _forward(
     weights: np.ndarray | None = None,
     keep_trace: bool = True,
 ) -> tuple[np.ndarray, ForwardTrace | None]:
+    """Multimodal forward pass; returns predictions and the trace for backward.
+
+    Regression predictions are a (B,) vector of means; classification
+    predictions are (B, C) softmax probabilities. When weights (B, M) are
+    given, each modality embedding is scaled by its entry before routing;
+    all-ones weights reproduce the unweighted pass bit for bit. With
+    keep_trace=False the pass keeps no caches and returns None for the trace.
+    """
     cfg = params.config
     n_mod = cfg.n_modalities
     if len(batch.features) != n_mod:
-        raise ShapeError(f"batch has {len(batch.features)} modalities, config expects {n_mod}")
+        raise InvalidInputError(
+            f"batch has {len(batch.features)} modalities, config expects {n_mod}"
+        )
     b = batch.n_instances
     for m in range(n_mod):
         if batch.features[m].shape != (b, cfg.input_dims[m]):
-            raise ShapeError(
+            raise InvalidInputError(
                 f"modality {m} features {batch.features[m].shape} != {(b, cfg.input_dims[m])}"
             )
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (b, n_mod):
-            raise ShapeError(f"weights {weights.shape} != {(b, n_mod)}")
+            raise InvalidInputError(f"weights {weights.shape} != {(b, n_mod)}")
 
     blocks = [slice(m * b, (m + 1) * b) for m in range(n_mod)]
     t = np.empty((n_mod * b, cfg.embed_dim))
@@ -423,19 +433,8 @@ def _forward(
     return predictions, trace
 
 
-def forward(
-    params: ModelParams,
-    batch: DataBatch,
-    modality_weights: np.ndarray | None = None,
-) -> tuple[np.ndarray, ForwardTrace]:
-    """Multimodal forward pass; returns predictions and the trace for backward.
-
-    Regression predictions are a (B,) vector of means; classification
-    predictions are (B, C) softmax probabilities. When modality_weights
-    (B, M) are given, each modality embedding is scaled by its entry before
-    routing; all-ones weights reproduce the unweighted pass bit for bit.
-    """
-    return _forward(params, batch, weights=modality_weights)
+# The public name. Training calls _forward, the name bench/tracing.py wraps.
+forward = _forward
 
 
 def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
@@ -545,12 +544,13 @@ def grad_check(
     n_probes: int = 50,
     epsilon: float = 1e-5,
     seed: int = 0,
-    modality_weights: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Probes n_probes scalar parameters chosen uniformly over the flat buffer,
-    through the forward pass weighted by modality_weights (B, M) when given.
+    through forward(params, batch, weights), so a weighted pass is checked
+    when weights (B, M) are given.
     The relative denominator is max(|analytic|, |numeric|, 1e-8).
     """
     if n_probes < 1:
@@ -558,12 +558,12 @@ def grad_check(
     if batch.targets is None:
         raise InvalidInputError("grad_check needs a batch with targets")
 
-    predictions, trace = _forward(params, batch, weights=modality_weights)
+    predictions, trace = _forward(params, batch, weights=weights)
     _, d_pred = loss_and_pred_grad(params.config, predictions, batch.targets)
     grads = backward(trace, d_pred)
 
     def loss_at() -> float:
-        pred, _ = _forward(params, batch, weights=modality_weights, keep_trace=False)
+        pred, _ = _forward(params, batch, weights=weights, keep_trace=False)
         return loss_and_pred_grad(params.config, pred, batch.targets)[0]
 
     rng = np.random.default_rng(seed)
@@ -649,7 +649,7 @@ def load_checkpoint(path) -> ModelParams:
     tensors = read_tensor_records(path, raw, 12 + cfg_len, len(views))
     for (name, like), arr in zip(views, tensors):
         if arr.shape != like.shape:
-            raise ShapeError(
+            raise InvalidInputError(
                 f"checkpoint tensor {name} has shape {arr.shape}, expected {like.shape}"
             )
         like[...] = arr

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompleteInputError, InvalidInputError, ShapeError
+from .errors import InvalidInputError
 from .moe import CLASSIFICATION, REGRESSION
 
 # Rank of one model's outputs: (N,) means or (N, C) class probabilities.
@@ -31,12 +31,12 @@ class PredictionSet:
             raise InvalidInputError(f"unknown task {self.task!r}")
         if (self.uni.ndim != _OUTPUT_RANK[self.task] + 1 or self.uni.shape[1:] != self.multi.shape
                 or self.multi.shape[0] != self.targets.shape[0]):
-            raise ShapeError(
+            raise InvalidInputError(
                 f"{self.task} outputs misaligned: uni {self.uni.shape}, multi "
                 f"{self.multi.shape}, targets {self.targets.shape}"
             )
         if self.uni.shape[0] == 0:
-            raise IncompleteInputError("no unimodal predictions")
+            raise InvalidInputError("no unimodal predictions")
 
     @property
     def n_modalities(self) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError
 from .moe import CLASSIFICATION, REGRESSION, DataBatch, read_tensor_records, write_tensor_record
 
 TRAIN, VAL, TEST = 0, 1, 2
@@ -41,32 +41,32 @@ class SyntheticSpec:
         if self.class_priors is not None:
             object.__setattr__(self, "class_priors", tuple(float(p) for p in self.class_priors))
         if self.n_instances < 2:
-            raise InvalidSpecError("n_instances must be >= 2")
+            raise InvalidInputError("n_instances must be >= 2")
         if self.seed < 0:
-            raise InvalidSpecError(f"data.seed must be >= 0, got {self.seed}")
+            raise InvalidInputError(f"data.seed must be >= 0, got {self.seed}")
         if len(self.modality_dims) != len(self.informativeness):
-            raise InvalidSpecError("informativeness length must equal modality count")
+            raise InvalidInputError("informativeness length must equal modality count")
         if any(d < 1 for d in self.modality_dims):
-            raise InvalidSpecError(f"modality_dims must all be >= 1, got {self.modality_dims}")
+            raise InvalidInputError(f"modality_dims must all be >= 1, got {self.modality_dims}")
         if any(not 0.0 <= a <= 1.0 for a in self.informativeness):
-            raise InvalidSpecError("informativeness values must lie in [0, 1]")
+            raise InvalidInputError("informativeness values must lie in [0, 1]")
         if not any(a > 0 for a in self.informativeness):
-            raise InvalidSpecError("at least one modality must have informativeness > 0")
+            raise InvalidInputError("at least one modality must have informativeness > 0")
         if not 0 <= self.noise_sigma < math.inf:
-            raise InvalidSpecError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+            raise InvalidInputError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.task not in (REGRESSION, CLASSIFICATION):
-            raise InvalidSpecError(f"unknown task {self.task!r}")
+            raise InvalidInputError(f"unknown task {self.task!r}")
         if self.task == CLASSIFICATION and not 2 <= self.n_classes <= self.n_instances:
-            raise InvalidSpecError(f"classification needs 2 <= n_classes <= n_instances "
+            raise InvalidInputError(f"classification needs 2 <= n_classes <= n_instances "
                                    f"({self.n_instances}), got {self.n_classes}")
         if self.nonlinearity not in ("linear", "tanh-mixed"):
-            raise InvalidSpecError(f"unknown nonlinearity {self.nonlinearity!r}")
+            raise InvalidInputError(f"unknown nonlinearity {self.nonlinearity!r}")
         if self.class_priors is not None:
             if len(self.class_priors) != self.n_classes:
-                raise InvalidSpecError("class_priors length must equal n_classes")
+                raise InvalidInputError("class_priors length must equal n_classes")
             if not (all(p > 0 for p in self.class_priors)
                     and math.isfinite(sum(self.class_priors))):
-                raise InvalidSpecError(f"class_priors must be positive with a finite sum, "
+                raise InvalidInputError(f"class_priors must be positive with a finite sum, "
                                        f"got {self.class_priors}")
 
     @property
@@ -154,7 +154,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
         mat = mat - mat.mean(axis=0)
         stds = mat.std(axis=0)
         if not np.isfinite(stds).all():
-            raise InvalidSpecError(f"noise_sigma {spec.noise_sigma} overflows modality {m}")
+            raise InvalidInputError(f"noise_sigma {spec.noise_sigma} overflows modality {m}")
         stds[stds == 0] = 1.0
         features.append(mat / stds)
 

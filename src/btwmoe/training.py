@@ -256,9 +256,10 @@ def plan(config: ExperimentConfig) -> tuple[ExperimentConfig, Dataset]:
 
     Resolves the dataset (raising its data errors), fills a None config.moe
     from the dataset's dims, and raises InvalidInputError naming the first
-    split too small for what reads it. val and test are scored: regression metrics need 2 instances,
-    classification metrics 1. MI variants estimate modality MI on the train
-    split: KSG needs _KSG_K + 2 instances, discrete MI 2.
+    split too small for what reads it. Every variant trains on the train
+    split, so it needs 1 instance; MI variants also estimate modality MI on
+    it: KSG needs _KSG_K + 2 instances, discrete MI 2. val and test are
+    scored: regression metrics need 2 instances, classification metrics 1.
     """
     dataset = resolve_dataset(config)
     if config.moe is None:
@@ -271,8 +272,8 @@ def plan(config: ExperimentConfig) -> tuple[ExperimentConfig, Dataset]:
         metrics, mi = (2, "regression metrics need"), (_KSG_K + 2, "KSG mutual information needs")
     else:
         metrics, mi = (1, "classification metrics need"), (2, "discrete mutual information needs")
-    needs = [("train", mi)] if config.variant in MI_VARIANTS else []
-    for name, (need, reader) in needs + [("val", metrics), ("test", metrics)]:
+    train = mi if config.variant in MI_VARIANTS else (1, "training needs")
+    for name, (need, reader) in [("train", train), ("val", metrics), ("test", metrics)]:
         have = dataset.indices(name).size
         if have < need:
             raise InvalidInputError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import categorical_kl_array, gaussian_kl_array, residual_variance_array
-from .errors import InvalidInputError, ShapeError
+from .errors import InvalidInputError
 from .predictions import REGRESSION, PredictionSet
 
 # The adaptive smoothing schedule, a constant of the method: start mid-range,
@@ -31,7 +31,7 @@ def _normalize_rows(values: np.ndarray) -> np.ndarray:
     """Row-wise L1 normalization with a uniform fallback for all-zero rows."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
-        raise ShapeError(f"expected an (N, M) matrix, got shape {values.shape}")
+        raise InvalidInputError(f"expected an (N, M) matrix, got shape {values.shape}")
     if np.any(values < 0) or not np.all(np.isfinite(values)):
         raise InvalidInputError("weight entries must be finite and non-negative")
     sums = values.sum(axis=1, keepdims=True)
@@ -46,7 +46,7 @@ def _normalize_rows(values: np.ndarray) -> np.ndarray:
 def validate_weight_matrix(w: np.ndarray, atol: float = 1e-9) -> None:
     """Raise unless w is row-stochastic: entries in [0, 1], rows summing to 1."""
     if w.ndim != 2:
-        raise ShapeError(f"weight matrix must be 2-D, got shape {w.shape}")
+        raise InvalidInputError(f"weight matrix must be 2-D, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise InvalidInputError("weight matrix has non-finite entries")
     if np.any(w < -atol) or np.any(w > 1 + atol):
@@ -83,7 +83,7 @@ def combine_bilevel(raw: np.ndarray, mi: np.ndarray) -> np.ndarray:
     raw = np.asarray(raw, dtype=np.float64)
     mi = np.asarray(mi, dtype=np.float64)
     if mi.ndim != 1 or raw.ndim != 2 or mi.shape[0] != raw.shape[1]:
-        raise ShapeError(f"MI length {mi.shape} does not match raw columns {raw.shape}")
+        raise InvalidInputError(f"MI length {mi.shape} does not match raw columns {raw.shape}")
     if np.any(mi < 0) or not np.all(np.isfinite(mi)):
         raise InvalidInputError("MI entries must be finite and non-negative")
     return _normalize_rows(raw * mi[None, :])
@@ -93,7 +93,7 @@ def combine_global_kl(raw: np.ndarray) -> np.ndarray:
     """Dataset-averaged KL weights: every row is the normalized column mean."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] == 0:
-        raise ShapeError(f"expected a non-empty (N, M) matrix, got shape {raw.shape}")
+        raise InvalidInputError(f"expected a non-empty (N, M) matrix, got shape {raw.shape}")
     means = raw.mean(axis=0, keepdims=True)
     row = _normalize_rows(means)
     return np.repeat(row, raw.shape[0], axis=0)
@@ -105,7 +105,7 @@ def combine_global_mi(mi: np.ndarray, n: int) -> np.ndarray:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     mi = np.asarray(mi, dtype=np.float64)
     if mi.ndim != 1:
-        raise ShapeError(f"MI must be a vector, got shape {mi.shape}")
+        raise InvalidInputError(f"MI must be a vector, got shape {mi.shape}")
     row = _normalize_rows(mi[None, :])
     return np.repeat(row, n, axis=0)
 
@@ -153,7 +153,9 @@ def smooth_update(
         alpha = min(max(alpha + step, ALPHA_MIN), ALPHA_MAX)
 
     if state.prev_weights.shape != new_weights.shape:
-        raise ShapeError(f"shape drift: prev {state.prev_weights.shape} vs new {new_weights.shape}")
+        raise InvalidInputError(
+            f"shape drift: prev {state.prev_weights.shape} vs new {new_weights.shape}"
+        )
     smoothed = _normalize_rows(alpha * new_weights + (1.0 - alpha) * state.prev_weights)
 
     return smoothed, replace(

@@ -34,7 +34,7 @@ from btwmoe.config import (
     load_experiment_config,
     parse_config_text,
 )
-from btwmoe.errors import ConfigParseError, InvalidInputError, NumericOverflowError
+from btwmoe.errors import InvalidInputError, NumericOverflowError
 from btwmoe.moe import write_tensor_record
 from btwmoe.synthetic import generate, load_dataset
 
@@ -57,6 +57,12 @@ data.noise_sigma=1.0
 data.task=regression
 data.seed=0
 """
+
+# round(0.1 * 4) = 0 leaves the train split empty; val and test get 2 each.
+EMPTY_TRAIN = (SMALL_EXPERIMENT.replace("data.n_instances=200", "data.n_instances=4")
+               .replace("data.modality_dims=6,6,6", "data.modality_dims=2,2")
+               .replace("data.informativeness=0.9,0.5,0.0", "data.informativeness=0.9,0.1")
+               + "split.fractions=0.1,0.45,0.45\n")
 
 SMALL_DATASET = """
 data.n_instances=120
@@ -100,11 +106,11 @@ class TestConfigParsing:
         assert config.data.modality_dims == (6, 6, 6)
 
     def test_unknown_field_names_the_field(self):
-        with pytest.raises(ConfigParseError, match="frobnicate"):
+        with pytest.raises(InvalidInputError, match="frobnicate"):
             parse_config_text("frobnicate=1")
 
     def test_malformed_value_names_line_and_field(self):
-        with pytest.raises(ConfigParseError, match="line 2.*lr"):
+        with pytest.raises(InvalidInputError, match="line 2.*lr"):
             parse_config_text("variant=btw\nlr=fast")
 
     def test_comments_and_blank_lines_ignored(self):
@@ -112,7 +118,7 @@ class TestConfigParsing:
         assert values == {"variant": "btw"}
 
     def test_duplicate_field_rejected(self):
-        with pytest.raises(ConfigParseError, match="duplicate"):
+        with pytest.raises(InvalidInputError, match="duplicate"):
             parse_config_text("seed=1\nseed=2")
 
     def test_data_path_excludes_inline_moe_requirement(self, tmp_path):
@@ -486,6 +492,29 @@ def run_quietly(argv) -> tuple[int, str]:
     return status, err.getvalue()
 
 
+# round(1e-320 * n) leaves the train split empty, which every variant's plan
+# rejects; about 1 draw in 10,000 of the hostile split.fractions.
+@example(text="""variant=btw_local
+seed=0
+lr=0.02
+batch_size=8
+epochs.unimodal=1
+epochs.warm=0
+epochs.weighted=1
+split.fractions=1e-320,0.5,0.5
+moe.embed_dim=4
+moe.n_experts=4
+moe.top_k=2
+moe.expert_hidden=4
+moe.n_moe_layers=1
+data.n_instances=32
+data.modality_dims=3,3
+data.informativeness=0.9,0.3
+data.noise_sigma=1
+data.task=regression
+data.n_classes=3
+data.seed=0
+""")
 @given(text=train_configs())
 @settings(max_examples=100, deadline=None)
 def test_train_fuzz_exits_0_2_or_4(text):
@@ -518,9 +547,11 @@ def compare_args(draw):
     seeds = draw(st.lists(st.sampled_from(_CELL_SEEDS), min_size=1, max_size=2 // n_variants))
     config = draw(train_configs(max_hostile=1, max_bad_lines=0))
     # The second hostile value fails cells, and compare goes on without them:
-    # a step that overflows fails regression cells in training, and a train
-    # split too small for KSG fails the regression MI variants' plans.
-    line = draw(st.sampled_from([None, "lr=1e308", "split.fractions=0.1,0.45,0.45"]))
+    # a step that overflows fails regression cells in training, a train split
+    # too small for KSG fails the regression MI variants' plans, and an empty
+    # one fails every plan.
+    line = draw(st.sampled_from([None, "lr=1e308", "split.fractions=0.1,0.45,0.45",
+                                 "split.fractions=1e-320,0.5,0.5"]))
     if line is not None:
         key = line.split("=", 1)[0]
         config = "".join(f"{kept}\n" for kept in config.splitlines()
@@ -667,6 +698,16 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
         assert f"error: {message}\n" == capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("variant", ["btw_local", "unweighted"])
+    def test_empty_train_split_is_a_usage_error(self, tmp_path, capsys, variant):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(EMPTY_TRAIN.replace("variant=btw\n", f"variant={variant}\n"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == \
+            "error: training needs at least 1 instances; the train split has 0\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("lr=nan", "lr must be finite"),
@@ -897,6 +938,16 @@ class TestCompare:
                      "--seeds", "0", "--out", str(out)]) == EXIT_PARSE
         assert capsys.readouterr().err == \
             "error: regression metrics need at least 2 instances; the val split has 1\n"
+        assert not out.exists()
+
+    def test_empty_train_split_fails_every_plan_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(EMPTY_TRAIN)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg), "--variants", "btw_local,unweighted",
+                     "--seeds", "0", "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == \
+            "error: training needs at least 1 instances; the train split has 0\n"
         assert not out.exists()
 
     def test_all_failed_grid_summary_has_no_metric_columns(self, tmp_path):

@@ -21,7 +21,7 @@ from btwmoe.distributions import (
     residual_variance,
     residual_variance_array,
 )
-from btwmoe.errors import InvalidInputError, ShapeError
+from btwmoe.errors import InvalidInputError
 
 
 def random_gaussian(rng):
@@ -122,7 +122,7 @@ class TestCategoricalKl:
     def test_length_mismatch_raises(self):
         p = CategoricalDist(np.array([0.5, 0.5]))
         q = CategoricalDist(np.array([1 / 3, 1 / 3, 1 / 3]))
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="class count mismatch: 2 vs 3"):
             categorical_kl(p, q)
 
     def test_zero_support_stays_finite(self):
@@ -150,7 +150,7 @@ class TestCategoricalKl:
             CategoricalDist(np.array([0.7, 0.7]))
         with pytest.raises(InvalidInputError):
             CategoricalDist(np.array([1.2, -0.2]))
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="class axis of length >= 2"):
             CategoricalDist(np.array([1.0]))
 
 
@@ -342,15 +342,15 @@ class TestArrayKernelErrors:
             categorical_kl_array(np.full((3, 2), 0.5), np.array([[0.5, 0.5], [0.6, 0.6], [0.5, 0.5]]))
 
     def test_class_count_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="class count mismatch: 2 vs 3"):
             categorical_kl_array(np.full((2, 4, 2), 0.5), np.full((4, 3), 1 / 3))
 
     def test_single_class_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="class axis of length >= 2"):
             categorical_kl_array(np.ones((3, 1)), np.ones((3, 1)))
 
     def test_unbroadcastable_shapes(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="cannot broadcast"):
             categorical_kl_array(np.full((2, 4, 2), 0.5), np.full((3, 2), 0.5))
 
     def test_residual_variance_rejects_non_finite(self):

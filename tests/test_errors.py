@@ -22,3 +22,11 @@ def test_every_package_error_round_trips_through_pickle(cls):
     assert str(copy) == str(exc)
     if cls is errors.TrainingFailureError:
         assert (copy.phase, copy.epoch, copy.detail) == ("unimodal[0]", 3, "loss diverged")
+
+
+def test_the_package_has_one_input_error_type():
+    # A value, shape, sample size, spec, config line or file the program
+    # cannot use is one InvalidInputError; a training failure is its own type.
+    assert {cls.__name__ for cls in _package_errors()} == {
+        "BtwError", "InvalidInputError", "NumericOverflowError", "TrainingFailureError",
+    }

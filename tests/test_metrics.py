@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btwmoe.errors import InvalidInputError, ShapeError
+from btwmoe.errors import InvalidInputError
 from btwmoe.metrics import (
     acc_k,
     classification_bundle,
@@ -101,7 +101,7 @@ class TestF1Scores:
         assert weighted == macro
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="label series must be aligned"):
             f1_scores([0, 1], [0, 1, 2])
 
 

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 
 from conftest import empirical_entropy
 
-from btwmoe.errors import InsufficientDataError, InvalidInputError, ShapeError
+from btwmoe.errors import InvalidInputError
 from btwmoe.mi import (
     _marginal_counts,
     discrete_mi,
@@ -64,7 +64,7 @@ class TestDiscreteMi:
             assert discrete_mi(a, b) >= 0.0
 
     def test_length_mismatch_raises(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="length mismatch: 2 vs 3"):
             discrete_mi([0, 1], [0, 1, 0])
 
 
@@ -129,13 +129,13 @@ class TestKsgMi:
         assert ksg_mi(x, np.full(200, -2.5), k=3, jitter_seed=7) == 0.0
 
     def test_too_few_samples_raises(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InvalidInputError, match=r"need at least k\+2=5 samples, got 4"):
             ksg_mi(np.arange(4.0), np.arange(4.0), k=3)
 
     def test_shape_validation(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="score series must be one-dimensional"):
             ksg_mi(np.zeros((5, 2)), np.zeros(5), k=1)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="length mismatch: 5 vs 6"):
             ksg_mi(np.zeros(5), np.zeros(6), k=1)
 
 

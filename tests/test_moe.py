@@ -13,7 +13,6 @@ from scipy.special import erf
 from btwmoe.errors import (
     InvalidInputError,
     NumericOverflowError,
-    ShapeError,
 )
 from btwmoe.moe import (
     DataBatch,
@@ -65,6 +64,9 @@ class TestConfig:
 
 
 class TestForward:
+    def test_public_name_is_the_one_forward(self):
+        assert forward is _forward
+
     def test_all_ones_weights_bit_identical_to_none(self, reg_cfg):
         params = init_params(reg_cfg, 0)
         batch = make_batch(reg_cfg, 16)
@@ -106,7 +108,7 @@ class TestForward:
     def test_shape_mismatch_raises(self, reg_cfg):
         params = init_params(reg_cfg, 0)
         bad = DataBatch([np.zeros((4, d + 1)) for d in reg_cfg.input_dims])
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match=r"modality 0 features \(4, 17\) != \(4, 16\)"):
             forward(params, bad)
 
     def test_non_finite_activation_names_layer(self, reg_cfg):
@@ -245,7 +247,7 @@ class TestGradCheck:
         batch = make_batch(cfg, 64, seed=2)
         weights = np.random.default_rng(2).uniform(0.2, 2.0, size=(64, 3))
         assert grad_check(params, batch, n_probes=80, epsilon=1e-5,
-                          modality_weights=weights) < 1e-4
+                          weights=weights) < 1e-4
 
     def test_weighted_forward_gradients(self, reg_cfg):
         # Weight scaling participates in the chain rule; verify numerically.

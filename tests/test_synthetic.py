@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from btwmoe.errors import InvalidInputError, InvalidSpecError
+from btwmoe.errors import InvalidInputError
 from btwmoe.metrics import mae
 from btwmoe.moe import (
     MoeConfig,
@@ -79,15 +79,15 @@ def base_spec(**overrides):
 
 class TestSpecValidation:
     def test_informativeness_length_must_match(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidInputError, match="informativeness length must equal"):
             base_spec(informativeness=(1.0,))
 
     def test_needs_one_informative_modality(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidInputError, match="at least one modality must have"):
             base_spec(informativeness=(0.0, 0.0))
 
     def test_classification_needs_classes(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidInputError, match="classification needs 2 <= n_classes"):
             base_spec(task="classification", n_classes=1)
 
     def test_round_trips_through_dict(self):

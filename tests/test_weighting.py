@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from btwmoe.distributions import gaussian_kl_array, residual_variance_array
-from btwmoe.errors import IncompleteInputError, InvalidInputError, ShapeError
+from btwmoe.errors import InvalidInputError
 from btwmoe.predictions import PredictionSet
 from btwmoe.reports import write_weight_trajectory_csv
 from btwmoe.weighting import (
@@ -79,7 +79,7 @@ class TestInstanceKlWeights:
 
 class TestPredictionSetFromPredictions:
     def test_no_unimodal_predictions_rejected(self):
-        with pytest.raises(IncompleteInputError):
+        with pytest.raises(InvalidInputError, match="no unimodal predictions"):
             PredictionSet("regression", np.zeros(2), np.zeros((0, 2)), np.zeros(2))
 
     @pytest.mark.parametrize("task, uni, multi", [
@@ -90,7 +90,7 @@ class TestPredictionSetFromPredictions:
         ("classification", np.zeros((2, 3, 2)), np.zeros((3, 4))),  # class counts differ
     ])
     def test_misaligned_outputs_rejected(self, task, uni, multi):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match=f"{task} outputs misaligned"):
             PredictionSet(task=task, targets=np.zeros(3), uni=uni, multi=multi)
 
     def test_unknown_task_rejected(self):
@@ -128,7 +128,7 @@ class TestCombinators:
         np.testing.assert_allclose(w, [[0.5, 0.5]])
 
     def test_bilevel_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="MI length"):
             combine_bilevel(np.ones((2, 3)), np.ones(2))
 
     def test_global_kl_uses_column_means(self):
@@ -247,7 +247,7 @@ class TestSmoothing:
 
     def test_shape_drift_raises(self):
         state = SmoothingState(prev_weights=np.array([[0.5, 0.5]]), prev_metric=1.0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="shape drift"):
             smooth_update(state, np.full((2, 2), 0.5), current_metric=0.5)
 
     def test_smoothed_rows_stay_stochastic_over_many_epochs(self):
