@@ -12,7 +12,6 @@ import numpy as np
 from btwmoe import (
     CategoricalDist,
     GaussianParams,
-    PredictionSet,
     categorical_kl,
     combine_local,
     gaussian_kl,
@@ -56,8 +55,7 @@ uni = np.array([
 multi = np.array([1.0, -0.6, 1.7])
 # instance_kl_weights turns each output into a Gaussian whose variance is the
 # residual variance above.
-preds = PredictionSet(task="regression", targets=targets, uni=uni, multi=multi)
-raw = instance_kl_weights(preds)
+raw = instance_kl_weights(targets, uni, multi)
 weights = combine_local(raw)
 print("raw KL matrix (instances x modalities):")
 print(np.round(raw, 4))

@@ -14,7 +14,7 @@ rng = np.random.default_rng(0)
 print(f"{'rho':>5} {'analytic':>10} {'estimate':>10} {'error':>9}")
 for rho in (0.0, 0.3, 0.6, 0.9, 0.99):
     xy = rng.multivariate_normal([0, 0], [[1, rho], [rho, 1]], size=8000)
-    est = ksg_mi(xy[:, 0], xy[:, 1], k=3)
+    est = ksg_mi(xy[:, 0], xy[:, 1])
     true = gaussian_mi_analytic(rho)
     print(f"{rho:5.2f} {true:10.4f} {est:10.4f} {est - true:+9.4f}")
 print()
@@ -22,9 +22,9 @@ print()
 print("=== Dependence, independence, and shuffling ===")
 x = rng.standard_normal(3000)
 y_dep = 0.8 * x + 0.2 * rng.standard_normal(3000)
-print(f"dependent pair:        MI = {ksg_mi(x, y_dep, k=3):.4f}")
-print(f"shuffled partner:      MI = {ksg_mi(x, rng.permutation(y_dep), k=3):.4f}")
-print(f"identical series:      MI = {ksg_mi(x, x, k=3):.4f} (diverges with N)")
+print(f"dependent pair:        MI = {ksg_mi(x, y_dep):.4f}")
+print(f"shuffled partner:      MI = {ksg_mi(x, rng.permutation(y_dep)):.4f}")
+print(f"identical series:      MI = {ksg_mi(x, x):.4f} (diverges with N)")
 print()
 
 print("=== Discrete MI on hard class labels ===")

@@ -30,12 +30,10 @@ from .moe import (
     save_checkpoint,
     sgd_step,
 )
-from .predictions import PredictionSet
 from .synthetic import Dataset, SyntheticSpec, generate, load_dataset, save_dataset, split
 from .training import (
     ExperimentConfig,
     ExperimentResult,
-    modality_mi,
     run_experiment,
     train_unimodal_all,
 )
@@ -46,5 +44,6 @@ from .weighting import (
     combine_global_mi,
     combine_local,
     instance_kl_weights,
+    modality_mi,
     smooth_update,
 )

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import load_data_config, load_experiment_config
+from .config import build_experiment_config, parse_config_text, parse_data_config, read_config
 from .errors import BtwError, InvalidInputError, TrainingFailureError
 from .reports import export_result, write_manifest, write_summary_csv
 from .synthetic import generate, save_dataset, split
@@ -53,25 +53,28 @@ def _check_out_dir(out_dir: str, force: bool) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    spec, fractions, split_seed = load_data_config(args.config)
+    config_bytes, text = read_config(args.config)
+    spec, fractions, split_seed = parse_data_config(text)
     dataset = generate(spec)
     if fractions is not None:
         dataset = split(dataset, fractions, split_seed)
     _check_out_dir(args.out, args.force)
     written = save_dataset(dataset, args.out)
-    write_manifest(args.out, "gen-data", args.config, written, {"seed": spec.seed})
+    write_manifest(args.out, "gen-data", config_bytes, written,
+                   {"config_file": args.config, "seed": spec.seed})
     print(f"wrote dataset ({dataset.n_instances} instances, "
           f"{dataset.n_modalities} modalities) to {args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    config, dataset = plan(load_experiment_config(args.config))
+    config_bytes, text = read_config(args.config)
+    config, dataset = plan(build_experiment_config(parse_config_text(text)))
     _check_out_dir(args.out, args.force)
     result = run_planned(config, dataset)
     written = export_result(result, args.out)
-    write_manifest(args.out, "train", args.config, written, {"seed": config.seed,
-                                                             "variant": config.variant})
+    write_manifest(args.out, "train", config_bytes, written,
+                   {"config_file": args.config, "seed": config.seed, "variant": config.variant})
     headline = "mae" if "mae" in result.test_bundle else "accuracy"
     print(f"{config.variant} seed {config.seed}: {len(result.records)} epochs, "
           f"test {headline} {result.test_bundle[headline]:.4f} -> {args.out}")
@@ -86,7 +89,8 @@ def _run_cell(config, dataset, cell_dir) -> tuple[dict, list[Path]]:
 
 
 def cmd_compare(args) -> int:
-    config = load_experiment_config(args.config)
+    config_bytes, text = read_config(args.config)
+    config = build_experiment_config(parse_config_text(text))
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -136,8 +140,8 @@ def cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary_path = out / "summary.csv"
     write_summary_csv(summary_path, variants, bundles)
-    write_manifest(args.out, "compare", args.config, [summary_path] + written,
-                   {"variants": variants, "seeds": seeds})
+    write_manifest(args.out, "compare", config_bytes, [summary_path] + written,
+                   {"config_file": args.config, "variants": variants, "seeds": seeds})
     print(f"summary -> {summary_path}")
     for failure in failures:
         print(failure, file=sys.stderr)

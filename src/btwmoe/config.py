@@ -81,12 +81,15 @@ def parse_config_text(text: str, allowed: dict | None = None) -> dict:
     return out
 
 
-def parse_config_file(path, allowed: dict | None = None) -> dict:
+def read_config(path) -> tuple[bytes, str]:
+    """A config file's bytes and their UTF-8 text, a leading byte-order mark
+    dropped. A command reads its config once: it parses the text, and its
+    manifest records the bytes."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        data = Path(path).read_bytes()
+        return data, data.decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, allowed)
 
 
 def _build_data_spec(values: dict, require: bool) -> SyntheticSpec | None:
@@ -128,14 +131,14 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    return build_experiment_config(parse_config_file(path))
+    return build_experiment_config(parse_config_text(read_config(path)[1]))
 
 
-def load_data_config(path) -> tuple[SyntheticSpec, tuple[float, ...] | None, int]:
-    """The dataset a config describes: (data spec, split.fractions or None,
-    split seed). Experiment keys are accepted and ignored, so an experiment
-    config with an inline spec generates its own dataset. split.seed is read
-    only here; it defaults to data.seed."""
-    values = parse_config_file(path, {**_EXPERIMENT_KEYS, **_DATA_KEYS, "split.seed": int})
+def parse_data_config(text: str) -> tuple[SyntheticSpec, tuple[float, ...] | None, int]:
+    """The dataset a config text describes: (data spec, split.fractions or
+    None, split seed). Experiment keys are accepted and ignored, so an
+    experiment config with an inline spec generates its own dataset.
+    split.seed is read only here; it defaults to data.seed."""
+    values = parse_config_text(text, {**_EXPERIMENT_KEYS, **_DATA_KEYS, "split.seed": int})
     spec = _build_data_spec(values, require=True)
     return spec, values.get("split.fractions"), values.get("split.seed", spec.seed)

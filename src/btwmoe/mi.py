@@ -19,6 +19,9 @@ from .errors import InvalidInputError
 # within-radius neighbor counts.
 JITTER_RELATIVE_AMPLITUDE = 1e-10
 
+# KSG neighbor order; Kraskov et al. suggest a small k (2 to 4) for low bias.
+KSG_K = 3
+
 
 def discrete_mi(a: np.ndarray, b: np.ndarray) -> float:
     """Empirical mutual information between two label series.
@@ -98,17 +101,17 @@ def _marginal_counts(v: np.ndarray, radius: np.ndarray) -> np.ndarray:
         hi += step_hi
 
 
-def ksg_mi(x: np.ndarray, y: np.ndarray, k: int = 3, jitter_seed: int = 0) -> float:
+def ksg_mi(x: np.ndarray, y: np.ndarray, jitter_seed: int = 0) -> float:
     """KSG (variant 1) mutual information estimate between two score series.
 
-    MI ~= psi(k) + psi(N) - mean_i[psi(n_x(i)+1) + psi(n_y(i)+1)], where
-    n_x(i) counts points strictly inside the Chebyshev distance to the k-th
-    joint-space neighbor of point i. Negative estimates are clamped to 0. A
-    constant series carries no information: the estimate is exactly 0.0.
+    MI ~= psi(k) + psi(N) - mean_i[psi(n_x(i)+1) + psi(n_y(i)+1)] with
+    k = KSG_K, where n_x(i) counts points strictly inside the Chebyshev
+    distance to the k-th joint-space neighbor of point i. Negative estimates
+    are clamped to 0. A constant series carries no information: the estimate
+    is exactly 0.0.
 
     Args:
-        x, y: one-dimensional series of equal length N >= k + 2.
-        k: neighbor order (default 3).
+        x, y: one-dimensional series of equal length N >= KSG_K + 2.
         jitter_seed: seed for the deterministic tie-breaking jitter.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -117,11 +120,9 @@ def ksg_mi(x: np.ndarray, y: np.ndarray, k: int = 3, jitter_seed: int = 0) -> fl
         raise InvalidInputError("score series must be one-dimensional")
     if x.shape[0] != y.shape[0]:
         raise InvalidInputError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
     n = x.shape[0]
-    if n < k + 2:
-        raise InvalidInputError(f"need at least k+2={k + 2} samples, got {n}")
+    if n < KSG_K + 2:
+        raise InvalidInputError(f"need at least k+2={KSG_K + 2} samples, got {n}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InvalidInputError("score series must be finite")
     # Jitter would turn a constant series into noise, and two equal constant
@@ -138,13 +139,13 @@ def ksg_mi(x: np.ndarray, y: np.ndarray, k: int = 3, jitter_seed: int = 0) -> fl
     joint = np.column_stack([xj, yj])
 
     # k+1 because the query point is its own nearest neighbor at distance 0.
-    dist, _ = cKDTree(joint).query(joint, k=k + 1, p=np.inf)
+    dist, _ = cKDTree(joint).query(joint, k=KSG_K + 1, p=np.inf)
     # Strictly-inside counts: shrink the radius by one ulp.
-    radius = np.nextafter(dist[:, k], 0.0)
+    radius = np.nextafter(dist[:, KSG_K], 0.0)
     n_x = _marginal_counts(xj, radius)
     n_y = _marginal_counts(yj, radius)
 
-    mi = float(digamma(k) + digamma(n) - np.mean(digamma(n_x + 1) + digamma(n_y + 1)))
+    mi = float(digamma(KSG_K) + digamma(n) - np.mean(digamma(n_x + 1) + digamma(n_y + 1)))
     return max(mi, 0.0)
 
 

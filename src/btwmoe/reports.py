@@ -103,16 +103,16 @@ def export_result(result: ExperimentResult, out_dir) -> list[Path]:
             *checkpoints]
 
 
-def write_manifest(out_dir, command: str, config_path, outputs, extra: dict) -> None:
-    """manifest.json: the tool, the command, the config echo and the sha256 of
-    its bytes, and the files this command wrote under out_dir (outputs)."""
+def write_manifest(out_dir, command: str, config: bytes, outputs, extra: dict) -> None:
+    """manifest.json: the tool, the command, the sha256 and text of the config
+    bytes the command parsed (see read_config), the files this command wrote
+    under out_dir (outputs), and extra."""
     manifest = {
         "tool": "btwmoe",
         "tool_version": __version__,
         "command": command,
-        "config_file": str(config_path),
-        "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
-        "config_echo": Path(config_path).read_text(),
+        "config_sha256": hashlib.sha256(config).hexdigest(),
+        "config_echo": config.decode("utf-8-sig"),
         "outputs": sorted(str(Path(p).relative_to(out_dir)) for p in outputs),
     }
     manifest.update(extra)

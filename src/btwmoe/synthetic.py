@@ -132,47 +132,51 @@ def _quantile_bins(signal: np.ndarray, n_classes: int, priors) -> np.ndarray:
 
 def generate(spec: SyntheticSpec) -> Dataset:
     """Draw a dataset from the spec; bit-identical for identical specs."""
-    signal_rng = np.random.default_rng([spec.seed, 0])
-    signal = signal_rng.standard_normal(spec.n_instances)
+    try:
+        signal_rng = np.random.default_rng([spec.seed, 0])
+        signal = signal_rng.standard_normal(spec.n_instances)
 
-    features = []
-    for m in range(spec.n_modalities):
-        rng = np.random.default_rng([spec.seed, 1 + m])
-        dim = spec.modality_dims[m]
-        a = spec.informativeness[m]
-        distractor = rng.standard_normal(spec.n_instances)
-        projection = rng.standard_normal(dim)
-        base = a * signal + (1.0 - a) * distractor
-        mat = base[:, None] * projection[None, :]
-        if spec.nonlinearity == "tanh-mixed":
-            mat = mat.copy()
-            mat[:, 1::2] = np.tanh(mat[:, 1::2])
-        if spec.noise_sigma > 0:
-            mat = mat + spec.noise_sigma * rng.standard_normal((spec.n_instances, dim))
-        # Standardize columns so feature scale is independent of the noise
-        # level and projection draw; keeps training stable across specs.
-        mat = mat - mat.mean(axis=0)
-        stds = mat.std(axis=0)
-        if not np.isfinite(stds).all():
-            raise InvalidInputError(f"noise_sigma {spec.noise_sigma} overflows modality {m}")
-        stds[stds == 0] = 1.0
-        features.append(mat / stds)
+        features = []
+        for m in range(spec.n_modalities):
+            rng = np.random.default_rng([spec.seed, 1 + m])
+            dim = spec.modality_dims[m]
+            a = spec.informativeness[m]
+            distractor = rng.standard_normal(spec.n_instances)
+            projection = rng.standard_normal(dim)
+            base = a * signal + (1.0 - a) * distractor
+            mat = base[:, None] * projection[None, :]
+            if spec.nonlinearity == "tanh-mixed":
+                mat = mat.copy()
+                mat[:, 1::2] = np.tanh(mat[:, 1::2])
+            if spec.noise_sigma > 0:
+                mat = mat + spec.noise_sigma * rng.standard_normal((spec.n_instances, dim))
+            # Standardize columns so feature scale is independent of the noise
+            # level and projection draw; keeps training stable across specs.
+            mat = mat - mat.mean(axis=0)
+            stds = mat.std(axis=0)
+            if not np.isfinite(stds).all():
+                raise InvalidInputError(f"noise_sigma {spec.noise_sigma} overflows modality {m}")
+            stds[stds == 0] = 1.0
+            features.append(mat / stds)
 
-    if spec.task == REGRESSION:
-        targets = signal
-        n_classes = 0
-    else:
-        targets = _quantile_bins(signal, spec.n_classes, spec.class_priors)
-        n_classes = spec.n_classes
+        if spec.task == REGRESSION:
+            targets = signal
+            n_classes = 0
+        else:
+            targets = _quantile_bins(signal, spec.n_classes, spec.class_priors)
+            n_classes = spec.n_classes
 
-    return Dataset(
-        features=features,
-        targets=targets,
-        split_tags=np.zeros(spec.n_instances, dtype=np.int8),
-        task=spec.task,
-        n_classes=n_classes,
-        spec=spec,
-    )
+        return Dataset(
+            features=features,
+            targets=targets,
+            split_tags=np.zeros(spec.n_instances, dtype=np.int8),
+            task=spec.task,
+            n_classes=n_classes,
+            spec=spec,
+        )
+    except MemoryError as exc:
+        raise InvalidInputError(f"data.n_instances={spec.n_instances} with data.modality_dims="
+                                f"{spec.modality_dims} is too large to allocate") from exc
 
 
 def split(dataset: Dataset, fractions, seed: int) -> Dataset:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BtwError, InvalidInputError, NumericOverflowError, TrainingFailureError
 from .metrics import classification_bundle, regression_bundle
-from .mi import discrete_mi, ksg_mi
+from .mi import KSG_K
 from .moe import (
     REGRESSION,
     DataBatch,
@@ -46,7 +46,6 @@ from .moe import (
     modality_slice,
     sgd_step,
 )
-from .predictions import PredictionSet
 from .synthetic import Dataset, SyntheticSpec, generate, load_dataset, split
 from .weighting import (
     ALPHA_INIT,
@@ -58,6 +57,7 @@ from .weighting import (
     combine_global_mi,
     combine_local,
     instance_kl_weights,
+    modality_mi,
     smooth_update,
 )
 
@@ -67,7 +67,6 @@ MI_VARIANTS = ("btw_global_mi", "btw")
 DEFAULT_SPLIT_FRACTIONS = (0.7, 0.15, 0.15)
 _SPLIT_SEED_OFFSET = 13
 _JITTER_SEED_OFFSET = 101
-_KSG_K = 3
 
 
 @dataclass(frozen=True)
@@ -258,7 +257,7 @@ def plan(config: ExperimentConfig) -> tuple[ExperimentConfig, Dataset]:
     from the dataset's dims, and raises InvalidInputError naming the first
     split too small for what reads it. Every variant trains on the train
     split, so it needs 1 instance; MI variants also estimate modality MI on
-    it: KSG needs _KSG_K + 2 instances, discrete MI 2. val and test are
+    it: KSG needs KSG_K + 2 instances, discrete MI 2. val and test are
     scored: regression metrics need 2 instances, classification metrics 1.
     """
     dataset = resolve_dataset(config)
@@ -269,7 +268,7 @@ def plan(config: ExperimentConfig) -> tuple[ExperimentConfig, Dataset]:
             n_classes=dataset.n_classes,
         ))
     if dataset.task == REGRESSION:
-        metrics, mi = (2, "regression metrics need"), (_KSG_K + 2, "KSG mutual information needs")
+        metrics, mi = (2, "regression metrics need"), (KSG_K + 2, "KSG mutual information needs")
     else:
         metrics, mi = (1, "classification metrics need"), (2, "discrete mutual information needs")
     train = mi if config.variant in MI_VARIANTS else (1, "training needs")
@@ -349,21 +348,6 @@ def train_multimodal_warm(
     return params
 
 
-def modality_mi(preds: PredictionSet, jitter_seed: int) -> np.ndarray:
-    """Per-modality MI between unimodal and multimodal prediction series."""
-    m = preds.n_modalities
-    out = np.zeros(m)
-    if preds.task == REGRESSION:
-        for j in range(m):
-            out[j] = ksg_mi(preds.uni[j], preds.multi, k=_KSG_K, jitter_seed=jitter_seed)
-    else:
-        multi_labels = np.argmax(preds.multi, axis=1)
-        uni_labels = np.argmax(preds.uni, axis=2)
-        for j in range(m):
-            out[j] = discrete_mi(uni_labels[j], multi_labels)
-    return out
-
-
 def _combine(config: ExperimentConfig, raw: np.ndarray, mi: np.ndarray | None) -> np.ndarray:
     if config.variant == "btw_local":
         return combine_local(raw)
@@ -386,11 +370,10 @@ def run_weighted_phase(
     returns the final parameters."""
     if config.variant == "unweighted":
         raise InvalidInputError("the unweighted variant has no weighted phase")
-    moe_cfg = config.moe
-    metric_key, direction = improvement_direction(moe_cfg.task)
+    metric_key, direction = improvement_direction(config.moe.task)
     train_batch = dataset.batch("train")
     n_train = train_batch.n_instances
-    n_mod = moe_cfg.n_modalities
+    n_mod = config.moe.n_modalities
     # The unimodal outputs are the fixed reference point of every epoch.
     uni = np.stack(uni_train)
     uni.flags.writeable = False
@@ -411,14 +394,12 @@ def run_weighted_phase(
         epoch_index = len(records) + 1
         started = time.perf_counter()
         with _failures_in("weighted", epoch_index):
-            preds = PredictionSet(moe_cfg.task, train_batch.targets, uni,
-                                  _collect_predictions(params, train_batch, weights=applied))
-            raw = instance_kl_weights(preds)
+            multi = _collect_predictions(params, train_batch, weights=applied)
+            raw = instance_kl_weights(train_batch.targets, uni, multi)
             mi = None
             if config.variant in MI_VARIANTS:
                 mi = modality_mi(
-                    preds,
-                    jitter_seed=config.seed + _JITTER_SEED_OFFSET + weighted_epoch,
+                    uni, multi, jitter_seed=config.seed + _JITTER_SEED_OFFSET + weighted_epoch
                 )
             new_weights = _combine(config, raw, mi)
             smoothed, state = smooth_update(state, new_weights, current_metric, direction)

@@ -1,9 +1,12 @@
 """Per-instance and per-modality weights, their combinators, and EMA smoothing.
 
-A weight matrix is an (N, M) array whose rows are L1-normalized. Raw KL
-matrices hold the un-normalized per-instance divergences; modality MI is a
-length-M vector. Rows that would normalize to 0/0 fall back to the uniform
-vector, which reproduces unweighted training for those instances.
+Both raw inputs come from predictions alone: uni stacks the M frozen
+unimodal outputs, (M, N) regression means or (M, N, C) class probabilities,
+and multi is the multimodal output, (N,) or (N, C); the rank of multi says
+the task. A weight matrix is an (N, M) array whose rows are L1-normalized.
+Raw KL matrices hold the un-normalized per-instance divergences; modality
+MI is a length-M vector. Rows that would normalize to 0/0 fall back to the
+uniform vector, which reproduces unweighted training for those instances.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .distributions import categorical_kl_array, gaussian_kl_array, residual_variance_array
 from .errors import InvalidInputError
-from .predictions import REGRESSION, PredictionSet
+from .mi import discrete_mi, ksg_mi
 
 # The adaptive smoothing schedule, a constant of the method: start mid-range,
 # move in fixed steps, never leave the clamp interval.
@@ -55,7 +58,20 @@ def validate_weight_matrix(w: np.ndarray, atol: float = 1e-9) -> None:
         raise InvalidInputError("weight rows do not sum to 1")
 
 
-def instance_kl_weights(preds: PredictionSet) -> np.ndarray:
+def _is_regression(uni: np.ndarray, multi: np.ndarray, targets: np.ndarray | None = None) -> bool:
+    """Whether the outputs are regression means rather than class
+    probabilities; raises unless uni stacks M >= 1 outputs shaped like multi,
+    with one row per target when targets are given."""
+    if (multi.ndim not in (1, 2) or uni.shape[1:] != multi.shape
+            or (targets is not None and multi.shape[0] != targets.shape[0])):
+        tail = "" if targets is None else f", targets {targets.shape}"
+        raise InvalidInputError(f"outputs misaligned: uni {uni.shape}, multi {multi.shape}{tail}")
+    if uni.shape[0] == 0:
+        raise InvalidInputError("no unimodal predictions")
+    return multi.ndim == 1
+
+
+def instance_kl_weights(targets: np.ndarray, uni: np.ndarray, multi: np.ndarray) -> np.ndarray:
     """Raw per-instance weights: KL(unimodal_i^(m) || multimodal_i), (N, M).
 
     Regression compares per-instance Gaussians: an output is the mean, and
@@ -63,14 +79,24 @@ def instance_kl_weights(preds: PredictionSet) -> np.ndarray:
     compares the class-probability vectors. One broadcast kernel call covers
     every instance and modality.
     """
-    if preds.task == REGRESSION:
+    if _is_regression(uni, multi, targets):
         raw = gaussian_kl_array(
-            preds.uni, residual_variance_array(preds.targets, preds.uni),
-            preds.multi, residual_variance_array(preds.targets, preds.multi),
+            uni, residual_variance_array(targets, uni),
+            multi, residual_variance_array(targets, multi),
         )
     else:
-        raw = categorical_kl_array(preds.uni, preds.multi)
+        raw = categorical_kl_array(uni, multi)
     return np.ascontiguousarray(raw.T)
+
+
+def modality_mi(uni: np.ndarray, multi: np.ndarray, jitter_seed: int) -> np.ndarray:
+    """Modality MI, (M,): each unimodal output series against the multimodal
+    one. Regression means take the KSG estimate; class probabilities take
+    discrete MI between their argmax labels."""
+    if _is_regression(uni, multi):
+        return np.array([ksg_mi(u, multi, jitter_seed=jitter_seed) for u in uni])
+    multi_labels = np.argmax(multi, axis=1)
+    return np.array([discrete_mi(labels, multi_labels) for labels in np.argmax(uni, axis=2)])
 
 
 def combine_local(raw: np.ndarray) -> np.ndarray:

@@ -32,9 +32,9 @@ def default_config():
     return load_experiment_config(DEFAULT_CONFIG_PATH)
 
 
-def uniform_mi(preds, jitter_seed):
+def uniform_mi(uni, multi, jitter_seed):
     """Stands in for training.modality_mi: every modality equally informative."""
-    return np.ones(preds.n_modalities)
+    return np.ones(len(uni))
 
 
 def empirical_entropy(a) -> float:

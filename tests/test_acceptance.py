@@ -62,11 +62,11 @@ def test_criterion_2_ksg_estimator_accuracy():
         for seed in range(5):
             rng = np.random.default_rng(seed)
             xy = rng.multivariate_normal([0, 0], [[1, 0.9], [0.9, 1]], size=10_000)
-            estimates.append(ksg_mi(xy[:, 0], xy[:, 1], k=3))
+            estimates.append(ksg_mi(xy[:, 0], xy[:, 1]))
         mean_est = float(np.mean(estimates))
 
         rng = np.random.default_rng(99)
-        indep = ksg_mi(rng.standard_normal(10_000), rng.standard_normal(10_000), k=3)
+        indep = ksg_mi(rng.standard_normal(10_000), rng.standard_normal(10_000))
         elapsed = time.perf_counter() - started
         out["detail"] = f"(mean {mean_est:.4f} vs {target:.4f}, indep {indep:.4f}, {elapsed:.1f}s)"
         assert abs(mean_est - target) <= 0.05

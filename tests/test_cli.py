@@ -161,6 +161,18 @@ class TestGenData:
         assert manifest["command"] == "gen-data"
         assert len(manifest["config_sha256"]) == 64
 
+    def test_byte_order_mark_is_not_part_of_the_config(self, dataset_cfg, tmp_path):
+        bom_cfg = tmp_path / "bom.cfg"
+        bom_cfg.write_bytes(b"\xef\xbb\xbf" + dataset_cfg.read_bytes().lstrip())
+        out, plain = tmp_path / "bom", tmp_path / "plain"
+        assert main(["gen-data", "--config", str(bom_cfg), "--out", str(out)]) == EXIT_OK
+        assert main(["gen-data", "--config", str(dataset_cfg), "--out", str(plain)]) == EXIT_OK
+        for name in ("meta.json", "targets.bin", "modality_0.bin"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(bom_cfg.read_bytes()).hexdigest()
+        assert manifest["config_echo"] == SMALL_DATASET.lstrip()
+
     def test_malformed_spec_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("data.n_instances=many\n")
@@ -240,11 +252,28 @@ def test_out_at_a_file_exits_3(experiment_cfg, tmp_path, capsys, command, under)
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
 def test_missing_config_file_exits_2(tmp_path, capsys, command):
-    config = tmp_path / "absent.cfg"
-    assert main(command_args(command, config, tmp_path / "out")) == EXIT_PARSE
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read config {config}") and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(b"variant=btw\n\xff\xfe\n")
+    for config in (tmp_path / "absent.cfg", not_utf8):
+        assert main(command_args(command, config, tmp_path / "out")) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {config}") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
+def test_unallocatable_data_spec_exits_2(tmp_path, capsys, command):
+    # 10**15 instances need more than any address space holds, so the first
+    # allocation fails at once without touching memory.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(SMALL_EXPERIMENT.replace("data.n_instances=200", f"data.n_instances={10**15}"))
+    out = tmp_path / "out"
+    assert main(command_args(command, cfg, out)) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: data.n_instances={10**15} with data.modality_dims=(6, 6, 6) is too large to "
+        f"allocate\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, config, old, new, message", [
@@ -647,7 +676,7 @@ class TestTrain:
 
     def test_weighting_error_is_a_training_failure(self, experiment_cfg, tmp_path, capsys,
                                                    monkeypatch):
-        def failing_kl(preds):
+        def failing_kl(targets, uni, multi):
             raise InvalidInputError("weight entries must be finite and non-negative")
 
         monkeypatch.setattr(training, "instance_kl_weights", failing_kl)
@@ -660,6 +689,28 @@ class TestTrain:
             "weight entries must be finite and non-negative\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit", ["rewrite", "delete"])
+    def test_manifest_records_the_config_bytes_the_run_parsed(self, experiment_cfg, tmp_path,
+                                                              monkeypatch, edit):
+        parsed = experiment_cfg.read_bytes()
+        run_planned = cli.run_planned
+
+        def editing_run(config, dataset):
+            if edit == "rewrite":
+                experiment_cfg.write_text(SMALL_EXPERIMENT.replace("variant=btw",
+                                                                   "variant=unweighted"))
+            else:
+                experiment_cfg.unlink()
+            return run_planned(config, dataset)
+
+        monkeypatch.setattr(cli, "run_planned", editing_run)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(experiment_cfg), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(parsed).hexdigest()
+        assert manifest["config_echo"] == parsed.decode()
+        assert manifest["variant"] == "btw"
 
     def test_near_coincident_gaussians_train(self, tmp_path):
         # On this seed a unimodal and the multimodal Gaussian nearly coincide

@@ -73,33 +73,33 @@ class TestKsgMi:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(5000)
         y = rng.standard_normal(5000)
-        assert abs(ksg_mi(x, y, k=3)) <= 0.02
+        assert abs(ksg_mi(x, y)) <= 0.02
 
     def test_correlated_gaussian_matches_analytic(self):
         target = gaussian_mi_analytic(0.9)
-        estimates = [ksg_mi(*bivariate_normal(0.9, 10_000, seed), k=3) for seed in range(3)]
+        estimates = [ksg_mi(*bivariate_normal(0.9, 10_000, seed)) for seed in range(3)]
         assert np.mean(estimates) == pytest.approx(target, abs=0.05)
 
     def test_deterministic_dependence_diverges(self):
         x = np.random.default_rng(3).standard_normal(1000)
-        assert ksg_mi(x, x, k=3) > 2.0
+        assert ksg_mi(x, x) > 2.0
 
     def test_symmetry_with_fixed_jitter_seed(self):
         x, y = bivariate_normal(0.5, 800, seed=5)
-        assert abs(ksg_mi(x, y, k=3, jitter_seed=9) - ksg_mi(y, x, k=3, jitter_seed=9)) <= 1e-9
+        assert abs(ksg_mi(x, y, jitter_seed=9) - ksg_mi(y, x, jitter_seed=9)) <= 1e-9
 
     def test_clamped_non_negative(self):
         rng = np.random.default_rng(31)
         for seed in range(10):
             x = rng.standard_normal(300)
             y = rng.standard_normal(300)
-            assert ksg_mi(x, y, k=3, jitter_seed=seed) >= 0.0
+            assert ksg_mi(x, y, jitter_seed=seed) >= 0.0
 
     def test_permutation_destroys_dependence(self):
         x, y = bivariate_normal(0.9, 5000, seed=17)
-        assert ksg_mi(x, y, k=3) > 0.5
+        assert ksg_mi(x, y) > 0.5
         y_shuf = np.random.default_rng(99).permutation(y)
-        assert ksg_mi(x, y_shuf, k=3) < 0.05
+        assert ksg_mi(x, y_shuf) < 0.05
 
     def test_consistency_larger_samples_are_closer(self):
         target = gaussian_mi_analytic(0.9)
@@ -107,8 +107,8 @@ class TestKsgMi:
         for seed in range(10):
             xs, ys = bivariate_normal(0.9, 500, seed=100 + seed)
             xl, yl = bivariate_normal(0.9, 10_000, seed=200 + seed)
-            err_small.append(abs(ksg_mi(xs, ys, k=3) - target))
-            err_large.append(abs(ksg_mi(xl, yl, k=3) - target))
+            err_small.append(abs(ksg_mi(xs, ys) - target))
+            err_large.append(abs(ksg_mi(xl, yl) - target))
         assert np.mean(err_large) < np.mean(err_small)
 
     def test_exact_ties_are_handled(self):
@@ -116,27 +116,27 @@ class TestKsgMi:
         # without the jitter.
         x = np.repeat([0.0, 1.0, 2.0], 50)
         y = np.repeat([2.0, 1.0, 0.0], 50)
-        mi = ksg_mi(x, y, k=3)
+        mi = ksg_mi(x, y)
         assert np.isfinite(mi) and mi >= 0.0
 
     def test_constant_series_carry_no_information(self):
         # Equal constant series used to get equal jitter, which looked like
         # perfect dependence (4.38 nats here).
         ones = np.ones(200)
-        assert ksg_mi(ones, ones, k=3) == 0.0
+        assert ksg_mi(ones, ones) == 0.0
         x = np.random.default_rng(4).standard_normal(200)
-        assert ksg_mi(ones, x, k=3) == 0.0
-        assert ksg_mi(x, np.full(200, -2.5), k=3, jitter_seed=7) == 0.0
+        assert ksg_mi(ones, x) == 0.0
+        assert ksg_mi(x, np.full(200, -2.5), jitter_seed=7) == 0.0
 
     def test_too_few_samples_raises(self):
         with pytest.raises(InvalidInputError, match=r"need at least k\+2=5 samples, got 4"):
-            ksg_mi(np.arange(4.0), np.arange(4.0), k=3)
+            ksg_mi(np.arange(4.0), np.arange(4.0))
 
     def test_shape_validation(self):
         with pytest.raises(InvalidInputError, match="score series must be one-dimensional"):
-            ksg_mi(np.zeros((5, 2)), np.zeros(5), k=1)
+            ksg_mi(np.zeros((5, 2)), np.zeros(5))
         with pytest.raises(InvalidInputError, match="length mismatch: 5 vs 6"):
-            ksg_mi(np.zeros(5), np.zeros(6), k=1)
+            ksg_mi(np.zeros(5), np.zeros(6))
 
 
 @st.composite

@@ -297,7 +297,7 @@ class TestModelFacingProperties:
             params = train_multimodal_warm(cfg, dataset, rng, 3, records=[])
             multi = _collect_predictions(params, dataset.batch("train"))
             mi = [
-                ksg_mi(uni_train[m], multi, k=3, jitter_seed=seed)
+                ksg_mi(uni_train[m], multi, jitter_seed=seed)
                 for m in range(2)
             ]
             hits += int(mi[1] < mi[0])

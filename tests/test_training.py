@@ -291,9 +291,9 @@ class TestWeightedPhaseInputs:
         stacks = []
         kl_weights = training.instance_kl_weights
 
-        def spying_kl_weights(preds):
-            stacks.append(preds.uni)
-            return kl_weights(preds)
+        def spying_kl_weights(targets, uni, multi):
+            stacks.append(uni)
+            return kl_weights(targets, uni, multi)
 
         monkeypatch.setattr(training, "instance_kl_weights", spying_kl_weights)
         run_experiment(cfg)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from btwmoe.distributions import gaussian_kl_array, residual_variance_array
 from btwmoe.errors import InvalidInputError
-from btwmoe.predictions import PredictionSet
+from btwmoe.mi import discrete_mi, ksg_mi
 from btwmoe.reports import write_weight_trajectory_csv
 from btwmoe.weighting import (
     SmoothingState,
@@ -20,6 +21,7 @@ from btwmoe.weighting import (
     combine_global_mi,
     combine_local,
     instance_kl_weights,
+    modality_mi,
     smooth_update,
     validate_weight_matrix,
 )
@@ -35,68 +37,74 @@ class TestInstanceKlWeights:
     def test_regression_row_matches_scalar_kl(self):
         # Residual variances against the target 2: 1 and 4 for the unimodal
         # outputs, 4 for the multimodal one.
-        preds = PredictionSet(
-            task="regression",
-            targets=np.array([2.0]),
-            uni=np.array([[1.0], [0.0]]),
-            multi=np.array([0.0]),
-        )
-        raw = instance_kl_weights(preds)
+        raw = instance_kl_weights(np.array([2.0]), np.array([[1.0], [0.0]]), np.array([0.0]))
         np.testing.assert_allclose(raw, [[0.4431471806, 0.0]], atol=1e-9)
 
     def test_regression_gaussians_take_residual_variances(self):
         targets = np.array([0.0, 1.0, 2.0, -3.0])
         uni = np.array([[0.5, 1.0, 1.5, -1.0], [2.0, -1.0, 2.0, 0.0]])
         multi = np.array([0.1, 0.9, 2.5, -2.0])
-        preds = PredictionSet(task="regression", targets=targets, uni=uni, multi=multi)
         expected = gaussian_kl_array(
             uni, residual_variance_array(targets, uni),
             multi, residual_variance_array(targets, multi),
         ).T
-        assert np.array_equal(instance_kl_weights(preds), expected)
+        assert np.array_equal(instance_kl_weights(targets, uni, multi), expected)
 
     def test_classification_identical_predictions_give_zero_matrix(self):
         probs = np.full((2, 3, 4), 0.25)
-        preds = PredictionSet(
-            task="classification",
-            targets=np.zeros(3, dtype=np.int64),
-            uni=probs,
-            multi=np.full((3, 4), 0.25),
-        )
-        assert np.all(instance_kl_weights(preds) == 0.0)
+        raw = instance_kl_weights(np.zeros(3, dtype=np.int64), probs, np.full((3, 4), 0.25))
+        assert np.all(raw == 0.0)
 
     def test_classification_row_matches_scalar_kl(self):
         uni = np.array([[[1.0, 0.0]], [[0.5, 0.5]]])
-        preds = PredictionSet(
-            task="classification",
-            targets=np.zeros(1, dtype=np.int64),
-            uni=uni,
-            multi=np.array([[0.5, 0.5]]),
-        )
-        raw = instance_kl_weights(preds)
+        raw = instance_kl_weights(np.zeros(1, dtype=np.int64), uni, np.array([[0.5, 0.5]]))
         np.testing.assert_allclose(raw, [[np.log(2), 0.0]], atol=1e-9)
 
 
-class TestPredictionSetFromPredictions:
-    def test_no_unimodal_predictions_rejected(self):
+class TestModalityMi:
+    def test_regression_takes_ksg_per_modality(self):
+        rng = np.random.default_rng(5)
+        multi = rng.standard_normal(60)
+        uni = np.stack([multi + 0.1 * rng.standard_normal(60), rng.standard_normal(60)])
+        expected = [ksg_mi(u, multi, jitter_seed=7) for u in uni]
+        assert np.array_equal(modality_mi(uni, multi, jitter_seed=7), expected)
+
+    def test_classification_takes_discrete_mi_of_argmax_labels(self):
+        rng = np.random.default_rng(6)
+        uni = rng.dirichlet(np.ones(3), size=(2, 40))
+        multi = rng.dirichlet(np.ones(3), size=40)
+        labels = np.argmax(multi, axis=1)
+        expected = [discrete_mi(np.argmax(u, axis=1), labels) for u in uni]
+        assert np.array_equal(modality_mi(uni, multi, jitter_seed=7), expected)
+
+
+# Both raw weight inputs, called on (uni, multi, targets); modality MI reads no targets.
+WEIGHERS = pytest.mark.parametrize("weigh", [
+    lambda uni, multi, targets: instance_kl_weights(targets, uni, multi),
+    lambda uni, multi, targets: modality_mi(uni, multi, jitter_seed=0),
+], ids=["instance_kl", "modality_mi"])
+
+
+class TestOutputChecks:
+    @WEIGHERS
+    def test_no_unimodal_predictions_rejected(self, weigh):
         with pytest.raises(InvalidInputError, match="no unimodal predictions"):
-            PredictionSet("regression", np.zeros(2), np.zeros((0, 2)), np.zeros(2))
+            weigh(np.zeros((0, 6)), np.zeros(6), np.zeros(6))
 
-    @pytest.mark.parametrize("task, uni, multi", [
-        ("regression", np.zeros((2, 4)), np.zeros(4)),  # outputs misaligned with targets
-        ("regression", np.zeros((2, 4)), np.zeros(3)),  # uni misaligned with multi
-        ("regression", np.zeros((2, 3, 2)), np.zeros((3, 2))),  # probabilities
-        ("classification", np.zeros((2, 3)), np.zeros(3)),  # means
-        ("classification", np.zeros((2, 3, 2)), np.zeros((3, 4))),  # class counts differ
-    ])
-    def test_misaligned_outputs_rejected(self, task, uni, multi):
-        with pytest.raises(InvalidInputError, match=f"{task} outputs misaligned"):
-            PredictionSet(task=task, targets=np.zeros(3), uni=uni, multi=multi)
+    @WEIGHERS
+    @pytest.mark.parametrize("uni, multi", [
+        (np.zeros((2, 6)), np.zeros(5)),
+        (np.zeros((2, 6, 2)), np.zeros((6, 4))),
+    ], ids=["uni-vs-multi", "class-counts"])
+    def test_misaligned_outputs_rejected(self, weigh, uni, multi):
+        message = f"outputs misaligned: uni {uni.shape}, multi {multi.shape}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            weigh(uni, multi, np.zeros(6))
 
-    def test_unknown_task_rejected(self):
-        with pytest.raises(InvalidInputError, match="unknown task"):
-            PredictionSet(task="ranking", targets=np.zeros(1), uni=np.zeros((1, 1)),
-                          multi=np.zeros(1))
+    def test_outputs_misaligned_with_targets_rejected(self):
+        message = "outputs misaligned: uni (2, 4), multi (4,), targets (3,)"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            instance_kl_weights(np.zeros(3), np.zeros((2, 4)), np.zeros(4))
 
 
 class TestCombinators:
