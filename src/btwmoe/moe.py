@@ -13,12 +13,16 @@ M modality streams into one (M*B, D) batch per layer. Routers run per
 modality block; then one stable argsort of the selected expert indices
 groups the (row, slot) pairs by expert (sort-based dispatch, as in GShard
 and Switch Transformer), so each layer runs E expert matmul pairs over the
-shared pool instead of M*E. Only those matmuls and their bias adds run per
-expert, on contiguous blocks of the pairs; the GELU, the gating and the
-scatter back to rows run once per layer over all pairs, forward and
-backward (MegaBlocks' grouped layout without its padding, which would not
-reproduce the per-expert results bit for bit). A unimodal model is a
-single-modality config, cut from a multimodal one by modality_slice.
+shared pool instead of M*E. The expert stage has two layouts that give the
+same bits. A training pass (keep_trace) runs only the matmuls and their
+bias adds per expert, on contiguous blocks of the pairs, and the GELU once
+over all pairs, because backward reads whole (P, H) arrays (MegaBlocks'
+grouped layout without its padding, which would not reproduce the
+per-expert results bit for bit). A prediction pass runs each expert's whole
+chain on its own block, so it holds one expert's hidden block at a time.
+Either way the gating and the scatter back to rows run once per layer over
+all pairs. A unimodal model is a single-modality config, cut from a
+multimodal one by modality_slice.
 
 Backpropagation is written out analytically (reverse mode), with the top-k
 selection treated as a constant and the gate softmax differentiated exactly.
@@ -223,7 +227,7 @@ def _gelu(z1: np.ndarray, keep_c: bool) -> tuple[np.ndarray, np.ndarray | None]:
 
     With keep_c, h and c are new arrays. Without, h overwrites z1 and c is
     scratch for one slab of _GELU_SLAB rows at a time, so a prediction pass
-    over a whole split allocates no second (P, H) array.
+    allocates no second hidden block.
     """
     n = len(z1)
     step = max(n if keep_c else _GELU_SLAB, 1)
@@ -314,6 +318,39 @@ def _gather_add(acc: np.ndarray, values: np.ndarray, positions: np.ndarray) -> n
     return acc
 
 
+def _experts_fused(t, rows, spans, experts, z2):
+    """(z1, c, h) of every pair, filling z2 (P, D) with the expert outputs.
+
+    Only the matmuls and bias adds run per expert; the GELU runs once over
+    all pairs. backward reads whole z1, c and h, so a training pass keeps them.
+    """
+    w1, b1, w2, b2 = experts
+    z1 = np.empty((len(z2), w1.shape[2]))
+    for e, lo, hi in spans:
+        block = np.matmul(t[rows[lo:hi]], w1[e], out=z1[lo:hi])
+        block += b1[e]
+    h, c = _gelu(z1, keep_c=True)
+    for e, lo, hi in spans:
+        block = np.matmul(h[lo:hi], w2[e], out=z2[lo:hi])
+        block += b2[e]
+    return z1, c, h
+
+
+def _experts_one_by_one(t, rows, spans, experts, z2) -> None:
+    """Fill z2 (P, D) expert by expert, each running its whole chain on its
+    own pairs: a prediction pass holds one expert's hidden block, never a
+    (P, H) array. The same matmuls on the same rows and the same elementwise
+    steps as _experts_fused, so z2 is the same bit for bit."""
+    w1, b1, w2, b2 = experts
+    hidden = np.empty((max((hi - lo for _, lo, hi in spans), default=0), w1.shape[2]))
+    for e, lo, hi in spans:
+        block = np.matmul(t[rows[lo:hi]], w1[e], out=hidden[: hi - lo])
+        block += b1[e]
+        _gelu(block, keep_c=False)
+        block = np.matmul(block, w2[e], out=z2[lo:hi])
+        block += b2[e]
+
+
 def _top_k_select(logits: np.ndarray, k: int) -> np.ndarray:
     # Stable sort on negated logits: equal logits keep index order, so the
     # lower expert index wins ties.
@@ -333,7 +370,11 @@ def _forward(
     predictions are (B, C) softmax probabilities. When weights (B, M) are
     given, each modality embedding is scaled by its entry before routing;
     all-ones weights reproduce the unweighted pass bit for bit. With
-    keep_trace=False the pass keeps no caches and returns None for the trace.
+    keep_trace=False the pass keeps no caches and returns None for the trace,
+    and runs the expert stage one expert at a time (_experts_one_by_one), so
+    no (pairs, expert_hidden) array is ever whole; a training pass keeps the
+    fused stage (_experts_fused), whose z1, c and h backward reads. Both give
+    the same predictions bit for bit.
     """
     cfg = params.config
     n_mod = cfg.n_modalities
@@ -355,9 +396,11 @@ def _forward(
     blocks = [slice(m * b, (m + 1) * b) for m in range(n_mod)]
     t = np.empty((n_mod * b, cfg.embed_dim))
     for m in range(n_mod):
-        e0 = batch.features[m] @ params.enc_w[m] + params.enc_b[m]
+        e0 = np.matmul(batch.features[m], params.enc_w[m], out=t[blocks[m]])
+        e0 += params.enc_b[m]
         _check_finite(e0, f"encoder[{m}]")
-        t[blocks[m]] = e0 * weights[:, m : m + 1] if weights is not None else e0
+        if weights is not None:
+            e0 *= weights[:, m : m + 1]
 
     layer_caches: list[_LayerCache] = []
     n_rows, k = n_mod * b, cfg.top_k
@@ -379,19 +422,13 @@ def _forward(
         np.cumsum(np.bincount(flat_selected, minlength=cfg.n_experts), out=bounds[1:])
         spans = _expert_spans(bounds)
 
-        # Only the matmuls and bias adds run per expert; the GELU chain, the
-        # gating and the scatter run once over all pairs.
-        w1, b1, w2, b2 = (params.exp_w1[layer], params.exp_b1[layer],
-                          params.exp_w2[layer], params.exp_b2[layer])
-        z1 = np.empty((n_pairs, cfg.expert_hidden))
-        for e, lo, hi in spans:
-            block = np.matmul(t[rows[lo:hi]], w1[e], out=z1[lo:hi])
-            block += b1[e]
-        h, c = _gelu(z1, keep_c=keep_trace)
+        experts = (params.exp_w1[layer], params.exp_b1[layer],
+                   params.exp_w2[layer], params.exp_b2[layer])
         z2 = np.empty((n_pairs, cfg.embed_dim))
-        for e, lo, hi in spans:
-            block = np.matmul(h[lo:hi], w2[e], out=z2[lo:hi])
-            block += b2[e]
+        if keep_trace:
+            z1, c, h = _experts_fused(t, rows, spans, experts, z2)
+        else:
+            _experts_one_by_one(t, rows, spans, experts, z2)
         if not np.isfinite(z2).all():
             first_bad = np.flatnonzero(~np.isfinite(z2).all(axis=1))[0]
             e = int(np.searchsorted(bounds, first_bad, side="right")) - 1
@@ -405,10 +442,13 @@ def _forward(
                 t_in=t, logits=logits, selected=selected, gate=gate, order=order, rows=rows,
                 gates=gates, positions=positions, bounds=bounds, z1=z1, c=c, h=h, z2=z2,
             ))
-        # A prediction pass drops its (P, H) buffer before the scatter; block
-        # now views z2.
-        del z1, c, h
-        t = t + _gather_add(np.zeros_like(t), gates[:, None] * z2, positions)
+            gated = gates[:, None] * z2  # backward reads z2 before gating
+        else:
+            gated = z2
+            gated *= gates[:, None]
+        out = _gather_add(np.zeros_like(t), gated, positions)
+        out += t  # the residual path
+        t = out
 
     pooled = t.reshape(n_mod, b, cfg.embed_dim).sum(axis=0) / n_mod
     scores = pooled @ params.head_w + params.head_b

@@ -8,6 +8,7 @@ keep that contract in the fast suite.
 import dataclasses
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from btwmoe.config import load_experiment_config
 from btwmoe.moe import MoeConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def test_every_traced_target_exists(monkeypatch):
@@ -56,3 +58,18 @@ def test_run_names_the_benchmark_reads():
         f.name for f in dataclasses.fields(training.ExperimentResult)
     }
     assert {"weight_matrices", "weight_epochs", "test_bundle"} <= result_names
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_one_experiment_passes_the_benchmark_gate(monkeypatch, tmp_path, workload):
+    # The benchmark's own setup, timed experiment and correctness check
+    # (finite test metrics, row-stochastic weights, metrics.json equal to the
+    # result), so a change that breaks the gate fails here.
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    harness = importlib.import_module("harness")
+    monkeypatch.setattr(harness, "OUT", tmp_path)
+    s = harness.setup(workload, 1)
+    outcome = harness.Outcome(0, s.seeds[0], timed=True, traced=False)
+    harness.run_one(dataclasses.replace(s.config, seed=s.seeds[0]), outcome)
+    assert outcome.problems == []
+    assert outcome.test is not None

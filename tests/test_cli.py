@@ -802,6 +802,21 @@ class TestTrain:
         assert err.startswith("error: ") and str(data) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["moe.n_experts=8", "moe.embed_dim=8"])
+    def test_moe_key_with_a_data_path_is_a_usage_error(self, dataset_cfg, tmp_path, capsys,
+                                                       line):
+        # Pinned until the model config is built in one place (ROADMAP item 8).
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", str(dataset_cfg), "--out", str(data)]) == EXIT_OK
+        capsys.readouterr()
+        cfg = tmp_path / "path.cfg"
+        cfg.write_text(f"variant=btw\ndata.path={data}\n{line}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: field 'moe.*': inline moe config needs an inline data spec\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage, culprit", [
         (lambda data, meta: meta["spec"].update(bogus=1), "meta.json"),
         (lambda data, meta: meta.pop("modality_files"), "meta.json"),

@@ -96,8 +96,28 @@ class TestForward:
         cfg = MoeConfig(input_dims=(8, 8), n_experts=4, top_k=4, n_moe_layers=2)
         params = init_params(cfg, 3)
         params.exp_b2[0, 2][0] = np.inf
-        with pytest.raises(NumericOverflowError, match=r"expert\[0\]\[2\]$"):
-            forward(params, make_batch(cfg, 8, seed=3))
+        for keep_trace in (True, False):  # the training and the prediction layout
+            with pytest.raises(NumericOverflowError, match=r"expert\[0\]\[2\]$"):
+                forward(params, make_batch(cfg, 8, seed=3), keep_trace=keep_trace)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("n_experts, top_k", [(1, 1), (3, 3)], ids=["one_expert", "topE"])
+    def test_prediction_pass_equals_traced_pass_across_gelu_slabs(
+        self, n_experts, top_k, task, weighted
+    ):
+        # 2 x 1,100 stacked rows: each expert's block holds 2,200 pairs, more
+        # than one 2,048-pair GELU slab of a prediction pass.
+        cfg = MoeConfig(input_dims=(5, 4), embed_dim=6, expert_hidden=10, n_experts=n_experts,
+                        top_k=top_k, n_moe_layers=2, task=task, n_classes=3)
+        params = ModelParams(cfg, np.random.default_rng(2).standard_normal(cfg.layout[0]) * 0.7)
+        n = 1100
+        batch = make_batch(cfg, n, seed=2, classification=task == "classification")
+        weights = np.random.default_rng(3).uniform(0.1, 2.0, size=(n, 2)) if weighted else None
+        traced, trace = forward(params, batch, weights)
+        assert all(np.diff(c.bounds).max() > 2048 for c in trace.layer_caches)
+        untraced, _ = forward(params, batch, weights, keep_trace=False)
+        assert np.array_equal(untraced, traced)
 
     def test_zero_batch_gives_zero_regression_prediction(self, reg_cfg):
         params = init_params(reg_cfg, 0)
