@@ -9,18 +9,17 @@ embeddings are mean-pooled before the task head.
 Parameters live in one contiguous float64 buffer (`ModelParams.flat`) with
 named views, the experts stacked as (L, E, D, H); gradients use the same
 layout, so an SGD step is one vector update. The forward pass stacks the
-M modality streams into one (M*B, D) batch per layer. Routers run per
-modality block; then one stable argsort of the selected expert indices
-groups the (row, slot) pairs by expert (sort-based dispatch, as in GShard
-and Switch Transformer), so each layer runs E expert matmul pairs over the
-shared pool instead of M*E. The expert stage has two layouts that give the
-same bits. A training pass (keep_trace) runs only the matmuls and their
-bias adds per expert, on contiguous blocks of the pairs, and the GELU once
-over all pairs, because backward reads whole (P, H) arrays (MegaBlocks'
-grouped layout without its padding, which would not reproduce the
-per-expert results bit for bit). A prediction pass runs each expert's whole
-chain on its own block, so it holds one expert's hidden block at a time.
-Either way the gating and the scatter back to rows run once per layer over
+M modality streams into one (M*B, D) batch per layer. The M routers are
+one stacked (M, B, D) @ (M, D, E) matmul (their gradients two more); then
+one stable argsort of the selected expert indices groups the (row, slot)
+pairs by expert (sort-based dispatch, as in GShard and Switch Transformer),
+so each layer runs E expert matmul pairs over the shared pool instead of
+M*E. The expert stage runs groups of experts on contiguous pairs
+(MegaBlocks' grouped layout without its padding, which would not reproduce
+the per-expert results bit for bit), one GELU per group. A training pass
+(keep_trace) makes one group, as backward reads whole (P, H) arrays; a
+prediction pass makes one per expert, so it holds one expert's hidden block
+at a time. The gating and the scatter back to rows run once per layer over
 all pairs. A unimodal model is a single-modality config, cut from a
 multimodal one by modality_slice.
 
@@ -222,26 +221,22 @@ def init_params(config: MoeConfig, seed: int | np.random.Generator) -> ModelPara
     return params
 
 
-def _gelu(z1: np.ndarray, keep_c: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """(h, c): GELU h = 0.5 * z1 * c, with c = 1 + erf(z1 / sqrt 2).
+def _gelu(z: np.ndarray, c: np.ndarray, h: np.ndarray) -> None:
+    """GELU h = 0.5 * z * c, with c = 1 + erf(z / sqrt 2), in slabs of len(c) rows.
 
-    With keep_c, h and c are new arrays. Without, h overwrites z1 and c is
-    scratch for one slab of _GELU_SLAB rows at a time, so a prediction pass
-    allocates no second hidden block.
+    h may be z itself. A training pass gives a whole (P, H) c, which backward
+    reads; a prediction pass gives one slab of scratch, so it allocates no
+    second hidden block.
     """
-    n = len(z1)
-    step = max(n if keep_c else _GELU_SLAB, 1)
-    c = np.empty((min(step, n), z1.shape[1]))
-    h = np.empty_like(z1) if keep_c else z1
-    for lo in range(0, n, step):
-        z = z1[lo : lo + step]
-        c_part = c[: len(z)]
-        np.divide(z, _SQRT2, out=c_part)
+    step = max(len(c), 1)
+    for lo in range(0, len(z), step):
+        z_part = z[lo : lo + step]
+        c_part = c[: len(z_part)]
+        np.divide(z_part, _SQRT2, out=c_part)
         erf(c_part, out=c_part)
         c_part += 1.0
-        h_part = np.multiply(0.5, z, out=h[lo : lo + step])
+        h_part = np.multiply(0.5, z_part, out=h[lo : lo + step])
         h_part *= c_part
-    return h, (c if keep_c else None)
 
 
 def _gelu_grad(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -318,37 +313,37 @@ def _gather_add(acc: np.ndarray, values: np.ndarray, positions: np.ndarray) -> n
     return acc
 
 
-def _experts_fused(t, rows, spans, experts, z2):
-    """(z1, c, h) of every pair, filling z2 (P, D) with the expert outputs.
+def _experts(t, rows, spans, experts, z2, keep):
+    """Fill z2 (P, D) with the expert outputs; return (z1, c, h) if keep, else Nones.
 
-    Only the matmuls and bias adds run per expert; the GELU runs once over
-    all pairs. backward reads whole z1, c and h, so a training pass keeps them.
+    Experts run in groups: the group's first matmuls and bias adds, one GELU
+    over its pairs, then its second matmuls and bias adds. With keep (a
+    training pass) all experts are one group in whole (P, H) buffers, which
+    backward reads. Without, each expert is a group in one reused (largest
+    block, H) buffer, its GELU in place in slabs of _GELU_SLAB pairs, so a
+    prediction pass holds one expert's hidden block at a time.
     """
     w1, b1, w2, b2 = experts
-    z1 = np.empty((len(z2), w1.shape[2]))
-    for e, lo, hi in spans:
-        block = np.matmul(t[rows[lo:hi]], w1[e], out=z1[lo:hi])
-        block += b1[e]
-    h, c = _gelu(z1, keep_c=True)
-    for e, lo, hi in spans:
-        block = np.matmul(h[lo:hi], w2[e], out=z2[lo:hi])
-        block += b2[e]
-    return z1, c, h
-
-
-def _experts_one_by_one(t, rows, spans, experts, z2) -> None:
-    """Fill z2 (P, D) expert by expert, each running its whole chain on its
-    own pairs: a prediction pass holds one expert's hidden block, never a
-    (P, H) array. The same matmuls on the same rows and the same elementwise
-    steps as _experts_fused, so z2 is the same bit for bit."""
-    w1, b1, w2, b2 = experts
-    hidden = np.empty((max((hi - lo for _, lo, hi in spans), default=0), w1.shape[2]))
-    for e, lo, hi in spans:
-        block = np.matmul(t[rows[lo:hi]], w1[e], out=hidden[: hi - lo])
-        block += b1[e]
-        _gelu(block, keep_c=False)
-        block = np.matmul(block, w2[e], out=z2[lo:hi])
-        block += b2[e]
+    width = w1.shape[2]
+    if keep:
+        z1 = np.empty((len(z2), width))
+        c, h = np.empty_like(z1), np.empty_like(z1)
+        groups = [(0, len(z2), spans)]
+    else:
+        z1 = h = np.empty((max((hi - lo for _, lo, hi in spans), default=0), width))
+        groups = [(lo, hi, [(e, lo, hi)]) for e, lo, hi in spans]
+    for start, stop, members in groups:
+        for e, lo, hi in members:
+            block = np.matmul(t[rows[lo:hi]], w1[e], out=z1[lo - start : hi - start])
+            block += b1[e]
+        n = stop - start
+        # A prediction pass's slab scratch lives for this call only, so no
+        # row gather above ever coexists with it.
+        _gelu(z1[:n], c if keep else np.empty((min(n, _GELU_SLAB), width)), h[:n])
+        for e, lo, hi in members:
+            block = np.matmul(h[lo - start : hi - start], w2[e], out=z2[lo:hi])
+            block += b2[e]
+    return (z1, c, h) if keep else (None, None, None)
 
 
 def _top_k_select(logits: np.ndarray, k: int) -> np.ndarray:
@@ -368,13 +363,13 @@ def _forward(
 
     Regression predictions are a (B,) vector of means; classification
     predictions are (B, C) softmax probabilities. When weights (B, M) are
-    given, each modality embedding is scaled by its entry before routing;
-    all-ones weights reproduce the unweighted pass bit for bit. With
-    keep_trace=False the pass keeps no caches and returns None for the trace,
-    and runs the expert stage one expert at a time (_experts_one_by_one), so
-    no (pairs, expert_hidden) array is ever whole; a training pass keeps the
-    fused stage (_experts_fused), whose z1, c and h backward reads. Both give
-    the same predictions bit for bit.
+    given (finite, else InvalidInputError), each modality embedding is
+    scaled by its entry before routing; all-ones weights reproduce the
+    unweighted pass bit for bit. Each layer's routers are one stacked matmul.
+    With keep_trace=False the pass keeps no caches, returns None for the
+    trace and runs each expert as its own _experts group, so no (pairs,
+    expert_hidden) array is ever whole; a training pass runs one group of
+    all experts, whose z1, c and h backward reads. Both give the same bits.
     """
     cfg = params.config
     n_mod = cfg.n_modalities
@@ -392,6 +387,8 @@ def _forward(
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (b, n_mod):
             raise InvalidInputError(f"weights {weights.shape} != {(b, n_mod)}")
+        if not np.isfinite(weights).all():
+            raise InvalidInputError("weights have non-finite entries")
 
     blocks = [slice(m * b, (m + 1) * b) for m in range(n_mod)]
     t = np.empty((n_mod * b, cfg.embed_dim))
@@ -406,10 +403,13 @@ def _forward(
     n_rows, k = n_mod * b, cfg.top_k
     n_pairs = n_rows * k
     for layer in range(cfg.n_moe_layers):
-        logits = np.empty((n_rows, cfg.n_experts))
-        for m in range(n_mod):
-            logits[blocks[m]] = t[blocks[m]] @ params.router_w[layer, m]
-            _check_finite(logits[blocks[m]], f"router[{layer}][{m}]")
+        # One (B, D) @ (D, E) matmul per modality block, stacked; explicit
+        # dims, because a 0-row batch cannot reshape with -1.
+        logits = t.reshape(n_mod, b, cfg.embed_dim) @ params.router_w[layer]
+        logits = logits.reshape(n_rows, cfg.n_experts)
+        if not np.isfinite(logits).all():
+            m = np.flatnonzero(~np.isfinite(logits).all(axis=1))[0] // b
+            raise NumericOverflowError(f"non-finite activation in router[{layer}][{m}]")
         selected = _top_k_select(logits, k)
         gate = _softmax_rows(logits[np.arange(n_rows)[:, None], selected])
         # Sort-based dispatch: a stable sort groups the (row, slot) pairs by
@@ -425,10 +425,7 @@ def _forward(
         experts = (params.exp_w1[layer], params.exp_b1[layer],
                    params.exp_w2[layer], params.exp_b2[layer])
         z2 = np.empty((n_pairs, cfg.embed_dim))
-        if keep_trace:
-            z1, c, h = _experts_fused(t, rows, spans, experts, z2)
-        else:
-            _experts_one_by_one(t, rows, spans, experts, z2)
+        z1, c, h = _experts(t, rows, spans, experts, z2, keep_trace)
         if not np.isfinite(z2).all():
             first_bad = np.flatnonzero(~np.isfinite(z2).all(axis=1))[0]
             e = int(np.searchsorted(bounds, first_bad, side="right")) - 1
@@ -533,9 +530,10 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
         )
         d_logits = np.zeros_like(cache.logits)
         d_logits[np.arange(d_logits.shape[0])[:, None], cache.selected] = d_sel_logits
-        for m in range(n_mod):
-            grads.router_w[layer, m] += cache.t_in[blocks[m]].T @ d_logits[blocks[m]]
-            d_t_in[blocks[m]] += d_logits[blocks[m]] @ params.router_w[layer, m].T
+        d_logits = d_logits.reshape(n_mod, b, cfg.n_experts)
+        stacked = (n_mod, b, cfg.embed_dim)  # t_in and d_t_in by modality block
+        grads.router_w[layer] += cache.t_in.reshape(stacked).transpose(0, 2, 1) @ d_logits
+        d_t_in.reshape(stacked)[...] += d_logits @ params.router_w[layer].transpose(0, 2, 1)
         d_t = d_t_in
     for m in range(n_mod):
         d_e0 = d_t[blocks[m]]

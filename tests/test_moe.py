@@ -125,11 +125,39 @@ class TestForward:
         pred, _ = forward(params, batch)
         np.testing.assert_array_equal(pred, np.zeros(4))
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_zero_row_batch(self, task, weighted):
+        cfg = MoeConfig(input_dims=(5, 4), embed_dim=6, expert_hidden=10, n_experts=3, top_k=2,
+                        n_moe_layers=2, task=task, n_classes=3)
+        params = init_params(cfg, 0)
+        batch = make_batch(cfg, 0, classification=task == "classification")
+        weights = np.ones((0, 2)) if weighted else None
+        shape = (0,) if task == "regression" else (0, 3)
+        untraced, none = forward(params, batch, weights, keep_trace=False)
+        assert none is None and untraced.shape == shape
+        traced, trace = forward(params, batch, weights)
+        assert traced.shape == shape
+        grads = backward(trace, np.zeros(shape))
+        assert grads.flat.shape == params.flat.shape and np.all(grads.flat == 0.0)
+
     def test_shape_mismatch_raises(self, reg_cfg):
         params = init_params(reg_cfg, 0)
         bad = DataBatch([np.zeros((4, d + 1)) for d in reg_cfg.input_dims])
         with pytest.raises(InvalidInputError, match=r"modality 0 features \(4, 17\) != \(4, 16\)"):
             forward(params, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("keep_trace", [True, False], ids=["traced", "untraced"])
+    def test_non_finite_weights_rejected(self, reg_cfg, bad, keep_trace):
+        params = init_params(reg_cfg, 0)
+        batch = make_batch(reg_cfg, 4)
+        weights = np.ones((4, 3))
+        weights[2, 1] = bad
+        with pytest.raises(InvalidInputError, match=r"^weights have non-finite entries$"):
+            forward(params, batch, weights, keep_trace=keep_trace)
+        with pytest.raises(InvalidInputError, match=r"^weights have non-finite entries$"):
+            grad_check(params, batch, n_probes=1, weights=weights)
 
     def test_non_finite_activation_names_layer(self, reg_cfg):
         params = init_params(reg_cfg, 0)
@@ -137,6 +165,15 @@ class TestForward:
         batch.features[1][0, 0] = np.inf
         with pytest.raises(NumericOverflowError, match=r"encoder\[1\]"):
             forward(params, batch)
+        # A router: the lowest failing modality of the layer is named.
+        cfg = replace(reg_cfg, n_moe_layers=2)
+        params = init_params(cfg, 0)
+        params.router_w[1, 1] = np.inf
+        params.router_w[1, 2] = np.inf
+        for keep_trace in (True, False):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NumericOverflowError, match=r"router\[1\]\[1\]$"):
+                forward(params, make_batch(cfg, 4), keep_trace=keep_trace)
 
     def test_determinism(self, reg_cfg):
         batch = make_batch(reg_cfg, 32, seed=5)
