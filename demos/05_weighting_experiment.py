@@ -9,7 +9,7 @@ weight trajectories and the final comparison. Takes a few seconds.
 
 import numpy as np
 
-from btwmoe import ExperimentConfig, MoeConfig, SyntheticSpec, run_experiment
+from btwmoe import ExperimentConfig, SyntheticSpec, run_experiment
 
 spec = SyntheticSpec(
     n_instances=2000,
@@ -19,10 +19,8 @@ spec = SyntheticSpec(
     task="regression",
     seed=0,
 )
-moe = MoeConfig(input_dims=spec.modality_dims, embed_dim=16, expert_hidden=32,
-                task="regression")
-base = dict(data=spec, moe=moe, seed=0, lr=0.02, batch_size=256,
-            epochs_unimodal=10, epochs_warm=2, epochs_weighted=8)
+base = dict(data=spec, moe_embed_dim=16, moe_expert_hidden=32, seed=0, lr=0.02,
+            batch_size=256, epochs_unimodal=10, epochs_warm=2, epochs_weighted=8)
 
 print("running unweighted baseline ...")
 baseline = run_experiment(ExperimentConfig(variant="unweighted", **base))

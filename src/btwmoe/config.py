@@ -6,7 +6,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import InvalidInputError
-from .moe import MoeConfig
 from .synthetic import SyntheticSpec
 from .training import ExperimentConfig
 
@@ -108,26 +107,10 @@ def _build_data_spec(values: dict, require: bool) -> SyntheticSpec | None:
 def build_experiment_config(values: dict) -> ExperimentConfig:
     """Assemble an ExperimentConfig from parsed key-value pairs."""
     data_spec = _build_data_spec(values, require="data.path" not in values)
-
-    moe_kwargs = {k.split(".", 1)[1]: v for k, v in values.items() if k.startswith("moe.")}
-    moe = None
-    if moe_kwargs:
-        if data_spec is None:
-            raise InvalidInputError("field 'moe.*': inline moe config needs an inline data spec")
-        moe = MoeConfig(
-            input_dims=data_spec.modality_dims,
-            task=data_spec.task,
-            n_classes=data_spec.n_classes,
-            **moe_kwargs,
-        )
-
     # Field name from key: dots become underscores.
-    kwargs = {
-        key.replace(".", "_"): value
-        for key, value in values.items()
-        if key in _EXPERIMENT_KEYS and not key.startswith("moe.")
-    }
-    return ExperimentConfig(data=data_spec, moe=moe, **kwargs)
+    kwargs = {key.replace(".", "_"): value for key, value in values.items()
+              if key in _EXPERIMENT_KEYS}
+    return ExperimentConfig(data=data_spec, **kwargs)
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -29,7 +29,7 @@ def write_records_csv(result: ExperimentResult, path) -> None:
     be byte-identical across reruns of the same config. The metric columns
     are the keys of the task's metric bundle, in its order."""
     cols = list(result.test_bundle)
-    n_mod = result.config.moe.n_modalities
+    n_mod = result.dataset.n_modalities
     header = (
         ["epoch", "phase", "train_loss", "val_loss"]
         + [f"val_{c}" for c in cols]
@@ -73,7 +73,7 @@ def write_metrics_report(result: ExperimentResult, path) -> None:
         "header": {"zero_handling": ZERO_HANDLING_NOTE},
         "variant": result.config.variant,
         "seed": result.config.seed,
-        "task": result.config.moe.task,
+        "task": result.dataset.task,
         "n_epochs": len(result.records),
         "val": result.val_bundle,
         "test": result.test_bundle,

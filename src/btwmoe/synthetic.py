@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +102,10 @@ class Dataset:
     @property
     def n_modalities(self) -> int:
         return len(self.features)
+
+    @property
+    def modality_dims(self) -> tuple[int, ...]:
+        return tuple(f.shape[1] for f in self.features)
 
     def indices(self, split: str) -> np.ndarray:
         return np.nonzero(self.split_tags == SPLIT_NAMES[split])[0]
@@ -201,16 +205,7 @@ def split(dataset: Dataset, fractions, seed: int) -> Dataset:
     tags[perm[:n_train]] = TRAIN
     tags[perm[n_train : n_train + n_val]] = VAL
     tags[perm[n_train + n_val :]] = TEST
-    return Dataset(
-        features=dataset.features,
-        targets=dataset.targets,
-        split_tags=tags,
-        task=dataset.task,
-        n_classes=dataset.n_classes,
-        spec=dataset.spec,
-        split_seed=seed,
-        split_fractions=fractions,
-    )
+    return replace(dataset, split_tags=tags, split_seed=seed, split_fractions=fractions)
 
 
 def save_dataset(dataset: Dataset, out_dir) -> list[Path]:

@@ -25,7 +25,7 @@ import os
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
 
@@ -77,7 +77,12 @@ class ExperimentConfig:
     epochs_weighted: int = 8
     lr: float = 0.02
     batch_size: int = 256
-    moe: MoeConfig | None = None
+    # The moe.* keys: the architecture that model_config fits to the data.
+    moe_embed_dim: int = MoeConfig.embed_dim
+    moe_n_experts: int = MoeConfig.n_experts
+    moe_top_k: int = MoeConfig.top_k
+    moe_expert_hidden: int = MoeConfig.expert_hidden
+    moe_n_moe_layers: int = MoeConfig.n_moe_layers
     data: SyntheticSpec | None = None
     data_path: str | None = None
     # None: a loaded dataset's stored split if it has one, else
@@ -102,6 +107,25 @@ class ExperimentConfig:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.data is None and self.data_path is None:
             raise InvalidInputError("config needs either an inline data spec or a data path")
+
+    def model_config(self, data: Dataset | SyntheticSpec) -> MoeConfig:
+        """The model that trains on data: this config's architecture with the
+        data's modality dims, task and class count."""
+        return MoeConfig(
+            input_dims=data.modality_dims,
+            embed_dim=self.moe_embed_dim,
+            n_experts=self.moe_n_experts,
+            top_k=self.moe_top_k,
+            expert_hidden=self.moe_expert_hidden,
+            n_moe_layers=self.moe_n_moe_layers,
+            task=data.task,
+            n_classes=data.n_classes,
+        )
+
+    @property
+    def moe(self) -> MoeConfig | None:
+        """The model of an inline spec, known before plan(); None with a data path."""
+        return self.model_config(self.data) if self.data_path is None else None
 
 
 @dataclass
@@ -253,20 +277,17 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
 def plan(config: ExperimentConfig) -> tuple[ExperimentConfig, Dataset]:
     """Decide whether a run can start; return its config and dataset if so.
 
-    Resolves the dataset (raising its data errors), fills a None config.moe
-    from the dataset's dims, and raises InvalidInputError naming the first
-    split too small for what reads it. Every variant trains on the train
-    split, so it needs 1 instance; MI variants also estimate modality MI on
-    it: KSG needs KSG_K + 2 instances, discrete MI 2. val and test are
-    scored: regression metrics need 2 instances, classification metrics 1.
+    Resolves the dataset (raising its data errors), fits the architecture to
+    it (model_config: the modality dims, task and class count are the
+    dataset's, so with a data path the inline data.* keys feed only gen-data),
+    and raises InvalidInputError naming the first split too small for what
+    reads it. Every variant trains on the train split, so it needs 1
+    instance; MI variants also estimate modality MI on it: KSG needs KSG_K +
+    2 instances, discrete MI 2. val and test are scored: regression metrics
+    need 2 instances, classification metrics 1.
     """
     dataset = resolve_dataset(config)
-    if config.moe is None:
-        config = replace(config, moe=MoeConfig(
-            input_dims=tuple(f.shape[1] for f in dataset.features),
-            task=dataset.task,
-            n_classes=dataset.n_classes,
-        ))
+    config.model_config(dataset)
     if dataset.task == REGRESSION:
         metrics, mi = (2, "regression metrics need"), (KSG_K + 2, "KSG mutual information needs")
     else:
@@ -288,7 +309,7 @@ def _train_unimodal(
     train_idx = dataset.indices("train")
     batch = DataBatch([dataset.features[m][train_idx]], dataset.targets[train_idx])
     rng = np.random.default_rng(config.seed + m)
-    params = modality_slice(init_params(config.moe, rng), m)
+    params = modality_slice(init_params(config.model_config(dataset), rng), m)
     for epoch in range(1, config.epochs_unimodal + 1):
         with _failures_in(f"unimodal[{m}]", epoch):
             params, _ = _train_one_epoch(params, batch, config.lr, config.batch_size, rng)
@@ -309,7 +330,7 @@ def train_unimodal_all(
     reference for that: it trains them one after another, and the tests and
     the benchmark's tracer call it by name.
     """
-    trained = [_train_unimodal(config, dataset, m) for m in range(config.moe.n_modalities)]
+    trained = [_train_unimodal(config, dataset, m) for m in range(dataset.n_modalities)]
     return [params for params, _ in trained], [preds for _, preds in trained]
 
 
@@ -321,10 +342,9 @@ def train_multimodal_warm(
     records: list[EpochRecord],
 ) -> ModelParams:
     """Unweighted multimodal epochs on the shared stream; appends EpochRecords."""
-    moe_cfg = config.moe
     train_batch = dataset.batch("train")
-    params = init_params(moe_cfg, rng)
-    uniform_row = np.full(moe_cfg.n_modalities, 1.0 / moe_cfg.n_modalities)
+    params = init_params(config.model_config(dataset), rng)
+    uniform_row = np.full(dataset.n_modalities, 1.0 / dataset.n_modalities)
     for _ in range(n_epochs):
         epoch_index = len(records) + 1
         started = time.perf_counter()
@@ -370,10 +390,10 @@ def run_weighted_phase(
     returns the final parameters."""
     if config.variant == "unweighted":
         raise InvalidInputError("the unweighted variant has no weighted phase")
-    metric_key, direction = improvement_direction(config.moe.task)
+    metric_key, direction = improvement_direction(dataset.task)
     train_batch = dataset.batch("train")
     n_train = train_batch.n_instances
-    n_mod = config.moe.n_modalities
+    n_mod = dataset.n_modalities
     # The unimodal outputs are the fixed reference point of every epoch.
     uni = np.stack(uni_train)
     uni.flags.writeable = False
@@ -554,7 +574,7 @@ def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
     # The unweighted baseline folds its nominally weighted epochs into the
     # warm loop, so every variant trains the same total number of epochs.
     n_warm = config.epochs_warm + (0 if needs_weights else config.epochs_weighted)
-    n_unimodal = config.moe.n_modalities if needs_weights else 0
+    n_unimodal = dataset.n_modalities if needs_weights else 0
     prefix = [(f"unimodal[{m}]", partial(_train_unimodal, config, dataset, m))
               for m in range(n_unimodal)]
     # Warm goes last: the last share runs in this process, which owns rng

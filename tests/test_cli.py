@@ -35,7 +35,7 @@ from btwmoe.config import (
     parse_config_text,
 )
 from btwmoe.errors import InvalidInputError, NumericOverflowError
-from btwmoe.moe import write_tensor_record
+from btwmoe.moe import load_checkpoint, write_tensor_record
 from btwmoe.synthetic import generate, load_dataset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -136,10 +136,13 @@ class TestConfigParsing:
             "epochs.warm": ("epochs_warm", "5", 5),
             "epochs.weighted": ("epochs_weighted", "6", 6),
             "split.fractions": ("split_fractions", "0.6,0.2,0.2", (0.6, 0.2, 0.2)),
+            "moe.embed_dim": ("moe_embed_dim", "9", 9),
+            "moe.n_experts": ("moe_n_experts", "6", 6),
+            "moe.top_k": ("moe_top_k", "3", 3),
+            "moe.expert_hidden": ("moe_expert_hidden", "11", 11),
+            "moe.n_moe_layers": ("moe_n_moe_layers", "2", 2),
         }
-        assert set(cases) == {
-            k for k in _EXPERIMENT_KEYS if not k.startswith(("moe.", "data."))
-        }
+        assert set(cases) == {k for k in _EXPERIMENT_KEYS if not k.startswith("data.")}
         data_lines = [line for line in SMALL_EXPERIMENT.splitlines()
                       if line.startswith("data.")]
         text = "\n".join([f"{key}={raw}" for key, (_, raw, _) in cases.items()] + data_lines)
@@ -802,20 +805,37 @@ class TestTrain:
         assert err.startswith("error: ") and str(data) in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["moe.n_experts=8", "moe.embed_dim=8"])
-    def test_moe_key_with_a_data_path_is_a_usage_error(self, dataset_cfg, tmp_path, capsys,
-                                                       line):
-        # Pinned until the model config is built in one place (ROADMAP item 8).
+    @pytest.mark.parametrize("key, value", [("n_experts", 8), ("embed_dim", 8)])
+    def test_moe_key_with_a_data_path_trains(self, dataset_cfg, tmp_path, key, value):
         data = tmp_path / "data"
         assert main(["gen-data", "--config", str(dataset_cfg), "--out", str(data)]) == EXIT_OK
-        capsys.readouterr()
         cfg = tmp_path / "path.cfg"
-        cfg.write_text(f"variant=btw\ndata.path={data}\n{line}\n")
+        cfg.write_text(f"variant=btw\nepochs.unimodal=1\nepochs.warm=1\nepochs.weighted=1\n"
+                       f"data.path={data}\nmoe.{key}={value}\n")
         out = tmp_path / "run"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
-        assert capsys.readouterr().err == (
-            "error: field 'moe.*': inline moe config needs an inline data spec\n")
-        assert not out.exists()
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        model = load_checkpoint(out / "checkpoints" / "final.btwm").config
+        assert getattr(model, key) == value
+        assert model.input_dims == (5, 5)
+
+    def test_a_data_path_states_the_task_and_class_count(self, dataset_cfg, tmp_path):
+        # The inline data.* keys of a data.path config feed only gen-data:
+        # the model takes the saved dataset's task and class count.
+        dataset_cfg.write_text(SMALL_DATASET.replace(
+            "data.task=regression", "data.task=classification\ndata.n_classes=3"))
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", str(dataset_cfg), "--out", str(data)]) == EXIT_OK
+        cfg = tmp_path / "path.cfg"
+        regression_keys = [line for line in SMALL_DATASET.splitlines() if line.startswith("data.")]
+        cfg.write_text("\n".join(["variant=btw", "epochs.unimodal=1", "epochs.warm=1",
+                                  "epochs.weighted=1", "moe.embed_dim=8", f"data.path={data}",
+                                  *regression_keys]))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "metrics.json").read_text())["task"] == "classification"
+        model = load_checkpoint(out / "checkpoints" / "final.btwm").config
+        assert (model.task, model.n_classes, model.input_dims) == ("classification", 3, (5, 5))
+        assert model.embed_dim == 8
 
     @pytest.mark.parametrize("damage, culprit", [
         (lambda data, meta: meta["spec"].update(bogus=1), "meta.json"),
@@ -864,8 +884,7 @@ class TestTrain:
     def test_unsplit_dataset_trains_like_its_inline_spec(self, tmp_path):
         # gen-data on an experiment config without split.fractions saves an
         # unsplit dataset; train then splits it as it splits the inline spec.
-        text = "".join(f"{line}\n" for line in SMALL_EXPERIMENT.splitlines()
-                       if not line.startswith("moe.")).replace("seed=0\n", "seed=5\n", 1)
+        text = SMALL_EXPERIMENT.replace("seed=0\n", "seed=5\n", 1)
         inline_cfg = tmp_path / "inline.cfg"
         inline_cfg.write_text(text)
         data = tmp_path / "data"

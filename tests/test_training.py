@@ -17,7 +17,7 @@ from conftest import uniform_mi, unit_weight_smoothing
 from btwmoe import training
 from btwmoe.errors import InvalidInputError, TrainingFailureError
 from btwmoe.metrics import mae
-from btwmoe.moe import DataBatch, MoeConfig, forward
+from btwmoe.moe import DataBatch, forward
 from btwmoe.reports import export_result
 from btwmoe.synthetic import SyntheticSpec
 from btwmoe.training import (
@@ -43,17 +43,11 @@ def small_config(**overrides):
     )
     spec_kwargs.update(spec_overrides)
     spec = SyntheticSpec(**spec_kwargs)
-    moe = MoeConfig(
-        input_dims=spec.modality_dims,
-        embed_dim=8,
-        expert_hidden=16,
-        task=spec.task,
-        n_classes=spec.n_classes,
-    )
     kwargs = dict(
         variant="btw",
         data=spec,
-        moe=moe,
+        moe_embed_dim=8,
+        moe_expert_hidden=16,
         seed=0,
         lr=0.02,
         batch_size=64,
@@ -107,7 +101,8 @@ class TestSingleModalityDegeneracy:
     def test_unimodal_equals_multimodal_bitwise(self):
         cfg = small_config(
             spec=dict(modality_dims=(8,), informativeness=(0.9,)),
-            moe=None,
+            moe_embed_dim=32,
+            moe_expert_hidden=64,
             variant="unweighted",
             epochs_unimodal=3,
             epochs_warm=3,
@@ -386,7 +381,8 @@ class TestUnimodalOrdering:
                 informativeness=(0.9, 0.0),
                 noise_sigma=0.5,
             ),
-            moe=None,
+            moe_embed_dim=32,
+            moe_expert_hidden=64,
             epochs_unimodal=5,
         )
         cfg, dataset = plan(cfg)
