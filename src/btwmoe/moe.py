@@ -135,12 +135,6 @@ class DataBatch:
     def n_instances(self) -> int:
         return int(self.features[0].shape[0])
 
-    def take(self, idx: np.ndarray) -> "DataBatch":
-        return DataBatch(
-            features=[f[idx] for f in self.features],
-            targets=None if self.targets is None else self.targets[idx],
-        )
-
 
 class ModelParams:
     """Every parameter in one contiguous float64 buffer, exposed as named views.

@@ -195,7 +195,8 @@ def _collect_predictions(params: ModelParams, batch: DataBatch, weights=None) ->
     weights is (N, M), or a 1-D per-modality row applied to every instance.
     """
     if weights is not None and np.ndim(weights) == 1:
-        weights = np.tile(np.asarray(weights, dtype=np.float64), (batch.n_instances, 1))
+        row = np.asarray(weights, dtype=np.float64)
+        weights = np.broadcast_to(row, (batch.n_instances, row.size))
     preds, _ = _forward(params, batch, weights=weights, keep_trace=False)
     return preds
 
@@ -229,20 +230,29 @@ def _failures_in(phase: str, epoch: int):
 
 def _train_one_epoch(
     params: ModelParams,
-    batch: DataBatch,
+    features: list[np.ndarray],
+    targets: np.ndarray,
+    rows: np.ndarray,
     lr: float,
     batch_size: int,
     rng: np.random.Generator,
     weights: np.ndarray | None = None,
 ) -> tuple[ModelParams, float]:
-    """One pass over the batch in a seeded shuffle order; returns the mean loss."""
+    """One pass over the given rows of features and targets in a seeded
+    shuffle order; returns the mean loss.
+
+    Each mini-batch is gathered from the arrays as they are, so no copy of
+    the rows outlives its step. weights, if given, has one row per entry of
+    rows, in their order.
+    """
     cfg = params.config
-    n = batch.n_instances
+    n = rows.size
     perm = rng.permutation(n)
     total, count = 0.0, 0
     for start in range(0, n, batch_size):
         idx = perm[start : start + batch_size]
-        sub = batch.take(idx)
+        picked = rows[idx]
+        sub = DataBatch([f[picked] for f in features], targets[picked])
         sub_weights = weights[idx] if weights is not None else None
         preds, trace = _forward(params, sub, weights=sub_weights)
         loss, d_pred = loss_and_pred_grad(cfg, preds, sub.targets)
@@ -307,14 +317,16 @@ def _train_unimodal(
 ) -> tuple[ModelParams, np.ndarray]:
     """Unimodal model m and its train-split outputs (see train_unimodal_all)."""
     train_idx = dataset.indices("train")
-    batch = DataBatch([dataset.features[m][train_idx]], dataset.targets[train_idx])
+    features = [dataset.features[m]]
     rng = np.random.default_rng(config.seed + m)
     params = modality_slice(init_params(config.model_config(dataset), rng), m)
     for epoch in range(1, config.epochs_unimodal + 1):
         with _failures_in(f"unimodal[{m}]", epoch):
-            params, _ = _train_one_epoch(params, batch, config.lr, config.batch_size, rng)
+            params, _ = _train_one_epoch(
+                params, features, dataset.targets, train_idx, config.lr, config.batch_size, rng
+            )
     with _failures_in(f"unimodal[{m}]", config.epochs_unimodal):
-        return params, _collect_predictions(params, batch)
+        return params, _collect_predictions(params, DataBatch([features[0][train_idx]]))
 
 
 def train_unimodal_all(
@@ -342,7 +354,7 @@ def train_multimodal_warm(
     records: list[EpochRecord],
 ) -> ModelParams:
     """Unweighted multimodal epochs on the shared stream; appends EpochRecords."""
-    train_batch = dataset.batch("train")
+    train_idx = dataset.indices("train")
     params = init_params(config.model_config(dataset), rng)
     uniform_row = np.full(dataset.n_modalities, 1.0 / dataset.n_modalities)
     for _ in range(n_epochs):
@@ -350,7 +362,8 @@ def train_multimodal_warm(
         started = time.perf_counter()
         with _failures_in("warm", epoch_index):
             params, train_loss = _train_one_epoch(
-                params, train_batch, config.lr, config.batch_size, rng
+                params, dataset.features, dataset.targets, train_idx,
+                config.lr, config.batch_size, rng,
             )
             val_loss, val_metrics = _score(params, dataset.batch("val"))
             record = EpochRecord(
@@ -391,8 +404,9 @@ def run_weighted_phase(
     if config.variant == "unweighted":
         raise InvalidInputError("the unweighted variant has no weighted phase")
     metric_key, direction = improvement_direction(dataset.task)
-    train_batch = dataset.batch("train")
-    n_train = train_batch.n_instances
+    train_idx = dataset.indices("train")
+    train_targets = dataset.targets[train_idx]
+    n_train = train_idx.size
     n_mod = dataset.n_modalities
     # The unimodal outputs are the fixed reference point of every epoch.
     uni = np.stack(uni_train)
@@ -414,8 +428,9 @@ def run_weighted_phase(
         epoch_index = len(records) + 1
         started = time.perf_counter()
         with _failures_in("weighted", epoch_index):
-            multi = _collect_predictions(params, train_batch, weights=applied)
-            raw = instance_kl_weights(train_batch.targets, uni, multi)
+            # The refresh pass gathers the train split for its own length only.
+            multi = _collect_predictions(params, dataset.batch("train"), weights=applied)
+            raw = instance_kl_weights(train_targets, uni, multi)
             mi = None
             if config.variant in MI_VARIANTS:
                 mi = modality_mi(
@@ -430,7 +445,8 @@ def run_weighted_phase(
             applied_row = applied.mean(axis=0)
 
             params, train_loss = _train_one_epoch(
-                params, train_batch, config.lr, config.batch_size, rng, weights=applied
+                params, dataset.features, dataset.targets, train_idx,
+                config.lr, config.batch_size, rng, weights=applied,
             )
             val_loss, val_metrics = _score(params, dataset.batch("val"), applied_row)
             current_metric = val_metrics[metric_key]

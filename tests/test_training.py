@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -17,7 +18,7 @@ from conftest import uniform_mi, unit_weight_smoothing
 from btwmoe import training
 from btwmoe.errors import InvalidInputError, TrainingFailureError
 from btwmoe.metrics import mae
-from btwmoe.moe import DataBatch, forward
+from btwmoe.moe import DataBatch, forward, init_params
 from btwmoe.reports import export_result
 from btwmoe.synthetic import SyntheticSpec
 from btwmoe.training import (
@@ -298,6 +299,55 @@ class TestWeightedPhaseInputs:
             assert not uni.flags.writeable
             with pytest.raises(ValueError):
                 uni[0, 0] = 1.0
+
+
+class TestTrainSplitInPlace:
+    @pytest.mark.parametrize("variant", ["btw", "unweighted"])
+    @pytest.mark.parametrize("spec", [{}, CLASSIFICATION_3], ids=["regression", "classification"])
+    def test_training_epochs_read_the_dataset_features(self, monkeypatch, variant, spec):
+        # Every unimodal, warm and weighted epoch gathers its mini-batches
+        # from dataset.features itself, so no phase trains on a copy of the
+        # train split.
+        cfg, dataset = plan(small_config(variant=variant, spec=spec))
+        fed = []
+        train_one_epoch = training._train_one_epoch
+
+        def spying_train_one_epoch(params, features, *args, **kwargs):
+            fed.append(features)
+            return train_one_epoch(params, features, *args, **kwargs)
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(training, "_train_one_epoch", spying_train_one_epoch)
+        training.run_planned(cfg, dataset)
+        n_uni = 0 if variant == "unweighted" else cfg.epochs_unimodal
+        expected = [[m] for m in range(3) for _ in range(n_uni)]
+        expected += [[0, 1, 2]] * (cfg.epochs_warm + cfg.epochs_weighted)
+        assert len(fed) == len(expected)
+        for features, modalities in zip(fed, expected):
+            assert len(features) == len(modalities)
+            for array, m in zip(features, modalities):
+                assert np.shares_memory(array, dataset.features[m])
+
+
+class TestPredictionPassMemory:
+    # A prediction pass runs the expert stage one expert at a time, so it
+    # never holds a whole (pairs, H) array. The bounds sit about 10% above
+    # the measured peaks (3.21 and 36.86 MiB); a pass running all experts
+    # as one group peaks at 9.36 and 107.61 MiB.
+    @pytest.mark.parametrize("n_rows, limit_mib", [(1_400, 3.5), (16_100, 40.0)])
+    def test_weighted_pass_peak(self, default_config, n_rows, limit_mib):
+        model = default_config.model_config(default_config.data)
+        rng = np.random.default_rng(0)
+        params = init_params(model, rng)
+        batch = DataBatch([rng.standard_normal((n_rows, d)) for d in model.input_dims])
+        weights = model.n_modalities * rng.dirichlet(np.ones(model.n_modalities), size=n_rows)
+        tracemalloc.start()
+        try:
+            training._collect_predictions(params, batch, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
 
 
 class TestExportBytes:
