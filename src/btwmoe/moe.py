@@ -19,9 +19,9 @@ M*E. The expert stage runs groups of experts on contiguous pairs
 the per-expert results bit for bit), one GELU per group. A training pass
 (keep_trace) makes one group, as backward reads whole (P, H) arrays; a
 prediction pass makes one per expert, so it holds one expert's hidden block
-at a time. The gating and the scatter back to rows run once per layer over
-all pairs. A unimodal model is a single-modality config, cut from a
-multimodal one by modality_slice.
+and its GELU scratch at a time. The gating and the scatter back to rows run
+once per layer over all pairs. A unimodal model is a single-modality config,
+cut from a multimodal one by modality_slice.
 
 Backpropagation is written out analytically (reverse mode), with the top-k
 selection treated as a constant and the gate softmax differentiated exactly.
@@ -49,7 +49,6 @@ CHECKPOINT_MAGIC = b"BTWM"
 CHECKPOINT_FORMAT_VERSION = 1
 
 _SQRT2 = np.sqrt(2.0)
-_GELU_SLAB = 2048  # pairs per GELU slab in a prediction pass
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -216,21 +215,16 @@ def init_params(config: MoeConfig, seed: int | np.random.Generator) -> ModelPara
 
 
 def _gelu(z: np.ndarray, c: np.ndarray, h: np.ndarray) -> None:
-    """GELU h = 0.5 * z * c, with c = 1 + erf(z / sqrt 2), in slabs of len(c) rows.
+    """GELU h = 0.5 * z * c, with c = 1 + erf(z / sqrt 2) written into c.
 
     h may be z itself. A training pass gives a whole (P, H) c, which backward
-    reads; a prediction pass gives one slab of scratch, so it allocates no
-    second hidden block.
+    reads; a prediction pass gives one expert's block of scratch.
     """
-    step = max(len(c), 1)
-    for lo in range(0, len(z), step):
-        z_part = z[lo : lo + step]
-        c_part = c[: len(z_part)]
-        np.divide(z_part, _SQRT2, out=c_part)
-        erf(c_part, out=c_part)
-        c_part += 1.0
-        h_part = np.multiply(0.5, z_part, out=h[lo : lo + step])
-        h_part *= c_part
+    np.divide(z, _SQRT2, out=c)
+    erf(c, out=c)
+    c += 1.0
+    np.multiply(0.5, z, out=h)
+    h *= c
 
 
 def _gelu_grad(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -314,8 +308,8 @@ def _experts(t, rows, spans, experts, z2, keep):
     over its pairs, then its second matmuls and bias adds. With keep (a
     training pass) all experts are one group in whole (P, H) buffers, which
     backward reads. Without, each expert is a group in one reused (largest
-    block, H) buffer, its GELU in place in slabs of _GELU_SLAB pairs, so a
-    prediction pass holds one expert's hidden block at a time.
+    block, H) buffer, its GELU in place with an (n, H) scratch for c, so a
+    prediction pass holds one expert's hidden block and its scratch at a time.
     """
     w1, b1, w2, b2 = experts
     width = w1.shape[2]
@@ -331,9 +325,9 @@ def _experts(t, rows, spans, experts, z2, keep):
             block = np.matmul(t[rows[lo:hi]], w1[e], out=z1[lo - start : hi - start])
             block += b1[e]
         n = stop - start
-        # A prediction pass's slab scratch lives for this call only, so no
-        # row gather above ever coexists with it.
-        _gelu(z1[:n], c if keep else np.empty((min(n, _GELU_SLAB), width)), h[:n])
+        # A fresh scratch per group: the row gather above is freed by now, and
+        # one scratch kept across experts would coexist with every gather.
+        _gelu(z1[:n], c if keep else np.empty((n, width)), h[:n])
         for e, lo, hi in members:
             block = np.matmul(h[lo - start : hi - start], w2[e], out=z2[lo:hi])
             block += b2[e]
@@ -361,9 +355,10 @@ def _forward(
     scaled by its entry before routing; all-ones weights reproduce the
     unweighted pass bit for bit. Each layer's routers are one stacked matmul.
     With keep_trace=False the pass keeps no caches, returns None for the
-    trace and runs each expert as its own _experts group, so no (pairs,
-    expert_hidden) array is ever whole; a training pass runs one group of
-    all experts, whose z1, c and h backward reads. Both give the same bits.
+    trace and runs each expert as its own _experts group, so the largest
+    (pairs, expert_hidden) arrays it holds are one expert's block and its
+    GELU scratch; a training pass runs one group of all experts, whose z1,
+    c and h backward reads. Both give the same bits.
     """
     cfg = params.config
     n_mod = cfg.n_modalities

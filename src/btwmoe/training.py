@@ -190,21 +190,16 @@ def improvement_direction(task: str) -> tuple[str, str]:
 
 
 def _collect_predictions(params: ModelParams, batch: DataBatch, weights=None) -> np.ndarray:
-    """Raw model outputs from a prediction-only pass, which keeps no expert caches.
+    """Raw model outputs of a train refresh: a prediction-only pass, which
+    keeps no expert caches, under per-instance weights (N, M) or none."""
+    return _forward(params, batch, weights=weights, keep_trace=False)[0]
 
-    weights is (N, M), or a 1-D per-modality row applied to every instance.
-    """
-    if weights is not None and np.ndim(weights) == 1:
-        row = np.asarray(weights, dtype=np.float64)
-        weights = np.broadcast_to(row, (batch.n_instances, row.size))
+
+def _score(params: ModelParams, batch: DataBatch, row=None) -> tuple[float, dict[str, float]]:
+    """(loss, metric bundle) of a prediction-only pass on a batch, with the
+    per-modality weight row applied to every instance; None means unweighted."""
+    weights = None if row is None else np.broadcast_to(row, (batch.n_instances, len(row)))
     preds, _ = _forward(params, batch, weights=weights, keep_trace=False)
-    return preds
-
-
-def _score(params: ModelParams, batch: DataBatch, weights=None) -> tuple[float, dict[str, float]]:
-    """(loss, metric bundle) of the model on a batch; weights as for
-    _collect_predictions, None meaning unweighted."""
-    preds = _collect_predictions(params, batch, weights)
     cfg = params.config
     loss, _ = loss_and_pred_grad(cfg, preds, batch.targets)
     if not np.isfinite(loss):

@@ -29,6 +29,9 @@ ALPHA_MAX = 0.9
 LOWER_IS_BETTER = "lower"
 HIGHER_IS_BETTER = "higher"
 
+# How far a weight matrix may stray from row-stochastic by float rounding.
+WEIGHT_ATOL = 1e-9
+
 
 def _normalize_rows(values: np.ndarray) -> np.ndarray:
     """Row-wise L1 normalization with a uniform fallback for all-zero rows."""
@@ -46,15 +49,15 @@ def _normalize_rows(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate_weight_matrix(w: np.ndarray, atol: float = 1e-9) -> None:
-    """Raise unless w is row-stochastic: entries in [0, 1], rows summing to 1."""
+def validate_weight_matrix(w: np.ndarray) -> None:
+    """Raise unless w is row-stochastic within WEIGHT_ATOL: entries in [0, 1], rows sum to 1."""
     if w.ndim != 2:
         raise InvalidInputError(f"weight matrix must be 2-D, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise InvalidInputError("weight matrix has non-finite entries")
-    if np.any(w < -atol) or np.any(w > 1 + atol):
+    if np.any(w < -WEIGHT_ATOL) or np.any(w > 1 + WEIGHT_ATOL):
         raise InvalidInputError("weight entries outside [0, 1]")
-    if np.any(np.abs(w.sum(axis=1) - 1.0) > atol):
+    if np.any(np.abs(w.sum(axis=1) - 1.0) > WEIGHT_ATOL):
         raise InvalidInputError("weight rows do not sum to 1")
 
 

@@ -280,6 +280,25 @@ class TestWeightedPhaseInputs:
         for applied, record in zip(passes[1:], result.weighted_records):
             assert np.array_equal(applied, 3 * record.weights)
 
+    @pytest.mark.parametrize("variant", ["btw", "unweighted"])
+    def test_only_train_outputs_use_the_refresh_pass(self, monkeypatch, variant):
+        # One call per unimodal model and one train refresh per weighted
+        # epoch; scoring the val and test splits runs its own pass.
+        cfg = small_config(variant=variant)
+        n_train = resolve_dataset(cfg).indices("train").size
+        calls = []
+        collect = training._collect_predictions
+
+        def spying_collect(params, batch, weights=None):
+            calls.append(batch.n_instances)
+            return collect(params, batch, weights)
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(training, "_collect_predictions", spying_collect)
+        run_experiment(cfg)
+        expected = 0 if variant == "unweighted" else 3 + cfg.epochs_weighted
+        assert calls == [n_train] * expected
+
     @pytest.mark.parametrize("spec", [{}, CLASSIFICATION_3], ids=["regression", "classification"])
     def test_unimodal_stack_reaching_the_kl_is_read_only(self, monkeypatch, spec):
         cfg, dataset = plan(small_config(spec=spec))
