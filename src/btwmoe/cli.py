@@ -69,7 +69,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     config_bytes, text = read_config(args.config)
-    config, dataset = plan(build_experiment_config(parse_config_text(text)))
+    config = build_experiment_config(parse_config_text(text))
+    dataset = plan(config)
     _check_out_dir(args.out, args.force)
     result = run_planned(config, dataset)
     written = export_result(result, args.out)
@@ -119,7 +120,7 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     ran = iter(run_lanes([
         (f"{cell.variant}/seed_{cell.seed}",
-         partial(_run_cell, *value, out / cell.variant / f"seed_{cell.seed}"))
+         partial(_run_cell, cell, value, out / cell.variant / f"seed_{cell.seed}"))
         for cell, (planned, value) in zip(cells, plans) if planned
     ]))
     bundles: dict[str, list[dict]] = {}

@@ -9,6 +9,13 @@ from .errors import InvalidInputError
 from .synthetic import SyntheticSpec
 from .training import ExperimentConfig
 
+
+def _tuple_of(kind):
+    """Converter of a comma list whose entries each convert with kind."""
+    return lambda value: tuple(kind(v) for v in value.split(","))
+
+
+# Each key maps to the converter of its value text.
 _EXPERIMENT_KEYS = {
     "variant": str,
     "seed": int,
@@ -17,7 +24,7 @@ _EXPERIMENT_KEYS = {
     "epochs.unimodal": int,
     "epochs.warm": int,
     "epochs.weighted": int,
-    "split.fractions": "floats",
+    "split.fractions": _tuple_of(float),
     "moe.embed_dim": int,
     "moe.n_experts": int,
     "moe.top_k": int,
@@ -28,34 +35,15 @@ _EXPERIMENT_KEYS = {
 
 _DATA_KEYS = {
     "data.n_instances": int,
-    "data.modality_dims": "ints",
-    "data.informativeness": "floats",
+    "data.modality_dims": _tuple_of(int),
+    "data.informativeness": _tuple_of(float),
     "data.noise_sigma": float,
     "data.task": str,
     "data.n_classes": int,
     "data.nonlinearity": str,
     "data.seed": int,
-    "data.class_priors": "floats",
+    "data.class_priors": _tuple_of(float),
 }
-
-
-def _convert(key, kind, value, line_no):
-    try:
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return float(value)
-        if kind is str:
-            return value
-        if kind == "ints":
-            return tuple(int(v) for v in value.split(","))
-        if kind == "floats":
-            return tuple(float(v) for v in value.split(","))
-    except ValueError as exc:
-        raise InvalidInputError(
-            f"line {line_no}: field '{key}' has malformed value {value!r}"
-        ) from exc
-    raise InvalidInputError(f"line {line_no}: field '{key}' has unknown kind")
 
 
 def parse_config_text(text: str, allowed: dict | None = None) -> dict:
@@ -76,7 +64,12 @@ def parse_config_text(text: str, allowed: dict | None = None) -> dict:
             raise InvalidInputError(f"line {line_no}: unknown field '{key}'")
         if key in out:
             raise InvalidInputError(f"line {line_no}: duplicate field '{key}'")
-        out[key] = _convert(key, allowed[key], value, line_no)
+        try:
+            out[key] = allowed[key](value)
+        except ValueError as exc:
+            raise InvalidInputError(
+                f"line {line_no}: field '{key}' has malformed value {value!r}"
+            ) from exc
     return out
 
 

@@ -150,7 +150,6 @@ def generate(spec: SyntheticSpec) -> Dataset:
             base = a * signal + (1.0 - a) * distractor
             mat = base[:, None] * projection[None, :]
             if spec.nonlinearity == "tanh-mixed":
-                mat = mat.copy()
                 mat[:, 1::2] = np.tanh(mat[:, 1::2])
             if spec.noise_sigma > 0:
                 mat = mat + spec.noise_sigma * rng.standard_normal((spec.n_instances, dim))

@@ -133,7 +133,13 @@ class EpochRecord:
     """One epoch. A weighted record also holds `weights`, the smoothed (N, M)
     train weight matrix; `mi`, the modality MI vector (MI variants only); and
     `eval_weights`, the per-modality row its val pass applied. Warm records
-    leave all three None."""
+    leave all three None.
+
+    Every val metric is finite: _score raises on a non-finite loss before it
+    scores, and the predictions it scores (_forward checks the head) and the
+    targets are finite. mean_weights sums to 1: a warm row is uniform, and a
+    weighted row is the mean of rows that SmoothingState has checked sum to 1
+    within WEIGHT_ATOL."""
 
     epoch: int
     phase: str
@@ -146,13 +152,6 @@ class EpochRecord:
     weights: np.ndarray | None = None
     mi: np.ndarray | None = None
     eval_weights: np.ndarray | None = None
-
-    def validate(self):
-        for key, value in self.val_metrics.items():
-            if not np.isfinite(value):
-                raise InvalidInputError(f"non-finite metric {key} at epoch {self.epoch}")
-        if abs(float(self.mean_weights.sum()) - 1.0) > 1e-6:
-            raise InvalidInputError(f"mean weights sum != 1 at epoch {self.epoch}")
 
 
 @dataclass
@@ -279,8 +278,8 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
     return split(dataset, fractions, seed=config.seed + _SPLIT_SEED_OFFSET)
 
 
-def plan(config: ExperimentConfig) -> tuple[ExperimentConfig, Dataset]:
-    """Decide whether a run can start; return its config and dataset if so.
+def plan(config: ExperimentConfig) -> Dataset:
+    """Decide whether a run can start; return its dataset if so.
 
     Resolves the dataset (raising its data errors), fits the architecture to
     it (model_config: the modality dims, task and class count are the
@@ -304,7 +303,7 @@ def plan(config: ExperimentConfig) -> tuple[ExperimentConfig, Dataset]:
             raise InvalidInputError(
                 f"{reader} at least {need} instances; the {name} split has {have}"
             )
-    return config, dataset
+    return dataset
 
 
 def _train_unimodal(
@@ -361,7 +360,7 @@ def train_multimodal_warm(
                 config.lr, config.batch_size, rng,
             )
             val_loss, val_metrics = _score(params, dataset.batch("val"))
-            record = EpochRecord(
+            records.append(EpochRecord(
                 epoch=epoch_index,
                 phase="warm",
                 train_loss=train_loss,
@@ -370,9 +369,7 @@ def train_multimodal_warm(
                 alpha=ALPHA_INIT,
                 mean_weights=uniform_row.copy(),
                 duration_s=time.perf_counter() - started,
-            )
-            record.validate()
-        records.append(record)
+            ))
     return params
 
 
@@ -446,7 +443,7 @@ def run_weighted_phase(
             val_loss, val_metrics = _score(params, dataset.batch("val"), applied_row)
             current_metric = val_metrics[metric_key]
 
-            record = EpochRecord(
+            records.append(EpochRecord(
                 epoch=epoch_index,
                 phase="weighted",
                 train_loss=train_loss,
@@ -458,9 +455,7 @@ def run_weighted_phase(
                 weights=smoothed,
                 mi=mi,
                 eval_weights=applied_row,
-            )
-            record.validate()
-        records.append(record)
+            ))
 
     return params
 
@@ -569,11 +564,11 @@ def run_lanes(tasks: list[tuple[str, Callable]]) -> list[tuple[bool, object]]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full three-phase experiment deterministically."""
-    return run_planned(*plan(config))
+    return run_planned(config, plan(config))
 
 
 def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
-    """Run an experiment from the config and dataset plan() returned for it.
+    """Run an experiment from its config and the dataset plan() returned for it.
 
     The unimodal models and the warm phase read nothing of each other, so
     they run side by side on lanes (run_lanes); the weighted phase starts

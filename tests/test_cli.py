@@ -109,9 +109,16 @@ class TestConfigParsing:
         with pytest.raises(InvalidInputError, match="frobnicate"):
             parse_config_text("frobnicate=1")
 
-    def test_malformed_value_names_line_and_field(self):
-        with pytest.raises(InvalidInputError, match="line 2.*lr"):
-            parse_config_text("variant=btw\nlr=fast")
+    # One key per converter: int, float, and comma lists of floats and ints.
+    @pytest.mark.parametrize("assignment", [
+        "lr=fast", "seed=1.5", "split.fractions=0.7,,0.3", "data.modality_dims=16,x",
+        "data.informativeness=a", "data.class_priors=1,b",
+    ], ids=lambda a: a.partition("=")[0])
+    def test_malformed_value_names_line_and_field(self, assignment):
+        key, _, value = assignment.partition("=")
+        with pytest.raises(InvalidInputError) as excinfo:
+            parse_config_text(f"variant=btw\n{assignment}")
+        assert str(excinfo.value) == f"line 2: field '{key}' has malformed value {value!r}"
 
     def test_comments_and_blank_lines_ignored(self):
         values = parse_config_text("# comment\n\nvariant=btw  # trailing\n")
@@ -213,26 +220,37 @@ class TestGenData:
         assert capsys.readouterr().err == "error: fractions sum to 1.5, not 1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("fractions, meta_sha256", [
-        ("split.fractions=0.7,0.15,0.15\n",
-         "c8d7d0bfa8043467adbd9d14b145db8f39cc11e51a2fc539b93e3dd579c96a4c"),
-        ("", "14696819b256cc9d4466661616785253e7449f5aacfb3913aa78cfafef4190cf"),
-    ], ids=["split", "unsplit"])
-    def test_dataset_bytes_pinned(self, dataset_cfg, tmp_path, fractions, meta_sha256):
+    # The linear spec's tensor records, split or not: a split moves only meta.json.
+    LINEAR_BINS = {
+        "modality_0.bin": "5d9cef90fd0a656b8347569ae429554de42d9a54f86f8f3c875f8d7f8e9e9926",
+        "modality_1.bin": "a3c3c9ccddd0b5805e068c6bf2c59b7b98e94cd73dda1514533d97ce9ab29320",
+        "targets.bin": "1bb7c75ee14bc6c154dbb1e8af519fa917c986713e950e65730169342e507c2c",
+    }
+
+    @pytest.mark.parametrize("text, digests", [
+        (SMALL_DATASET, {
+            "meta.json": "c8d7d0bfa8043467adbd9d14b145db8f39cc11e51a2fc539b93e3dd579c96a4c",
+            **LINEAR_BINS,
+        }),
+        (SMALL_DATASET.replace("split.fractions=0.7,0.15,0.15\n", ""), {
+            "meta.json": "14696819b256cc9d4466661616785253e7449f5aacfb3913aa78cfafef4190cf",
+            **LINEAR_BINS,
+        }),
+        (SMALL_DATASET + "data.nonlinearity=tanh-mixed\n", {
+            "meta.json": "fc13d28db5759559ec4b2c4506dc3c59f22f3223447f719ae9c4deae30cc0d78",
+            "modality_0.bin": "20648b8275eca5f9c881da77f8dd7c6bed0882e37208aac632aa0784f9b54c20",
+            "modality_1.bin": "ca971db3953e795e66b1ac4e58e835838780b641f7e39f03cea2e841b395d2d4",
+            "targets.bin": "1bb7c75ee14bc6c154dbb1e8af519fa917c986713e950e65730169342e507c2c",
+        }),
+    ], ids=["split", "unsplit", "tanh-mixed"])
+    def test_dataset_bytes_pinned(self, dataset_cfg, tmp_path, text, digests):
         # Tensor records of the .bin files and the meta.json text, as the
         # dataset format has always written them.
-        dataset_cfg.write_text(SMALL_DATASET.replace("split.fractions=0.7,0.15,0.15\n",
-                                                     fractions))
+        dataset_cfg.write_text(text)
         out = tmp_path / "data"
         assert main(["gen-data", "--config", str(dataset_cfg), "--out", str(out)]) == EXIT_OK
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("meta.json", "modality_0.bin", "modality_1.bin", "targets.bin")}
-        assert digests == {
-            "meta.json": meta_sha256,
-            "modality_0.bin": "5d9cef90fd0a656b8347569ae429554de42d9a54f86f8f3c875f8d7f8e9e9926",
-            "modality_1.bin": "a3c3c9ccddd0b5805e068c6bf2c59b7b98e94cd73dda1514533d97ce9ab29320",
-            "targets.bin": "1bb7c75ee14bc6c154dbb1e8af519fa917c986713e950e65730169342e507c2c",
-        }
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in digests} == digests
 
     def test_config_without_data_spec_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "path.cfg"

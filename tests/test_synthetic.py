@@ -257,7 +257,7 @@ class TestModelFacingProperties:
                 variant="unweighted", data=spec, seed=seed, epochs_unimodal=6,
                 epochs_warm=0, epochs_weighted=0,
             )
-            cfg, dataset = plan(cfg)
+            dataset = plan(cfg)
             models, _uni_train = train_unimodal_all(cfg, dataset)
             val = dataset.batch("val")
             mae_strong = mae(forward(models[0], DataBatch([val.features[0]]))[0], val.targets)
@@ -291,7 +291,7 @@ class TestModelFacingProperties:
                 variant="unweighted", data=spec, seed=seed, epochs_unimodal=5,
                 epochs_warm=3, epochs_weighted=0,
             )
-            cfg, dataset = plan(cfg)
+            dataset = plan(cfg)
             _models, uni_train = train_unimodal_all(cfg, dataset)
             rng = np.random.default_rng(cfg.seed)
             params = train_multimodal_warm(cfg, dataset, rng, 3, records=[])

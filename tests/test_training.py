@@ -109,7 +109,7 @@ class TestSingleModalityDegeneracy:
             epochs_warm=3,
             epochs_weighted=0,
         )
-        cfg, dataset = plan(cfg)
+        dataset = plan(cfg)
         models, uni_train = train_unimodal_all(cfg, dataset)
 
         from btwmoe.training import train_multimodal_warm, _collect_predictions
@@ -301,7 +301,8 @@ class TestWeightedPhaseInputs:
 
     @pytest.mark.parametrize("spec", [{}, CLASSIFICATION_3], ids=["regression", "classification"])
     def test_unimodal_stack_reaching_the_kl_is_read_only(self, monkeypatch, spec):
-        cfg, dataset = plan(small_config(spec=spec))
+        cfg = small_config(spec=spec)
+        dataset = plan(cfg)
         _, uni_train = train_unimodal_all(cfg, dataset)
         stacks = []
         kl_weights = training.instance_kl_weights
@@ -327,7 +328,8 @@ class TestTrainSplitInPlace:
         # Every unimodal, warm and weighted epoch gathers its mini-batches
         # from dataset.features itself, so no phase trains on a copy of the
         # train split.
-        cfg, dataset = plan(small_config(variant=variant, spec=spec))
+        cfg = small_config(variant=variant, spec=spec)
+        dataset = plan(cfg)
         fed = []
         train_one_epoch = training._train_one_epoch
 
@@ -454,7 +456,7 @@ class TestUnimodalOrdering:
             moe_expert_hidden=64,
             epochs_unimodal=5,
         )
-        cfg, dataset = plan(cfg)
+        dataset = plan(cfg)
         models, _uni_train = train_unimodal_all(cfg, dataset)
         val = dataset.batch("val")
         val_mae = [
