@@ -1,7 +1,8 @@
 """Command-line entry point: generate data, train variants, compare runs.
 
 compare runs its cells on training's lanes (run_lanes), one per usable
-core, seed-major; there is no knob for the core count.
+core, seed-major, and closes them once their cells are done; there is no
+knob for the core count.
 
 Exit codes: 0 success, 2 input the run cannot use (InvalidInputError, or a
 malformed command line), 3 output-safety refusal, 4 training failure

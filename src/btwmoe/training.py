@@ -12,6 +12,13 @@ and train one epoch with the weights scaling the modality embeddings.
 plan() decides whether a run can start before any of this; once it has,
 every package error is a training failure naming its phase and epoch.
 
+The work runs on lanes (open_lanes), one per free usable core: this process
+and children forked from it. The unimodal models train beside the warm
+phase; the same children then serve the weighted phase, scoring each
+epoch's val split and estimating a share of its modality MI while this
+process goes on. Every result, and every failure's phase and epoch, is the
+same on any number of lanes.
+
 Seed-splitting rule (experiment seed S): unimodal model m trains from stream
 S + m; the multimodal model from stream S (continuing through warm and
 weighted epochs); the dataset from data.seed; the split from S + 13; MI
@@ -23,11 +30,10 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
 
 import numpy as np
 
@@ -218,6 +224,8 @@ def _failures_in(phase: str, epoch: int):
     """
     try:
         yield
+    except TrainingFailureError:  # already charged to its phase and epoch
+        raise
     except BtwError as exc:
         raise TrainingFailureError(phase, epoch, str(exc)) from exc
 
@@ -332,7 +340,7 @@ def train_unimodal_all(
     initialised from the random stream seeded with config.seed + m, which then
     also draws its batch order. No model reads another's stream or result, so
     run_experiment trains them on separate cores next to the warm phase (see
-    run_lanes) with the same results, bit for bit. This is the sequential
+    open_lanes) with the same results, bit for bit. This is the sequential
     reference for that: it trains them one after another, and the tests and
     the benchmark's tracer call it by name.
     """
@@ -390,9 +398,20 @@ def run_weighted_phase(
     uni_train: list[np.ndarray],
     rng: np.random.Generator,
     records: list[EpochRecord],
+    lanes: Sequence[_Lane] = (),
 ) -> ModelParams:
     """The dynamically weighted epochs: appends one EpochRecord per epoch and
-    returns the final parameters."""
+    returns the final parameters.
+
+    Child lanes, if given (see open_lanes), take the work off this process's
+    chain of epochs. The first scores each epoch's val split while this
+    process refreshes the next epoch's train outputs, and each estimates a
+    share of the modality MI while this process computes the KL weights and
+    the last share; once the last job is out, it closes them. The results
+    and records are the same on any number of lanes, and so is the phase and
+    epoch of a failure: an epoch's failure waits for the val score of the
+    epoch before it, which reports first.
+    """
     if config.variant == "unweighted":
         raise InvalidInputError("the unweighted variant has no weighted phase")
     metric_key, direction = improvement_direction(dataset.task)
@@ -415,47 +434,78 @@ def run_weighted_phase(
     state = SmoothingState(prev_weights=np.full((n_train, n_mod), 1.0 / n_mod))
     # The weights the model last trained with: none for the warm model.
     applied = None
+    mi_shares = _shares(n_mod, len(lanes) + 1)
+    first_epoch = len(records) + 1
+    # The last epoch's start, val score (which may still be out on a lane)
+    # and record fields.
+    pending = None
+
+    def settle(until=None):
+        # Append the pending epoch's record once its val score is in; its
+        # duration runs to the next epoch's start, the last one's to now.
+        nonlocal pending, current_metric
+        (started, score, fields), pending = pending, None
+        val_loss, val_metrics = score()
+        current_metric = val_metrics[metric_key]
+        records.append(EpochRecord(
+            val_loss=val_loss,
+            val_metrics=val_metrics,
+            duration_s=(time.perf_counter() if until is None else until) - started,
+            **fields,
+        ))
 
     for weighted_epoch in range(1, config.epochs_weighted + 1):
-        epoch_index = len(records) + 1
+        epoch_index = first_epoch + weighted_epoch - 1
         started = time.perf_counter()
-        with _failures_in("weighted", epoch_index):
-            # The refresh pass gathers the train split for its own length only.
-            multi = _collect_predictions(params, dataset.batch("train"), weights=applied)
-            raw = instance_kl_weights(train_targets, uni, multi)
-            mi = None
-            if config.variant in MI_VARIANTS:
-                mi = modality_mi(
-                    uni, multi, jitter_seed=config.seed + _JITTER_SEED_OFFSET + weighted_epoch
+        try:
+            with _failures_in("weighted", epoch_index):
+                # The refresh pass gathers the train split for its own length only.
+                multi = _collect_predictions(params, dataset.batch("train"), weights=applied)
+                mi_parts = []
+                if config.variant in MI_VARIANTS:
+                    jitter_seed = config.seed + _JITTER_SEED_OFFSET + weighted_epoch
+                    mi_parts = [
+                        _start(lane, "weighted", epoch_index, "modality_mi", uni[share], multi,
+                               jitter_seed)
+                        for lane, share in zip([*lanes, None], mi_shares) if share.stop > share.start
+                    ]
+                raw = instance_kl_weights(train_targets, uni, multi)
+                if pending:
+                    settle(started)
+                mi = np.concatenate([part() for part in mi_parts]) if mi_parts else None
+                new_weights = _combine(config, raw, mi)
+                smoothed, state = smooth_update(state, new_weights, current_metric, direction)
+                # Weights are applied at relative scale (M * W, mean scale 1): the
+                # row-stochastic rows express modality proportions, and rescaling
+                # by M makes uniform rows reproduce the unweighted baseline exactly.
+                applied = n_mod * smoothed
+                applied_row = applied.mean(axis=0)
+
+                params, train_loss = _train_one_epoch(
+                    params, dataset.features, dataset.targets, train_idx,
+                    config.lr, config.batch_size, rng, weights=applied,
                 )
-            new_weights = _combine(config, raw, mi)
-            smoothed, state = smooth_update(state, new_weights, current_metric, direction)
-            # Weights are applied at relative scale (M * W, mean scale 1): the
-            # row-stochastic rows express modality proportions, and rescaling
-            # by M makes uniform rows reproduce the unweighted baseline exactly.
-            applied = n_mod * smoothed
-            applied_row = applied.mean(axis=0)
-
-            params, train_loss = _train_one_epoch(
-                params, dataset.features, dataset.targets, train_idx,
-                config.lr, config.batch_size, rng, weights=applied,
-            )
-            val_loss, val_metrics = _score(params, dataset.batch("val"), applied_row)
-            current_metric = val_metrics[metric_key]
-
-            records.append(EpochRecord(
-                epoch=epoch_index,
-                phase="weighted",
-                train_loss=train_loss,
-                val_loss=val_loss,
-                val_metrics=val_metrics,
-                alpha=state.alpha,
-                mean_weights=smoothed.mean(axis=0),
-                duration_s=time.perf_counter() - started,
-                weights=smoothed,
-                mi=mi,
-                eval_weights=applied_row,
-            ))
+                score = _start(lanes[0] if lanes else None, "weighted", epoch_index, "_score",
+                               params, dataset.batch("val"), applied_row)
+        except TrainingFailureError:
+            if pending:  # the epoch before reports its own failure first
+                settle()
+            raise
+        pending = (started, score, dict(
+            epoch=epoch_index,
+            phase="weighted",
+            train_loss=train_loss,
+            alpha=state.alpha,
+            mean_weights=smoothed.mean(axis=0),
+            weights=smoothed,
+            mi=mi,
+            eval_weights=applied_row,
+        ))
+    # No job follows, so the lanes exit while this process finishes the run.
+    for lane in lanes:
+        lane.send(None)
+    if pending:
+        settle()
 
     return params
 
@@ -490,6 +540,12 @@ def _lane_count(n_tasks: int) -> int:
     return max(1, min(cores - len(multiprocessing.active_children()), n_tasks))
 
 
+def _shares(n_items: int, n_lanes: int) -> list[slice]:
+    """n_items cut into n_lanes contiguous shares, the larger ones first."""
+    bounds = [-(-n_items * k // n_lanes) for k in range(n_lanes + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
 def _run_lane(tasks) -> list[tuple[bool, object]]:
     """Run every task in order: (True, result) for each that returned,
     (False, exception) for each that raised."""
@@ -502,24 +558,39 @@ def _run_lane(tasks) -> list[tuple[bool, object]]:
     return outcomes
 
 
-def _child_lane(tasks, writer) -> None:
-    writer.send(_run_lane(tasks))
+def _child_lane(tasks, conn) -> None:
+    conn.send(_run_lane(tasks))
+    # Then serve jobs (see _start), one at a time in the order sent, until closed.
+    for name, args in iter(conn.recv, None):
+        conn.send(_run_lane([partial(globals()[name], *args)])[0])
 
 
-def _receive(reader, child, phases: list[str]) -> list[tuple[bool, object]]:
-    """A child lane's outcomes; a child that exits without sending them fails
-    each task of its share, as that task's phase, at epoch 0."""
-    try:
-        return reader.recv()
-    except EOFError:
-        child.join()
-        detail = f"its process exited with code {child.exitcode} before reporting"
-        return [(False, TrainingFailureError(phase, 0, detail)) for phase in phases]
+@dataclass
+class _Lane:
+    """A child lane: its process and this process's end of the pipe to it."""
+
+    process: object
+    conn: object
+
+    def send(self, message) -> None:
+        """Send a job, or None to close the lane: it exits once it has sent
+        every result, and ignores any later message."""
+        try:
+            self.conn.send(message)
+        except OSError:  # its process has exited, which the next receive reports
+            pass
+
+    def exited(self) -> str:
+        """Why the lane sent nothing back: its process exited first."""
+        self.process.join()
+        return f"its process exited with code {self.process.exitcode} before reporting"
 
 
-def run_lanes(tasks: list[tuple[str, Callable]]) -> list[tuple[bool, object]]:
+@contextmanager
+def open_lanes(tasks: list[tuple[str, Callable]]):
     """Run independent (phase, task) pairs on up to one lane per usable core;
-    return their outcomes (see _run_lane) in task order.
+    yield their outcomes (see _run_lane) in task order, and the child lanes,
+    which serve jobs (_start) until the block ends.
 
     The tasks are cut into contiguous shares, one per lane. This process runs
     the last share, which is the smallest: only this process may fork lanes
@@ -527,39 +598,79 @@ def run_lanes(tasks: list[tuple[str, Callable]]) -> list[tuple[bool, object]]:
     in a child forked from it, which inherits the tasks and their inputs and
     sends its outcomes back through a pipe, so only results are pickled.
     Every lane runs each task of its share in order, so every task has an
-    outcome; a child that dies fails every task of its share (_receive).
-    Every child is joined before this returns.
+    outcome; a child that dies fails every task of its share, as that
+    task's phase at epoch 0. When the block ends, every child is closed and
+    joined; when it raises, every child is stopped first.
     """
     n_lanes = _lane_count(len(tasks))
-    bounds = [-(-len(tasks) * k // n_lanes) for k in range(n_lanes + 1)]
-    shares = [tasks[start:stop] for start, stop in zip(bounds, bounds[1:])]
-    children = []
+    shares = [tasks[share] for share in _shares(len(tasks), n_lanes)]
+    children: list[_Lane] = []
     try:
         if n_lanes > 1:
             import multiprocessing
 
             context = multiprocessing.get_context("fork")
             for share in shares[:-1]:
-                reader, writer = context.Pipe(duplex=False)
-                child = context.Process(
-                    target=_child_lane, args=([task for _, task in share], writer), daemon=True
+                conn, child_conn = context.Pipe()
+                process = context.Process(
+                    target=_child_lane, args=([task for _, task in share], child_conn), daemon=True
                 )
-                child.start()
-                writer.close()
-                children.append((reader, child))
+                process.start()
+                child_conn.close()
+                children.append(_Lane(process, conn))
         own = _run_lane(task for _, task in shares[-1])
-        lanes = [_receive(reader, child, [phase for phase, _ in share])
-                 for (reader, child), share in zip(children, shares)]
+        outcomes = []
+        for lane, share in zip(children, shares):
+            try:
+                outcomes += lane.conn.recv()
+            except EOFError:
+                detail = lane.exited()
+                outcomes += [(False, TrainingFailureError(phase, 0, detail)) for phase, _ in share]
+        yield outcomes + own, children
     except BaseException:
-        for _, child in children:
-            child.terminate()
+        for lane in children:
+            lane.process.terminate()
         raise
+    else:
+        for lane in children:
+            lane.send(None)
     finally:
-        for reader, child in children:
-            child.join()
-            reader.close()
+        for lane in children:
+            lane.process.join()
+            lane.conn.close()
 
-    return list(chain(*lanes, own))
+
+def run_lanes(tasks: list[tuple[str, Callable]]) -> list[tuple[bool, object]]:
+    """The outcomes of tasks run on lanes (see open_lanes), which are closed
+    once their share is done."""
+    with open_lanes(tasks) as (outcomes, _):
+        return outcomes
+
+
+def _start(lane: _Lane | None, phase: str, epoch: int, name: str, *args) -> Callable[[], object]:
+    """Start job name(*args), a function of this module, on a child lane, or
+    run it here and now when lane is None; return a call that gives its
+    result. Only the name and the arguments are pickled: the child calls its
+    own copy of the function. A failure of the job raises as a failure of
+    phase and epoch. A lane runs its jobs one at a time in the order started,
+    so their results are asked for in that order."""
+    if lane is None:
+        with _failures_in(phase, epoch):
+            result = globals()[name](*args)
+        return lambda: result
+    lane.send((name, args))
+
+    def receive():
+        try:
+            finished, value = lane.conn.recv()
+        except EOFError:
+            raise TrainingFailureError(phase, epoch, lane.exited()) from None
+        with _failures_in(phase, epoch):
+            if not finished:
+                raise value
+        return value
+
+    return receive
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -571,8 +682,10 @@ def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
     """Run an experiment from its config and the dataset plan() returned for it.
 
     The unimodal models and the warm phase read nothing of each other, so
-    they run side by side on lanes (run_lanes); the weighted phase starts
-    from all of them.
+    they run side by side on lanes (open_lanes); the weighted phase starts
+    from all of them, and its child lanes, kept from that start, take its
+    val scores and a share of its MI (run_weighted_phase). They are closed
+    before this returns.
     """
     needs_weights = config.variant != "unweighted"
     records: list[EpochRecord] = []
@@ -586,25 +699,27 @@ def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
     # Warm goes last: the last share runs in this process, which owns rng
     # and records.
     prefix.append(("warm", lambda: train_multimodal_warm(config, dataset, rng, n_warm, records)))
-    outcomes = run_lanes(prefix)
-    # Raise the first failure in task order, whichever lane ran it.
-    for finished, value in outcomes:
-        if not finished:
-            raise value
-    *unimodal, params = [value for _, value in outcomes]
-    unimodal_params = [model for model, _ in unimodal]
-    if needs_weights:
-        uni_train = [preds for _, preds in unimodal]
-        params = run_weighted_phase(config, dataset, params, uni_train, rng, records)
+    with open_lanes(prefix) as (outcomes, lanes):
+        # Raise the first failure in task order, whichever lane ran it.
+        for finished, value in outcomes:
+            if not finished:
+                raise value
+        *unimodal, params = [value for _, value in outcomes]
+        unimodal_params = [model for model, _ in unimodal]
+        if needs_weights:
+            uni_train = [preds for _, preds in unimodal]
+            params = run_weighted_phase(config, dataset, params, uni_train, rng, records, lanes)
 
-    # Instance weights need ground truth, so evaluation applies the last
-    # weighted epoch's per-modality row to every instance (None, unweighted,
-    # when no weighted epoch ran). That epoch already scored the val split
-    # with these parameters and weights; scoring is a pass on its result.
-    eval_row = records[-1].eval_weights if records else None
-    with _failures_in(records[-1].phase if records else "warm", len(records)):
-        val_bundle = records[-1].val_metrics if records else _score(params, dataset.batch("val"))[1]
-        test_bundle = _score(params, dataset.batch("test"), eval_row)[1]
+        # Instance weights need ground truth, so evaluation applies the last
+        # weighted epoch's per-modality row to every instance (None,
+        # unweighted, when no weighted epoch ran). That epoch already scored
+        # the val split with these parameters and weights; scoring is a pass
+        # on its result, which overlaps the closed lanes' exit.
+        eval_row = records[-1].eval_weights if records else None
+        with _failures_in(records[-1].phase if records else "warm", len(records)):
+            val_bundle = (records[-1].val_metrics if records
+                          else _score(params, dataset.batch("val"))[1])
+            test_bundle = _score(params, dataset.batch("test"), eval_row)[1]
     return ExperimentResult(
         config, dataset, records, unimodal_params, params, val_bundle, test_bundle
     )

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -16,7 +17,7 @@ import pytest
 from conftest import uniform_mi, unit_weight_smoothing
 
 from btwmoe import training
-from btwmoe.errors import InvalidInputError, TrainingFailureError
+from btwmoe.errors import InvalidInputError, NumericOverflowError, TrainingFailureError
 from btwmoe.metrics import mae
 from btwmoe.moe import DataBatch, forward, init_params
 from btwmoe.reports import export_result
@@ -246,6 +247,8 @@ class TestFinalBundles:
             calls.append(np.array_equal(batch.targets, val_targets))
             return score(params, batch, weights)
 
+        # One lane: a child lane's val scores would not reach this spy.
+        monkeypatch.setattr(training, "_usable_cores", lambda: 1)
         monkeypatch.setattr(training, "_score", counting_score)
         result = run_experiment(cfg)
         assert sum(calls) == val_scores
@@ -504,6 +507,7 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
 class TestLanes:
     # run_experiment trains the unimodal models and the warm phase on lanes:
     # this process and children forked from it, one lane per usable core.
+    # The same children then score val and estimate MI in the weighted phase.
 
     @pytest.mark.parametrize("spec", [{}, CLASSIFICATION_3], ids=["regression", "classification"])
     def test_lane_count_changes_no_exported_byte(self, tmp_path, monkeypatch, spec):
@@ -558,14 +562,142 @@ class TestLanes:
             run_experiment(small_config(lr=1e150, batch_size=256, epochs_unimodal=1))
         assert multiprocessing.active_children() == []
 
+        def failing_kl(targets, uni, multi):
+            raise InvalidInputError("no KL today")
+
+        # The child lanes are alive and serving while the weighted phase fails.
+        monkeypatch.setattr(training, "instance_kl_weights", failing_kl)
+        with pytest.raises(TrainingFailureError, match=r"phase 'weighted' at epoch 3: no KL"):
+            run_experiment(small_config())
+        assert multiprocessing.active_children() == []
+
     def test_an_interrupt_stops_and_joins_every_child_lane(self, monkeypatch):
         def interrupted(*args):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(training, "_usable_cores", lambda: 4)
-        monkeypatch.setattr(training, "train_multimodal_warm", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            run_experiment(small_config())
+        # In the prefix, and in the weighted phase, which the child lanes serve.
+        for where in ("train_multimodal_warm", "smooth_update"):
+            with monkeypatch.context() as patch:
+                patch.setattr(training, where, interrupted)
+                with pytest.raises(KeyboardInterrupt):
+                    run_experiment(small_config())
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("variant, cores, forks", [
+        ("btw", 2, 1), ("btw", 4, 3), ("btw_local", 4, 3), ("unweighted", 4, 0),
+    ])
+    def test_a_run_forks_one_child_per_lane_but_its_own(self, monkeypatch, variant, cores,
+                                                        forks):
+        # The child lanes of the unimodal phase serve the weighted phase too,
+        # so it forks none of its own.
+        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+        if training._lane_count(cores) < cores:
+            pytest.skip("no safe fork here: one lane")
+        started = []
+        start = multiprocessing.context.ForkProcess.start
+
+        def counting_start(process):
+            started.append(process)
+            return start(process)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
+        run_experiment(small_config(variant=variant))
+        assert len(started) == forks
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(training._lane_count(2) < 2,
+                        reason="one usable core, or no safe fork: one lane")
+    def test_a_child_lane_serves_val_scores_and_mi(self, tmp_path, monkeypatch):
+        log = tmp_path / "pids"
+        score, modality_mi = training._score, training.modality_mi
+
+        def logging_score(params, batch, row=None):
+            if row is not None:
+                with open(log, "a") as fh:
+                    fh.write(f"score {os.getpid()}\n")
+            return score(params, batch, row)
+
+        def logging_mi(uni, multi, jitter_seed):
+            with open(log, "a") as fh:
+                fh.write(f"mi{len(uni)} {os.getpid()}\n")
+            return modality_mi(uni, multi, jitter_seed)
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(training, "_score", logging_score)
+        monkeypatch.setattr(training, "modality_mi", logging_mi)
+        cfg = small_config()
+        run_experiment(cfg)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        here = str(os.getpid())
+        # Two lanes: the child scores val each epoch and estimates the MI of
+        # modalities 0 and 1; this process that of modality 2, and the test split.
+        assert sorted((name, pid == here) for name, pid in calls) == sorted(
+            [("score", False)] * cfg.epochs_weighted + [("score", True)]
+            + [("mi2", False), ("mi1", True)] * cfg.epochs_weighted
+        )
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_weighted_records_time_their_epochs(self, monkeypatch, cores):
+        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+        if training._lane_count(cores) < cores:
+            pytest.skip("no safe fork here: one lane")
+        phase_s = []
+        run_weighted_phase = training.run_weighted_phase
+
+        def timed_phase(*args):
+            started = time.perf_counter()
+            try:
+                return run_weighted_phase(*args)
+            finally:
+                phase_s.append(time.perf_counter() - started)
+
+        monkeypatch.setattr(training, "run_weighted_phase", timed_phase)
+        records = run_experiment(small_config()).weighted_records
+        # Each epoch's wall time runs to the next one's start, so the
+        # durations never overlap and fit in the phase.
+        assert all(record.duration_s > 0 for record in records)
+        assert sum(record.duration_s for record in records) <= phase_s[0]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("lane_dies", [False, True], ids=["raises", "dies"])
+    def test_a_failed_val_score_reports_before_the_next_epoch(self, monkeypatch, cores,
+                                                              lane_dies):
+        # Weighted epoch 2 (run epoch 4) fails its val score, and epoch 3's
+        # refresh fails too. On two lanes that refresh runs while the score
+        # is out on the child lane, whose failure still reports first; a
+        # child lane that dies fails the epoch it was scoring.
+        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+        if training._lane_count(cores) < cores:
+            pytest.skip("no safe fork here: one lane")
+        parent = os.getpid()
+        score, collect = training._score, training._collect_predictions
+        weighted_scores, refreshes = [], []
+
+        def failing_score(params, batch, row=None):
+            if row is not None:
+                weighted_scores.append(row)
+                if len(weighted_scores) == 2:
+                    if lane_dies and os.getpid() != parent:
+                        os._exit(3)
+                    raise NumericOverflowError("val score diverged")
+            return score(params, batch, row)
+
+        def failing_collect(params, batch, weights=None):
+            if len(batch.features) == 3:
+                refreshes.append(weights)
+                if len(refreshes) == 3:
+                    raise NumericOverflowError("refresh diverged")
+            return collect(params, batch, weights)
+
+        monkeypatch.setattr(training, "_score", failing_score)
+        monkeypatch.setattr(training, "_collect_predictions", failing_collect)
+        with pytest.raises(TrainingFailureError) as info:
+            run_experiment(small_config(epochs_weighted=4))
+        assert (info.value.phase, info.value.epoch) == ("weighted", 4)
+        detail = ("its process exited with code 3 before reporting"
+                  if lane_dies and cores == 2 else "val score diverged")
+        assert info.value.detail == detail
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cores", [1, 2])
