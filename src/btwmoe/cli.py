@@ -1,8 +1,8 @@
 """Command-line entry point: generate data, train variants, compare runs.
 
-compare runs its cells on training's lanes (run_lanes), one per usable
-core, seed-major, and closes them once their cells are done; there is no
-knob for the core count.
+compare runs its cells as jobs on training's lanes (open_lanes), one per
+usable core, seed-major, and closes them once their cells are done; there
+is no knob for the core count.
 
 Exit codes: 0 success, 2 input the run cannot use (InvalidInputError, or a
 malformed command line), 3 output-safety refusal, 4 training failure
@@ -18,7 +18,6 @@ import argparse
 import re
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from .config import build_experiment_config, parse_config_text, parse_data_confi
 from .errors import BtwError, InvalidInputError, TrainingFailureError
 from .reports import export_result, write_manifest, write_summary_csv
 from .synthetic import generate, save_dataset, split
-from .training import plan, run_lanes, run_planned
+from .training import _Job, _start, open_lanes, plan, run_planned
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -111,33 +110,32 @@ def cmd_compare(args) -> int:
     plans = []
     for cell in cells:
         try:
-            plans.append((True, plan(cell)))
+            plans.append(plan(cell))
         except BtwError as exc:
-            plans.append((False, exc))
-    if not any(planned for planned, _ in plans):
-        raise plans[0][1]
+            plans.append(exc)
+    if all(isinstance(planned, BtwError) for planned in plans):
+        raise plans[0]
     _check_out_dir(args.out, args.force)
 
     out = Path(args.out)
-    ran = iter(run_lanes([
-        (f"{cell.variant}/seed_{cell.seed}",
-         partial(_run_cell, cell, value, out / cell.variant / f"seed_{cell.seed}"))
-        for cell, (planned, value) in zip(cells, plans) if planned
-    ]))
+    jobs = [_Job(f"{cell.variant}/seed_{cell.seed}", 0, __name__, "_run_cell",
+                 (cell, planned, out / cell.variant / f"seed_{cell.seed}"))
+            for cell, planned in zip(cells, plans) if not isinstance(planned, BtwError)]
     bundles: dict[str, list[dict]] = {}
     failures = []
     written = []
-    for cell, (planned, value) in zip(cells, plans):
-        # A planned cell's outcome is its lane's; a plan failure is its own.
-        finished, value = next(ran) if planned else (False, value)
-        if finished:
-            bundle, cell_written = value
-            bundles.setdefault(cell.variant, []).append(bundle)
-            written += cell_written
-        elif isinstance(value, BtwError):  # its plan, its run or its lane failed
-            failures.append(f"failed: {cell.variant} seed {cell.seed}: {value}")
-        else:
-            raise value
+    with open_lanes(len(jobs)) as lanes:
+        results = iter(_start(lanes, jobs))
+        for cell, planned in zip(cells, plans):
+            try:
+                if isinstance(planned, BtwError):
+                    raise planned
+                bundle, cell_written = next(results)()
+            except BtwError as exc:  # its plan, its run or its lane failed
+                failures.append(f"failed: {cell.variant} seed {cell.seed}: {exc}")
+            else:
+                bundles.setdefault(cell.variant, []).append(bundle)
+                written += cell_written
 
     out.mkdir(parents=True, exist_ok=True)
     summary_path = out / "summary.csv"

@@ -13,11 +13,14 @@ plan() decides whether a run can start before any of this; once it has,
 every package error is a training failure naming its phase and epoch.
 
 The work runs on lanes (open_lanes), one per free usable core: this process
-and children forked from it. The unimodal models train beside the warm
-phase; the same children then serve the weighted phase, scoring each
-epoch's val split and estimating a share of its modality MI while this
-process goes on. Every result, and every failure's phase and epoch, is the
-same on any number of lanes.
+and children forked from it. It reaches them as jobs (_start), each a
+function named by module and name with its arguments: a child gets its
+share of jobs as one message, and every job, this process's own too, hands
+back one call that gives its result or raises its failure. The unimodal
+models train beside the warm phase; the same children then serve the
+weighted phase, scoring each epoch's val split and estimating the MI of a
+share of the modalities while this process goes on. Every result, and every
+failure's phase and epoch, is the same on any number of lanes.
 
 Seed-splitting rule (experiment seed S): unimodal model m trains from stream
 S + m; the multimodal model from stream S (continuing through warm and
@@ -29,11 +32,13 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -403,14 +408,14 @@ def run_weighted_phase(
     """The dynamically weighted epochs: appends one EpochRecord per epoch and
     returns the final parameters.
 
-    Child lanes, if given (see open_lanes), take the work off this process's
+    Child lanes, if given (see open_lanes), take jobs off this process's
     chain of epochs. The first scores each epoch's val split while this
-    process refreshes the next epoch's train outputs, and each estimates a
-    share of the modality MI while this process computes the KL weights and
-    the last share; once the last job is out, it closes them. The results
-    and records are the same on any number of lanes, and so is the phase and
-    epoch of a failure: an epoch's failure waits for the val score of the
-    epoch before it, which reports first.
+    process refreshes the next epoch's train outputs, and each estimates the
+    MI of a share of the modalities while this process computes the KL
+    weights and the last share; once the last job is out, it closes them.
+    The results and records are the same on any number of lanes, and so is
+    the phase and epoch of a failure: an epoch's failure waits for the val
+    score of the epoch before it, which reports first.
     """
     if config.variant == "unweighted":
         raise InvalidInputError("the unweighted variant has no weighted phase")
@@ -434,7 +439,6 @@ def run_weighted_phase(
     state = SmoothingState(prev_weights=np.full((n_train, n_mod), 1.0 / n_mod))
     # The weights the model last trained with: none for the warm model.
     applied = None
-    mi_shares = _shares(n_mod, len(lanes) + 1)
     first_epoch = len(records) + 1
     # The last epoch's start, val score (which may still be out on a lane)
     # and record fields.
@@ -445,7 +449,8 @@ def run_weighted_phase(
         # duration runs to the next epoch's start, the last one's to now.
         nonlocal pending, current_metric
         (started, score, fields), pending = pending, None
-        val_loss, val_metrics = score()
+        with _failures_in("weighted", fields["epoch"]):
+            val_loss, val_metrics = score()
         current_metric = val_metrics[metric_key]
         records.append(EpochRecord(
             val_loss=val_loss,
@@ -464,11 +469,11 @@ def run_weighted_phase(
                 mi_parts = []
                 if config.variant in MI_VARIANTS:
                     jitter_seed = config.seed + _JITTER_SEED_OFFSET + weighted_epoch
-                    mi_parts = [
-                        _start(lane, "weighted", epoch_index, "modality_mi", uni[share], multi,
-                               jitter_seed)
-                        for lane, share in zip([*lanes, None], mi_shares) if share.stop > share.start
-                    ]
+                    mi_parts = _start(lanes, [
+                        _Job("weighted", epoch_index, __name__, "modality_mi",
+                             (uni[m : m + 1], multi, jitter_seed))
+                        for m in range(n_mod)
+                    ])
                 raw = instance_kl_weights(train_targets, uni, multi)
                 if pending:
                     settle(started)
@@ -485,8 +490,9 @@ def run_weighted_phase(
                     params, dataset.features, dataset.targets, train_idx,
                     config.lr, config.batch_size, rng, weights=applied,
                 )
-                score = _start(lanes[0] if lanes else None, "weighted", epoch_index, "_score",
-                               params, dataset.batch("val"), applied_row)
+                # One job: the first child lane scores it, if there is one.
+                (score,) = _start(lanes, [_Job("weighted", epoch_index, __name__, "_score",
+                                               (params, dataset.batch("val"), applied_row))])
         except TrainingFailureError:
             if pending:  # the epoch before reports its own failure first
                 settle()
@@ -546,23 +552,31 @@ def _shares(n_items: int, n_lanes: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
-def _run_lane(tasks) -> list[tuple[bool, object]]:
-    """Run every task in order: (True, result) for each that returned,
-    (False, exception) for each that raised."""
-    outcomes = []
-    for task in tasks:
-        try:
-            outcomes.append((True, task()))
-        except Exception as exc:  # the caller decides whether to raise it
-            outcomes.append((False, exc))
-    return outcomes
+class _Job(NamedTuple):
+    """Function `name` of module `module`, called with `args` on a lane
+    (_start); a lane that dies before it reports fails it as phase at epoch."""
+
+    phase: str
+    epoch: int
+    module: str
+    name: str
+    args: tuple
 
 
-def _child_lane(tasks, conn) -> None:
-    conn.send(_run_lane(tasks))
-    # Then serve jobs (see _start), one at a time in the order sent, until closed.
-    for name, args in iter(conn.recv, None):
-        conn.send(_run_lane([partial(globals()[name], *args)])[0])
+def _run(job: _Job) -> tuple[bool, object]:
+    """(True, result) of a job that returned, (False, exception) of one that
+    raised. The name is looked up as the job runs, in the running process's
+    own copy of the module, so a name patched before a fork applies there."""
+    try:
+        return True, getattr(sys.modules[job.module], job.name)(*job.args)
+    except Exception as exc:
+        return False, exc
+
+
+def _child_lane(conn) -> None:
+    # Serve shares of jobs (see _start), one message each, until closed.
+    for share in iter(conn.recv, None):
+        conn.send([_run(job) for job in share])
 
 
 @dataclass
@@ -573,60 +587,44 @@ class _Lane:
     conn: object
 
     def send(self, message) -> None:
-        """Send a job, or None to close the lane: it exits once it has sent
-        every result, and ignores any later message."""
+        """Send a share of jobs, or None to close the lane: it exits once it
+        has sent every result, and ignores any later message."""
         try:
             self.conn.send(message)
         except OSError:  # its process has exited, which the next receive reports
             pass
 
-    def exited(self) -> str:
-        """Why the lane sent nothing back: its process exited first."""
-        self.process.join()
-        return f"its process exited with code {self.process.exitcode} before reporting"
+    def receive(self, share: list[_Job]) -> list[tuple[bool, object]]:
+        """The outcomes (_run) of the earliest share not yet received. If the
+        process exited first, each job of the share fails."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):  # a reset, if a later share was left unread
+            self.process.join()
+            detail = f"its process exited with code {self.process.exitcode} before reporting"
+            return [(False, TrainingFailureError(job.phase, job.epoch, detail)) for job in share]
 
 
 @contextmanager
-def open_lanes(tasks: list[tuple[str, Callable]]):
-    """Run independent (phase, task) pairs on up to one lane per usable core;
-    yield their outcomes (see _run_lane) in task order, and the child lanes,
-    which serve jobs (_start) until the block ends.
-
-    The tasks are cut into contiguous shares, one per lane. This process runs
-    the last share, which is the smallest: only this process may fork lanes
-    of its own, onto cores that exited children free. Each other share runs
-    in a child forked from it, which inherits the tasks and their inputs and
-    sends its outcomes back through a pipe, so only results are pickled.
-    Every lane runs each task of its share in order, so every task has an
-    outcome; a child that dies fails every task of its share, as that
-    task's phase at epoch 0. When the block ends, every child is closed and
-    joined; when it raises, every child is stopped first.
-    """
-    n_lanes = _lane_count(len(tasks))
-    shares = [tasks[share] for share in _shares(len(tasks), n_lanes)]
+def open_lanes(n_tasks: int):
+    """Fork and yield the child lanes for n_tasks independent tasks: with
+    this process, one lane per free usable core and at most one per task.
+    They serve jobs (_start) until the block ends; then they are closed and
+    joined, and stopped first if it raises."""
+    n_lanes = _lane_count(n_tasks)
     children: list[_Lane] = []
     try:
         if n_lanes > 1:
             import multiprocessing
 
             context = multiprocessing.get_context("fork")
-            for share in shares[:-1]:
+            for _ in range(n_lanes - 1):
                 conn, child_conn = context.Pipe()
-                process = context.Process(
-                    target=_child_lane, args=([task for _, task in share], child_conn), daemon=True
-                )
+                process = context.Process(target=_child_lane, args=(child_conn,), daemon=True)
                 process.start()
                 child_conn.close()
                 children.append(_Lane(process, conn))
-        own = _run_lane(task for _, task in shares[-1])
-        outcomes = []
-        for lane, share in zip(children, shares):
-            try:
-                outcomes += lane.conn.recv()
-            except EOFError:
-                detail = lane.exited()
-                outcomes += [(False, TrainingFailureError(phase, 0, detail)) for phase, _ in share]
-        yield outcomes + own, children
+        yield children
     except BaseException:
         for lane in children:
             lane.process.terminate()
@@ -640,37 +638,32 @@ def open_lanes(tasks: list[tuple[str, Callable]]):
             lane.conn.close()
 
 
-def run_lanes(tasks: list[tuple[str, Callable]]) -> list[tuple[bool, object]]:
-    """The outcomes of tasks run on lanes (see open_lanes), which are closed
-    once their share is done."""
-    with open_lanes(tasks) as (outcomes, _):
-        return outcomes
+def _start(lanes: Sequence[_Lane], jobs: list[_Job]) -> list[Callable[[], object]]:
+    """Start jobs on the child lanes and this process; return one call per
+    job, in job order, that gives its result or raises its failure.
+
+    The jobs are cut into contiguous shares (_shares), one per lane. A child
+    lane gets its share as one message and sends back every job's outcome
+    in one; only the jobs and the outcomes are pickled. This process runs
+    the last share, the smallest, before this returns. A lane's results are
+    asked for in the order its shares were started.
+    """
+    shares = [jobs[share] for share in _shares(len(jobs), len(lanes) + 1)]
+    for lane, share in zip(lanes, shares):
+        if share:  # an empty share's reply would be read as a later share's
+            lane.send(share)
+    here = [_run(job) for job in shares[-1]]
+    outcomes = [cache(partial(lane.receive, share)) for lane, share in zip(lanes, shares)]
+    outcomes.append(lambda: here)
+    return [partial(_result, got, i) for got, share in zip(outcomes, shares)
+            for i in range(len(share))]
 
 
-def _start(lane: _Lane | None, phase: str, epoch: int, name: str, *args) -> Callable[[], object]:
-    """Start job name(*args), a function of this module, on a child lane, or
-    run it here and now when lane is None; return a call that gives its
-    result. Only the name and the arguments are pickled: the child calls its
-    own copy of the function. A failure of the job raises as a failure of
-    phase and epoch. A lane runs its jobs one at a time in the order started,
-    so their results are asked for in that order."""
-    if lane is None:
-        with _failures_in(phase, epoch):
-            result = globals()[name](*args)
-        return lambda: result
-    lane.send((name, args))
-
-    def receive():
-        try:
-            finished, value = lane.conn.recv()
-        except EOFError:
-            raise TrainingFailureError(phase, epoch, lane.exited()) from None
-        with _failures_in(phase, epoch):
-            if not finished:
-                raise value
-        return value
-
-    return receive
+def _result(outcomes: Callable[[], list[tuple[bool, object]]], i: int) -> object:
+    finished, value = outcomes()[i]
+    if not finished:
+        raise value
+    return value
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -682,10 +675,10 @@ def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
     """Run an experiment from its config and the dataset plan() returned for it.
 
     The unimodal models and the warm phase read nothing of each other, so
-    they run side by side on lanes (open_lanes); the weighted phase starts
-    from all of them, and its child lanes, kept from that start, take its
-    val scores and a share of its MI (run_weighted_phase). They are closed
-    before this returns.
+    they run side by side as jobs on lanes (open_lanes); the weighted phase
+    starts from all of them, and its child lanes, kept from that start, take
+    its val scores and a share of its MI (run_weighted_phase). They are
+    closed before this returns.
     """
     needs_weights = config.variant != "unweighted"
     records: list[EpochRecord] = []
@@ -694,17 +687,15 @@ def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
     # warm loop, so every variant trains the same total number of epochs.
     n_warm = config.epochs_warm + (0 if needs_weights else config.epochs_weighted)
     n_unimodal = dataset.n_modalities if needs_weights else 0
-    prefix = [(f"unimodal[{m}]", partial(_train_unimodal, config, dataset, m))
+    prefix = [_Job(f"unimodal[{m}]", 0, __name__, "_train_unimodal", (config, dataset, m))
               for m in range(n_unimodal)]
     # Warm goes last: the last share runs in this process, which owns rng
     # and records.
-    prefix.append(("warm", lambda: train_multimodal_warm(config, dataset, rng, n_warm, records)))
-    with open_lanes(prefix) as (outcomes, lanes):
-        # Raise the first failure in task order, whichever lane ran it.
-        for finished, value in outcomes:
-            if not finished:
-                raise value
-        *unimodal, params = [value for _, value in outcomes]
+    prefix.append(_Job("warm", 0, __name__, "train_multimodal_warm",
+                       (config, dataset, rng, n_warm, records)))
+    with open_lanes(len(prefix)) as lanes:
+        # The first failure in job order raises, whichever lane ran it.
+        *unimodal, params = [result() for result in _start(lanes, prefix)]
         unimodal_params = [model for model, _ in unimodal]
         if needs_weights:
             uni_train = [preds for _, preds in unimodal]

@@ -758,10 +758,11 @@ class TestTrain:
     ])
     def test_split_sizes_checked_before_training(self, tmp_path, capsys, monkeypatch,
                                                  extra, message):
+        # Every run starts its lanes through open_lanes.
         calls = []
-        run_lanes = training.run_lanes
-        monkeypatch.setattr(training, "run_lanes",
-                            lambda *args: calls.append(args) or run_lanes(*args))
+        open_lanes = training.open_lanes
+        monkeypatch.setattr(training, "open_lanes",
+                            lambda n_tasks: calls.append(n_tasks) or open_lanes(n_tasks))
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(
             SMALL_EXPERIMENT.replace("data.n_instances=200", "data.n_instances=8") + extra
@@ -770,6 +771,10 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
         assert f"error: {message}\n" == capsys.readouterr().err
         assert calls == [] and not out.exists()
+        # The control: the same spy sees a run that plans.
+        cfg.write_text(SMALL_EXPERIMENT + extra)
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert calls == [4]
 
     @pytest.mark.parametrize("variant", ["btw_local", "unweighted"])
     def test_empty_train_split_is_a_usage_error(self, tmp_path, capsys, variant):

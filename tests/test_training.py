@@ -8,7 +8,6 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -499,6 +498,30 @@ class TestFailureHandling:
         assert r1.records[0].train_loss == r2.records[0].train_loss
 
 
+def _named_task(name):
+    if name in "ac":
+        raise ValueError(name)
+    return name
+
+
+def _done_here(parent):
+    if os.getpid() != parent:
+        os._exit(3)
+    return "done"
+
+
+def _run_jobs(jobs) -> list[tuple[bool, object]]:
+    """(True, result) or (False, exception) of each job run on lanes."""
+    outcomes = []
+    with training.open_lanes(len(jobs)) as lanes:
+        for result in training._start(lanes, jobs):
+            try:
+                outcomes.append((True, result()))
+            except Exception as exc:
+                outcomes.append((False, exc))
+    return outcomes
+
+
 def _tree_bytes(root: Path) -> dict[str, bytes]:
     return {path.relative_to(root).as_posix(): path.read_bytes()
             for path in sorted(root.rglob("*")) if path.is_file()}
@@ -631,10 +654,11 @@ class TestLanes:
         calls = [line.split() for line in log.read_text().splitlines()]
         here = str(os.getpid())
         # Two lanes: the child scores val each epoch and estimates the MI of
-        # modalities 0 and 1; this process that of modality 2, and the test split.
+        # modalities 0 and 1, one job each; this process that of modality 2,
+        # and the test split.
         assert sorted((name, pid == here) for name, pid in calls) == sorted(
             [("score", False)] * cfg.epochs_weighted + [("score", True)]
-            + [("mi2", False), ("mi1", True)] * cfg.epochs_weighted
+            + [("mi1", False), ("mi1", False), ("mi1", True)] * cfg.epochs_weighted
         )
 
     @pytest.mark.parametrize("cores", [1, 2])
@@ -660,25 +684,34 @@ class TestLanes:
         assert sum(record.duration_s for record in records) <= phase_s[0]
 
     @pytest.mark.parametrize("cores", [1, 2])
-    @pytest.mark.parametrize("lane_dies", [False, True], ids=["raises", "dies"])
-    def test_a_failed_val_score_reports_before_the_next_epoch(self, monkeypatch, cores,
-                                                              lane_dies):
+    @pytest.mark.parametrize("lane_dies, job_unread",
+                             [(False, False), (True, False), (True, True)],
+                             ids=["raises", "dies", "dies-with-a-job-unread"])
+    def test_a_failed_val_score_reports_before_the_next_epoch(self, tmp_path, monkeypatch, cores,
+                                                              lane_dies, job_unread):
         # Weighted epoch 2 (run epoch 4) fails its val score, and epoch 3's
         # refresh fails too. On two lanes that refresh runs while the score
         # is out on the child lane, whose failure still reports first; a
-        # child lane that dies fails the epoch it was scoring.
+        # child lane that dies fails the epoch it was scoring. With a job
+        # unread, epoch 3's refresh passes and the dying score waits until
+        # epoch 3's MI share is in its pipe, so its pipe reads a reset.
         monkeypatch.setattr(training, "_usable_cores", lambda: cores)
         if training._lane_count(cores) < cores:
             pytest.skip("no safe fork here: one lane")
         parent = os.getpid()
+        marker = tmp_path / "mi-sent"
         score, collect = training._score, training._collect_predictions
-        weighted_scores, refreshes = [], []
+        kl_weights = training.instance_kl_weights
+        weighted_scores, refreshes, kl_calls = [], [], []
 
         def failing_score(params, batch, row=None):
             if row is not None:
                 weighted_scores.append(row)
                 if len(weighted_scores) == 2:
                     if lane_dies and os.getpid() != parent:
+                        deadline = time.monotonic() + 60
+                        while job_unread and not marker.exists() and time.monotonic() < deadline:
+                            time.sleep(0.001)
                         os._exit(3)
                     raise NumericOverflowError("val score diverged")
             return score(params, batch, row)
@@ -686,12 +719,20 @@ class TestLanes:
         def failing_collect(params, batch, weights=None):
             if len(batch.features) == 3:
                 refreshes.append(weights)
-                if len(refreshes) == 3:
+                if len(refreshes) == 3 and not job_unread:
                     raise NumericOverflowError("refresh diverged")
             return collect(params, batch, weights)
 
+        def marking_kl_weights(targets, uni, multi):
+            # Runs after the epoch's MI share has gone out.
+            kl_calls.append(multi)
+            if len(kl_calls) == 3:
+                marker.touch()
+            return kl_weights(targets, uni, multi)
+
         monkeypatch.setattr(training, "_score", failing_score)
         monkeypatch.setattr(training, "_collect_predictions", failing_collect)
+        monkeypatch.setattr(training, "instance_kl_weights", marking_kl_weights)
         with pytest.raises(TrainingFailureError) as info:
             run_experiment(small_config(epochs_weighted=4))
         assert (info.value.phase, info.value.epoch) == ("weighted", 4)
@@ -702,34 +743,26 @@ class TestLanes:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_every_task_of_a_lane_has_an_outcome(self, monkeypatch, cores):
-        def task(name):
-            if name in "ac":
-                raise ValueError(name)
-            return name
-
         monkeypatch.setattr(training, "_usable_cores", lambda: cores)
         if training._lane_count(3) < cores:
             pytest.skip("no safe fork here: one lane")
         # With two lanes a child runs a and b, and this process runs c.
-        outcomes = training.run_lanes([(name, partial(task, name)) for name in "abc"])
+        outcomes = _run_jobs([
+            training._Job(name, 0, __name__, "_named_task", (name,)) for name in "abc"
+        ])
         assert [(finished, str(value)) for finished, value in outcomes] == [
             (False, "a"), (True, "b"), (False, "c")
         ]
         assert multiprocessing.active_children() == []
 
     def test_a_child_lane_that_dies_fails_each_task_of_its_share(self, monkeypatch):
-        parent = os.getpid()
-
-        def task():
-            if os.getpid() != parent:
-                os._exit(3)
-            return "done"
-
         monkeypatch.setattr(training, "_usable_cores", lambda: 2)
         if training._lane_count(3) < 2:
             pytest.skip("no safe fork here: one lane")
         # Two lanes: a child runs a and b, this process runs c.
-        outcomes = training.run_lanes([("a", task), ("b", task), ("c", task)])
+        outcomes = _run_jobs([
+            training._Job(name, 0, __name__, "_done_here", (os.getpid(),)) for name in "abc"
+        ])
         assert [(finished, str(value)) for finished, value in outcomes] == [
             (False, f"training failed in phase '{phase}' at epoch 0: "
                     "its process exited with code 3 before reporting")
