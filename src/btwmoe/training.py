@@ -23,9 +23,9 @@ share of the modalities while this process goes on. Every result, and every
 failure's phase and epoch, is the same on any number of lanes.
 
 Seed-splitting rule (experiment seed S): unimodal model m trains from stream
-S + m; the multimodal model from stream S (continuing through warm and
-weighted epochs); the dataset from data.seed; the split from S + 13; MI
-jitter from S + 101 + weighted-epoch.
+S + m; the multimodal model from stream S, which the warm phase starts and
+returns and the weighted phase continues; the dataset from data.seed; the
+split from S + 13; MI jitter from S + 101 + weighted-epoch.
 """
 
 from __future__ import annotations
@@ -319,53 +319,49 @@ def plan(config: ExperimentConfig) -> Dataset:
     return dataset
 
 
-def _train_unimodal(
-    config: ExperimentConfig, dataset: Dataset, m: int
-) -> tuple[ModelParams, np.ndarray]:
-    """Unimodal model m and its train-split outputs (see train_unimodal_all)."""
-    train_idx = dataset.indices("train")
-    features = [dataset.features[m]]
-    rng = np.random.default_rng(config.seed + m)
-    params = modality_slice(init_params(config.model_config(dataset), rng), m)
-    for epoch in range(1, config.epochs_unimodal + 1):
-        with _failures_in(f"unimodal[{m}]", epoch):
-            params, _ = _train_one_epoch(
-                params, features, dataset.targets, train_idx, config.lr, config.batch_size, rng
-            )
-    with _failures_in(f"unimodal[{m}]", config.epochs_unimodal):
-        return params, _collect_predictions(params, DataBatch([features[0][train_idx]]))
-
-
 def train_unimodal_all(
-    config: ExperimentConfig, dataset: Dataset
+    config: ExperimentConfig, dataset: Dataset, modalities: Sequence[int] | None = None
 ) -> tuple[list[ModelParams], list[np.ndarray]]:
-    """Train one model per modality; return the models and their train-split outputs.
+    """Train one model per modality (each of modalities, all by default);
+    return the models and their train-split outputs.
 
     Model m is a single-modality MoE: modality m's slice of a multimodal model
     initialised from the random stream seeded with config.seed + m, which then
     also draws its batch order. No model reads another's stream or result, so
-    run_experiment trains them on separate cores next to the warm phase (see
-    open_lanes) with the same results, bit for bit. This is the sequential
-    reference for that: it trains them one after another, and the tests and
-    the benchmark's tracer call it by name.
+    this is both the sequential reference and the lane job: run_planned runs
+    it once per modality, train_unimodal_all(config, dataset, [m]), on the
+    lanes next to the warm phase (see open_lanes), with the same results, bit
+    for bit, as one call for all of them.
     """
-    trained = [_train_unimodal(config, dataset, m) for m in range(dataset.n_modalities)]
-    return [params for params, _ in trained], [preds for _, preds in trained]
+    train_idx = dataset.indices("train")
+    models, outputs = [], []
+    for m in range(dataset.n_modalities) if modalities is None else modalities:
+        features = [dataset.features[m]]
+        rng = np.random.default_rng(config.seed + m)
+        params = modality_slice(init_params(config.model_config(dataset), rng), m)
+        for epoch in range(1, config.epochs_unimodal + 1):
+            with _failures_in(f"unimodal[{m}]", epoch):
+                params, _ = _train_one_epoch(
+                    params, features, dataset.targets, train_idx, config.lr, config.batch_size, rng
+                )
+        with _failures_in(f"unimodal[{m}]", config.epochs_unimodal):
+            outputs.append(_collect_predictions(params, DataBatch([features[0][train_idx]])))
+        models.append(params)
+    return models, outputs
 
 
 def train_multimodal_warm(
-    config: ExperimentConfig,
-    dataset: Dataset,
-    rng: np.random.Generator,
-    n_epochs: int,
-    records: list[EpochRecord],
-) -> ModelParams:
-    """Unweighted multimodal epochs on the shared stream; appends EpochRecords."""
+    config: ExperimentConfig, dataset: Dataset, n_epochs: int
+) -> tuple[ModelParams, list[EpochRecord], np.random.Generator]:
+    """Unweighted multimodal epochs: start stream S (config.seed), initialise
+    the model from it and train n_epochs on it. Returns the parameters, one
+    EpochRecord per epoch and the stream, which the weighted phase continues."""
+    rng = np.random.default_rng(config.seed)
     train_idx = dataset.indices("train")
     params = init_params(config.model_config(dataset), rng)
     uniform_row = np.full(dataset.n_modalities, 1.0 / dataset.n_modalities)
-    for _ in range(n_epochs):
-        epoch_index = len(records) + 1
+    records: list[EpochRecord] = []
+    for epoch_index in range(1, n_epochs + 1):
         started = time.perf_counter()
         with _failures_in("warm", epoch_index):
             params, train_loss = _train_one_epoch(
@@ -383,7 +379,7 @@ def train_multimodal_warm(
                 mean_weights=uniform_row.copy(),
                 duration_s=time.perf_counter() - started,
             ))
-    return params
+    return params, records, rng
 
 
 def _combine(config: ExperimentConfig, raw: np.ndarray, mi: np.ndarray | None) -> np.ndarray:
@@ -402,11 +398,13 @@ def run_weighted_phase(
     params: ModelParams,
     uni_train: list[np.ndarray],
     rng: np.random.Generator,
-    records: list[EpochRecord],
+    val_metrics: dict[str, float],
+    first_epoch: int,
     lanes: Sequence[_Lane] = (),
-) -> ModelParams:
-    """The dynamically weighted epochs: appends one EpochRecord per epoch and
-    returns the final parameters.
+) -> tuple[ModelParams, list[EpochRecord]]:
+    """The dynamically weighted epochs, numbered from first_epoch, from params
+    and their val_metrics, on stream rng: returns the final parameters and
+    one EpochRecord per epoch.
 
     Child lanes, if given (see open_lanes), take jobs off this process's
     chain of epochs. The first scores each epoch's val split while this
@@ -427,19 +425,14 @@ def run_weighted_phase(
     # The unimodal outputs are the fixed reference point of every epoch.
     uni = np.stack(uni_train)
     uni.flags.writeable = False
-    # Smoothing metric: validation quality at the end of the previous epoch,
-    # or of the initial model when no warm epoch ran.
-    if records:
-        current_metric = records[-1].val_metrics[metric_key]
-    elif config.epochs_weighted:
-        with _failures_in("warm", 0):
-            current_metric = _score(params, dataset.batch("val"))[1][metric_key]
+    # Smoothing metric: validation quality at the end of the previous epoch.
+    current_metric = val_metrics[metric_key]
     # The warm phase trains under implicitly uniform weights, so the EMA
     # recursion starts from the uniform matrix.
     state = SmoothingState(prev_weights=np.full((n_train, n_mod), 1.0 / n_mod))
     # The weights the model last trained with: none for the warm model.
     applied = None
-    first_epoch = len(records) + 1
+    records: list[EpochRecord] = []
     # The last epoch's start, val score (which may still be out on a lane)
     # and record fields.
     pending = None
@@ -513,7 +506,7 @@ def run_weighted_phase(
     if pending:
         settle()
 
-    return params
+    return params, records
 
 
 def _usable_cores() -> int:
@@ -681,25 +674,31 @@ def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
     closed before this returns.
     """
     needs_weights = config.variant != "unweighted"
-    records: list[EpochRecord] = []
-    rng = np.random.default_rng(config.seed)
     # The unweighted baseline folds its nominally weighted epochs into the
     # warm loop, so every variant trains the same total number of epochs.
     n_warm = config.epochs_warm + (0 if needs_weights else config.epochs_weighted)
     n_unimodal = dataset.n_modalities if needs_weights else 0
-    prefix = [_Job(f"unimodal[{m}]", 0, __name__, "_train_unimodal", (config, dataset, m))
+    prefix = [_Job(f"unimodal[{m}]", 0, __name__, "train_unimodal_all", (config, dataset, [m]))
               for m in range(n_unimodal)]
-    # Warm goes last: the last share runs in this process, which owns rng
-    # and records.
-    prefix.append(_Job("warm", 0, __name__, "train_multimodal_warm",
-                       (config, dataset, rng, n_warm, records)))
+    # Every job returns the same on any lane. Warm goes last, so a unimodal
+    # model's failure reports before its own.
+    prefix.append(_Job("warm", 0, __name__, "train_multimodal_warm", (config, dataset, n_warm)))
     with open_lanes(len(prefix)) as lanes:
         # The first failure in job order raises, whichever lane ran it.
-        *unimodal, params = [result() for result in _start(lanes, prefix)]
-        unimodal_params = [model for model, _ in unimodal]
+        *unimodal, (params, records, rng) = [result() for result in _start(lanes, prefix)]
+        unimodal_params = [model for (model,), _ in unimodal]
+        # The val metrics of the model so far: the last warm epoch's, or the
+        # initial model's, scored here only when no warm epoch ran.
+        if records:
+            val_metrics = records[-1].val_metrics
+        else:
+            with _failures_in("warm", 0):
+                val_metrics = _score(params, dataset.batch("val"))[1]
         if needs_weights:
-            uni_train = [preds for _, preds in unimodal]
-            params = run_weighted_phase(config, dataset, params, uni_train, rng, records, lanes)
+            uni_train = [outputs for _, (outputs,) in unimodal]
+            params, weighted = run_weighted_phase(config, dataset, params, uni_train, rng,
+                                                  val_metrics, len(records) + 1, lanes)
+            records = records + weighted
 
         # Instance weights need ground truth, so evaluation applies the last
         # weighted epoch's per-modality row to every instance (None,
@@ -708,9 +707,8 @@ def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
         # on its result, which overlaps the closed lanes' exit.
         eval_row = records[-1].eval_weights if records else None
         with _failures_in(records[-1].phase if records else "warm", len(records)):
-            val_bundle = (records[-1].val_metrics if records
-                          else _score(params, dataset.batch("val"))[1])
             test_bundle = _score(params, dataset.batch("test"), eval_row)[1]
+    val_bundle = records[-1].val_metrics if records else val_metrics
     return ExperimentResult(
         config, dataset, records, unimodal_params, params, val_bundle, test_bundle
     )

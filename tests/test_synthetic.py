@@ -293,8 +293,7 @@ class TestModelFacingProperties:
             )
             dataset = plan(cfg)
             _models, uni_train = train_unimodal_all(cfg, dataset)
-            rng = np.random.default_rng(cfg.seed)
-            params = train_multimodal_warm(cfg, dataset, rng, 3, records=[])
+            params, _records, _rng = train_multimodal_warm(cfg, dataset, 3)
             multi = _collect_predictions(params, dataset.batch("train"))
             mi = [
                 ksg_mi(uni_train[m], multi, jitter_seed=seed)

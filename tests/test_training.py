@@ -3,6 +3,7 @@
 import hashlib
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -95,7 +96,7 @@ class TestSchedules:
         from btwmoe.training import run_weighted_phase
 
         with pytest.raises(InvalidInputError):
-            run_weighted_phase(small_config(variant="unweighted"), None, None, None, None, [])
+            run_weighted_phase(small_config(variant="unweighted"), None, None, None, None, None, 1)
 
 
 class TestSingleModalityDegeneracy:
@@ -114,8 +115,7 @@ class TestSingleModalityDegeneracy:
 
         from btwmoe.training import train_multimodal_warm, _collect_predictions
 
-        rng = np.random.default_rng(cfg.seed)
-        multi_params = train_multimodal_warm(cfg, dataset, rng, 3, records=[])
+        multi_params, _records, _rng = train_multimodal_warm(cfg, dataset, 3)
         multi = _collect_predictions(multi_params, dataset.batch("train"))
         assert np.array_equal(uni_train[0], multi)
 
@@ -547,18 +547,41 @@ class TestLanes:
                         reason="one usable core, or no safe fork: one lane")
     def test_a_child_lane_trains_when_a_second_core_is_usable(self, tmp_path, monkeypatch):
         log = tmp_path / "pids"
-        train_unimodal = training._train_unimodal
+        train_unimodal = training.train_unimodal_all
 
-        def logging_train_unimodal(config, dataset, m):
+        def logging_train_unimodal(config, dataset, modalities=None):
             with open(log, "a") as fh:
-                fh.write(f"{m} {os.getpid()}\n")
-            return train_unimodal(config, dataset, m)
+                fh.writelines(f"{m} {os.getpid()}\n" for m in modalities)
+            return train_unimodal(config, dataset, modalities)
 
-        monkeypatch.setattr(training, "_train_unimodal", logging_train_unimodal)
+        monkeypatch.setattr(training, "train_unimodal_all", logging_train_unimodal)
         run_experiment(small_config())
         pids = dict(line.split() for line in log.read_text().splitlines())
         assert sorted(pids) == ["0", "1", "2"]
         assert set(pids.values()) - {str(os.getpid())}
+
+    def test_the_warm_phase_returns_the_same_on_a_child_lane(self, monkeypatch):
+        monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+        if training._lane_count(2) < 2:
+            pytest.skip("no safe fork here: one lane")
+        cfg = small_config()
+        dataset = plan(cfg)
+        here = training.train_multimodal_warm(cfg, dataset, 2)
+        # Two lanes: the child runs the first job, this process the second.
+        jobs = [training._Job("warm", 0, "btwmoe.training", "train_multimodal_warm",
+                              (cfg, dataset, 2)),
+                training._Job("pid", 0, "os", "getpid", ())]
+        with training.open_lanes(len(jobs)) as lanes:
+            warm, pid = [result() for result in training._start(lanes, jobs)]
+        assert pid == os.getpid() and lanes
+        (params, records, rng), (params_here, records_here, rng_here) = warm, here
+        assert np.array_equal(params.flat, params_here.flat)
+
+        def fields(records):  # every field but the wall time, byte for byte
+            return [pickle.dumps(replace(r, duration_s=0.0)) for r in records]
+
+        assert len(records) == 2 and fields(records) == fields(records_here)
+        assert rng.bit_generator.state == rng_here.bit_generator.state
 
     def test_a_live_child_lane_holds_a_core(self, monkeypatch):
         monkeypatch.setattr(training, "_usable_cores", lambda: 2)
@@ -772,17 +795,17 @@ class TestLanes:
 
     def test_a_child_lane_that_dies_fails_as_its_first_phase(self, monkeypatch):
         parent = os.getpid()
-        train_unimodal = training._train_unimodal
+        train_unimodal = training.train_unimodal_all
 
-        def dying(config, dataset, m):
+        def dying(config, dataset, modalities=None):
             if os.getpid() != parent:
                 os._exit(3)
-            return train_unimodal(config, dataset, m)
+            return train_unimodal(config, dataset, modalities)
 
         monkeypatch.setattr(training, "_usable_cores", lambda: 2)
         if training._lane_count(2) < 2:
             pytest.skip("no safe fork here: one lane")
-        monkeypatch.setattr(training, "_train_unimodal", dying)
+        monkeypatch.setattr(training, "train_unimodal_all", dying)
         with pytest.raises(TrainingFailureError) as info:
             run_experiment(small_config())
         assert (info.value.phase, info.value.epoch) == ("unimodal[0]", 0)
