@@ -10,7 +10,6 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-from scipy.special import digamma
 
 from .errors import InvalidInputError
 
@@ -130,9 +129,11 @@ def ksg_mi(x: np.ndarray, y: np.ndarray, jitter_seed: int = 0) -> float:
     if np.all(x == x[0]) or np.all(y == y[0]):
         return 0.0
 
-    # Imported on first use: scipy.spatial adds start-up time and resident
-    # memory that only regression MI needs.
+    # Imported on first use, as the MoE's GELU imports erf: scipy.spatial and
+    # scipy.special add start-up time and resident memory, and of all MI only
+    # this estimator needs them.
     from scipy.spatial import cKDTree
+    from scipy.special import digamma
 
     xj = x + _series_jitter(x, jitter_seed)
     yj = y + _series_jitter(y, jitter_seed)

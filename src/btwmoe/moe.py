@@ -26,6 +26,10 @@ cut from a multimodal one by modality_slice.
 Backpropagation is written out analytically (reverse mode), with the top-k
 selection treated as a constant and the gate softmax differentiated exactly.
 A finite-difference gradient checker guards the whole thing.
+
+The GELU's erf comes from scipy.special, about 0.25 s of import. _gelu, not
+this module, imports it, so a process that never trains (gen-data, --help, a
+config or plan error) never loads it.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import InvalidInputError, NumericOverflowError
 
@@ -219,7 +222,13 @@ def _gelu(z: np.ndarray, c: np.ndarray, h: np.ndarray) -> None:
 
     h may be z itself. A training pass gives a whole (P, H) c, which backward
     reads; a prediction pass gives one expert's block of scratch.
+
+    erf is imported at the first call (see the module docstring); a repeat
+    import costs about 1 us. training.open_lanes imports scipy.special before
+    it forks, so the child lanes share one copy.
     """
+    from scipy.special import erf
+
     np.divide(z, _SQRT2, out=c)
     erf(c, out=c)
     c += 1.0

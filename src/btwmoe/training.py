@@ -603,12 +603,19 @@ def open_lanes(n_tasks: int):
     """Fork and yield the child lanes for n_tasks independent tasks: with
     this process, one lane per free usable core and at most one per task.
     They serve jobs (_start) until the block ends; then they are closed and
-    joined, and stopped first if it raises."""
+    joined, and stopped first if it raises.
+
+    Before it forks, it imports scipy.special, which the MoE's GELU and KSG
+    MI otherwise import at their first call, so that a process that never
+    trains never loads it. The children then share this process's copy
+    instead of each importing their own."""
     n_lanes = _lane_count(n_tasks)
     children: list[_Lane] = []
     try:
         if n_lanes > 1:
             import multiprocessing
+
+            import scipy.special  # the children share this copy
 
             context = multiprocessing.get_context("fork")
             for _ in range(n_lanes - 1):

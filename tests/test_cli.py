@@ -379,6 +379,39 @@ def test_floating_point_fault_prints_only_its_error_line(tmp_path, command, conf
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["btwmoe", "btwmoe.cli", "btwmoe.training", "gen-data",
+                                  "train-plan-error"])
+def test_start_up_leaves_scipy_special_unloaded(tmp_path, case):
+    # scipy.special loads at the first GELU or KSG call, or before lanes fork,
+    # so a process that never trains never pays its import. Each case runs
+    # in a fresh interpreter.
+    noise = CONFIGS / "noise_default.cfg"
+    too_small = tmp_path / "too_small.cfg"
+    # round(0.7 * 6) = 4 train instances, one short of what KSG needs.
+    too_small.write_text(noise.read_text().replace("data.n_instances=2000",
+                                                   "data.n_instances=6"))
+    runs = {
+        "gen-data": (["gen-data", "--config", str(noise), "--out", str(tmp_path / "data")],
+                     EXIT_OK),
+        "train-plan-error": (["train", "--config", str(too_small), "--out",
+                              str(tmp_path / "run")], EXIT_PARSE),
+    }
+    if case in runs:
+        argv, status = runs[case]
+        code = f"from btwmoe import cli\nassert cli.main({argv!r}) == {status}\n"
+    else:
+        code = f"import {case}\n"
+    code += "import sys\nassert 'scipy.special' not in sys.modules\n"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    if case == "train-plan-error":
+        assert "KSG mutual information needs at least 5 instances" in done.stderr
+
+
 def test_out_of_range_stored_label_is_a_usage_error(dataset_cfg, tmp_path, capsys):
     data, out = tmp_path / "data", tmp_path / "run"
     dataset_cfg.write_text(SMALL_DATASET.replace("data.task=regression",

@@ -824,3 +824,35 @@ def test_training_import_leaves_multiprocessing_unloaded():
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, f"{module}: {done.stderr[-2000:]}"
+
+
+def test_child_lanes_inherit_scipy_special(monkeypatch):
+    # open_lanes imports scipy.special before it forks, so a child lane
+    # shares this process's copy instead of importing its own at its first
+    # GELU or KSG call. A fresh interpreter, so nothing has loaded it yet.
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    if training._lane_count(2) < 2:
+        pytest.skip("no safe fork here: one lane")
+    code = """
+import os, sys
+from btwmoe import training
+
+def special_loaded():
+    return os.getpid(), "scipy.special" in sys.modules
+
+assert "scipy.special" not in sys.modules
+training._usable_cores = lambda: 2
+# Two lanes: the child runs the first job, this process the second.
+jobs = [training._Job("probe", 0, "__main__", "special_loaded", ()),
+        training._Job("pid", 0, "os", "getpid", ())]
+with training.open_lanes(len(jobs)) as lanes:
+    (child, loaded), here = [result() for result in training._start(lanes, jobs)]
+assert lanes and here == os.getpid() != child
+assert loaded
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]

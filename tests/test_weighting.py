@@ -267,6 +267,64 @@ class TestSmoothing:
             validate_weight_matrix(smoothed)
 
 
+@st.composite
+def model_outputs(draw, n_modalities):
+    """(targets, uni, multi) of either task for n_modalities modalities, N in
+    10-300: regression means, or class probabilities over 2-4 classes. Modality
+    0 sometimes predicts exactly the multimodal output (zero KL)."""
+    n = draw(st.integers(10, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.sampled_from(["regression", "classification"])) == "regression":
+        targets = rng.standard_normal(n)
+        multi = targets + 0.5 * rng.standard_normal(n)
+        strength = rng.uniform(0, 1, size=(n_modalities, 1))
+        uni = strength * targets + rng.standard_normal((n_modalities, n))
+    else:
+        n_classes = draw(st.integers(2, 4))
+        targets = rng.integers(0, n_classes, size=n)
+        multi = rng.dirichlet(np.ones(n_classes), size=n)
+        uni = rng.dirichlet(np.ones(n_classes), size=(n_modalities, n))
+    if draw(st.booleans()):
+        uni[0] = multi
+    return targets, uni, multi
+
+
+def bilevel_parts(targets, uni, multi):
+    """(raw KL, modality MI, bi-level weights), as a weighted epoch makes them."""
+    raw = instance_kl_weights(targets, uni, multi)
+    mi = modality_mi(uni, multi, jitter_seed=3)
+    return raw, mi, combine_bilevel(raw, mi)
+
+
+class TestModalitySymmetry:
+    """The method treats modalities alike: their order means nothing, and two
+    identical modalities are weighted identically. Bounds fixed in advance:
+    the per-modality quantities are exact; a bi-level row is normalized by a
+    sum taken in modality order, so it may move by a few ulps."""
+
+    @given(data=st.data(), n_modalities=st.integers(2, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_permuting_modalities_permutes_the_weights(self, data, n_modalities):
+        targets, uni, multi = data.draw(model_outputs(n_modalities))
+        order = np.array(data.draw(st.permutations(range(n_modalities))))
+        raw, mi, bilevel = bilevel_parts(targets, uni, multi)
+        raw_p, mi_p, bilevel_p = bilevel_parts(targets, uni[order], multi)
+        assert np.array_equal(raw_p, raw[:, order])
+        assert np.array_equal(mi_p, mi[order])
+        assert np.max(np.abs(bilevel_p - bilevel[:, order])) <= 4 * np.finfo(float).eps
+
+    @given(data=st.data(), n_modalities=st.integers(2, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_a_duplicated_modality_gets_equal_weights(self, data, n_modalities):
+        targets, uni, multi = data.draw(model_outputs(n_modalities - 1))
+        twin = data.draw(st.integers(0, n_modalities - 2))
+        uni = np.concatenate([uni, uni[twin:twin + 1]])
+        raw, mi, bilevel = bilevel_parts(targets, uni, multi)
+        assert np.array_equal(raw[:, twin], raw[:, -1])
+        assert mi[twin] == mi[-1]
+        assert np.array_equal(bilevel[:, twin], bilevel[:, -1])
+
+
 class TestCsvExport:
     """reports.write_weight_trajectory_csv, the file form of the smoothed weights."""
 
