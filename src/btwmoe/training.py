@@ -319,6 +319,20 @@ def plan(config: ExperimentConfig) -> Dataset:
     return dataset
 
 
+def _settled(
+    started: float, score: Callable[[], tuple], fields: dict, until: float | None = None
+) -> EpochRecord:
+    """The record of the epoch that began at started: fields, with the val
+    loss and metrics that score() gives; a failure there is that epoch's. Its
+    wall time runs to until if given (a weighted epoch's: the next epoch's
+    start), else to when the score is in."""
+    with _failures_in(fields["phase"], fields["epoch"]):
+        val_loss, val_metrics = score()
+    finished = time.perf_counter() if until is None else until
+    return EpochRecord(val_loss=val_loss, val_metrics=val_metrics,
+                       duration_s=finished - started, **fields)
+
+
 def train_unimodal_all(
     config: ExperimentConfig, dataset: Dataset, modalities: Sequence[int] | None = None
 ) -> tuple[list[ModelParams], list[np.ndarray]]:
@@ -368,17 +382,10 @@ def train_multimodal_warm(
                 params, dataset.features, dataset.targets, train_idx,
                 config.lr, config.batch_size, rng,
             )
-            val_loss, val_metrics = _score(params, dataset.batch("val"))
-            records.append(EpochRecord(
-                epoch=epoch_index,
-                phase="warm",
-                train_loss=train_loss,
-                val_loss=val_loss,
-                val_metrics=val_metrics,
-                alpha=ALPHA_INIT,
-                mean_weights=uniform_row.copy(),
-                duration_s=time.perf_counter() - started,
-            ))
+        records.append(_settled(started, partial(_score, params, dataset.batch("val")), dict(
+            epoch=epoch_index, phase="warm", train_loss=train_loss,
+            alpha=ALPHA_INIT, mean_weights=uniform_row.copy(),
+        )))
     return params, records, rng
 
 
@@ -434,29 +441,13 @@ def run_weighted_phase(
     applied = None
     records: list[EpochRecord] = []
     # The last epoch's start, val score (which may still be out on a lane)
-    # and record fields.
-    pending = None
-
-    def settle(until=None):
-        # Append the pending epoch's record once its val score is in; its
-        # duration runs to the next epoch's start, the last one's to now.
-        nonlocal pending, current_metric
-        (started, score, fields), pending = pending, None
-        with _failures_in("weighted", fields["epoch"]):
-            val_loss, val_metrics = score()
-        current_metric = val_metrics[metric_key]
-        records.append(EpochRecord(
-            val_loss=val_loss,
-            val_metrics=val_metrics,
-            duration_s=(time.perf_counter() if until is None else until) - started,
-            **fields,
-        ))
-
+    # and record fields, until _settled builds its record.
+    last = None
     for weighted_epoch in range(1, config.epochs_weighted + 1):
         epoch_index = first_epoch + weighted_epoch - 1
         started = time.perf_counter()
-        try:
-            with _failures_in("weighted", epoch_index):
+        with _failures_in("weighted", epoch_index):
+            try:
                 # The refresh pass gathers the train split for its own length only.
                 multi = _collect_predictions(params, dataset.batch("train"), weights=applied)
                 mi_parts = []
@@ -468,43 +459,40 @@ def run_weighted_phase(
                         for m in range(n_mod)
                     ])
                 raw = instance_kl_weights(train_targets, uni, multi)
-                if pending:
-                    settle(started)
-                mi = np.concatenate([part() for part in mi_parts]) if mi_parts else None
-                new_weights = _combine(config, raw, mi)
-                smoothed, state = smooth_update(state, new_weights, current_metric, direction)
-                # Weights are applied at relative scale (M * W, mean scale 1): the
-                # row-stochastic rows express modality proportions, and rescaling
-                # by M makes uniform rows reproduce the unweighted baseline exactly.
-                applied = n_mod * smoothed
-                applied_row = applied.mean(axis=0)
+            except BtwError:
+                if last:  # the epoch before reports its own failure first
+                    _settled(*last)
+                raise
+            if last:
+                # Its score went out before this epoch's MI share, and a
+                # lane's replies are read in the order they were sent.
+                records.append(_settled(*last, until=started))
+                current_metric = records[-1].val_metrics[metric_key]
+            mi = np.concatenate([part() for part in mi_parts]) if mi_parts else None
+            new_weights = _combine(config, raw, mi)
+            smoothed, state = smooth_update(state, new_weights, current_metric, direction)
+            # Weights are applied at relative scale (M * W, mean scale 1): the
+            # row-stochastic rows express modality proportions, and rescaling
+            # by M makes uniform rows reproduce the unweighted baseline exactly.
+            applied = n_mod * smoothed
+            applied_row = applied.mean(axis=0)
 
-                params, train_loss = _train_one_epoch(
-                    params, dataset.features, dataset.targets, train_idx,
-                    config.lr, config.batch_size, rng, weights=applied,
-                )
-                # One job: the first child lane scores it, if there is one.
-                (score,) = _start(lanes, [_Job("weighted", epoch_index, __name__, "_score",
-                                               (params, dataset.batch("val"), applied_row))])
-        except TrainingFailureError:
-            if pending:  # the epoch before reports its own failure first
-                settle()
-            raise
-        pending = (started, score, dict(
-            epoch=epoch_index,
-            phase="weighted",
-            train_loss=train_loss,
-            alpha=state.alpha,
-            mean_weights=smoothed.mean(axis=0),
-            weights=smoothed,
-            mi=mi,
-            eval_weights=applied_row,
+            params, train_loss = _train_one_epoch(
+                params, dataset.features, dataset.targets, train_idx,
+                config.lr, config.batch_size, rng, weights=applied,
+            )
+            # One job: the first child lane scores it, if there is one.
+            (score,) = _start(lanes, [_Job("weighted", epoch_index, __name__, "_score",
+                                           (params, dataset.batch("val"), applied_row))])
+        last = (started, score, dict(
+            epoch=epoch_index, phase="weighted", train_loss=train_loss, alpha=state.alpha,
+            mean_weights=smoothed.mean(axis=0), weights=smoothed, mi=mi, eval_weights=applied_row,
         ))
     # No job follows, so the lanes exit while this process finishes the run.
     for lane in lanes:
         lane.send(None)
-    if pending:
-        settle()
+    if last:
+        records.append(_settled(*last))
 
     return params, records
 

@@ -765,6 +765,70 @@ class TestLanes:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("where, nth, counted, phase, epoch", [
+        # Weighted epoch 2 (run epoch 4): the second call of each kind in the
+        # process that makes it, and every MI job with that epoch's jitter
+        # seed, on whichever lane runs it.
+        ("_collect_predictions", 2,
+         lambda params, batch, weights=None: len(batch.features) == 3, "weighted", 4),
+        ("instance_kl_weights", 2, lambda targets, uni, multi: True, "weighted", 4),
+        ("modality_mi", 1, lambda uni, multi, jitter_seed: jitter_seed == 103, "weighted", 4),
+        ("_train_one_epoch", 2, lambda *args, weights=None: weights is not None, "weighted", 4),
+        ("_score", 2, lambda params, batch, row=None: row is not None, "weighted", 4),
+        # Warm epoch 2's val score, the second unweighted one.
+        ("_score", 2, lambda params, batch, row=None: row is None, "warm", 2),
+    ], ids=["refresh", "kl", "mi", "training", "val-score", "warm-val-score"])
+    def test_each_stage_charges_its_own_epoch(self, monkeypatch, cores, where, nth, counted,
+                                              phase, epoch):
+        # The epoch before always scores, so its record settles first and
+        # the failure is the failing epoch's own.
+        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+        if training._lane_count(cores) < cores:
+            pytest.skip("no safe fork here: one lane")
+        original, seen = getattr(training, where), []
+
+        def failing(*args, **kwargs):
+            if counted(*args, **kwargs):
+                seen.append(None)
+                if len(seen) >= nth:
+                    raise NumericOverflowError(f"{where} diverged")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, where, failing)
+        with pytest.raises(TrainingFailureError) as info:
+            run_experiment(small_config())
+        failure = (info.value.phase, info.value.epoch, info.value.detail)
+        assert failure == (phase, epoch, f"{where} diverged")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_an_interrupt_outranks_the_failure_of_the_epoch_before(self, monkeypatch, cores):
+        # Weighted epoch 1's val score fails (on the child lane with two
+        # cores), and epoch 2's KL is interrupted before that score is read.
+        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+        if training._lane_count(cores) < cores:
+            pytest.skip("no safe fork here: one lane")
+        score, kl_weights = training._score, training.instance_kl_weights
+        kl_calls = []
+
+        def failing_score(params, batch, row=None):
+            if row is not None:
+                raise NumericOverflowError("val score diverged")
+            return score(params, batch, row)
+
+        def interrupted_kl(targets, uni, multi):
+            kl_calls.append(None)
+            if len(kl_calls) == 2:
+                raise KeyboardInterrupt
+            return kl_weights(targets, uni, multi)
+
+        monkeypatch.setattr(training, "_score", failing_score)
+        monkeypatch.setattr(training, "instance_kl_weights", interrupted_kl)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(small_config())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [1, 2])
     def test_every_task_of_a_lane_has_an_outcome(self, monkeypatch, cores):
         monkeypatch.setattr(training, "_usable_cores", lambda: cores)
         if training._lane_count(3) < cores:
