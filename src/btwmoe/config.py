@@ -3,6 +3,7 @@ per line, '#' comments. Diff-friendly and dependency-free."""
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import InvalidInputError
@@ -25,11 +26,9 @@ _EXPERIMENT_KEYS = {
     "epochs.warm": int,
     "epochs.weighted": int,
     "split.fractions": _tuple_of(float),
-    "moe.embed_dim": int,
-    "moe.n_experts": int,
-    "moe.top_k": int,
-    "moe.expert_hidden": int,
-    "moe.n_moe_layers": int,
+    # moe.<name> sets ExperimentConfig.moe_<name>, MoeConfig's <name>.
+    **{f.name.replace("_", ".", 1): type(f.default) for f in fields(ExperimentConfig)
+       if f.name.startswith("moe_")},
     "data.path": str,
 }
 

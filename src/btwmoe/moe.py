@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -57,6 +57,9 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class MoeConfig:
+    """Every field but input_dims, task and n_classes, which the data state,
+    is an architecture option, mirrored as ExperimentConfig.moe_<name>."""
+
     input_dims: tuple[int, ...]
     embed_dim: int = 32
     n_experts: int = 4
@@ -104,17 +107,7 @@ class MoeConfig:
         return stops[-1], tuple(zip([0] + stops[:-1], stops, shapes))
 
     def to_dict(self) -> dict:
-        return {
-            "input_dims": list(self.input_dims),
-            "embed_dim": self.embed_dim,
-            "n_experts": self.n_experts,
-            "top_k": self.top_k,
-            "expert_hidden": self.expert_hidden,
-            "n_moe_layers": self.n_moe_layers,
-            "task": self.task,
-            "n_classes": self.n_classes,
-            "activation": "gelu",  # a format constant: the experts' only activation
-        }
+        return {**asdict(self), "activation": "gelu"}  # the experts' only activation
 
     @classmethod
     def from_dict(cls, d: dict) -> "MoeConfig":
@@ -122,7 +115,6 @@ class MoeConfig:
         activation = d.pop("activation")
         if activation != "gelu":
             raise InvalidInputError(f"unsupported activation {activation!r}")
-        d["input_dims"] = tuple(d["input_dims"])
         return cls(**d)
 
 

@@ -177,7 +177,9 @@ def generate(spec: SyntheticSpec) -> Dataset:
             n_classes=n_classes,
             spec=spec,
         )
-    except MemoryError as exc:
+    except InvalidInputError:
+        raise
+    except (MemoryError, ValueError) as exc:  # ValueError: past NumPy's dimension limit
         raise InvalidInputError(f"data.n_instances={spec.n_instances} with data.modality_dims="
                                 f"{spec.modality_dims} is too large to allocate") from exc
 

@@ -36,7 +36,7 @@ import sys
 import time
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property, partial
 from typing import NamedTuple
 
@@ -88,7 +88,7 @@ class ExperimentConfig:
     epochs_weighted: int = 8
     lr: float = 0.02
     batch_size: int = 256
-    # The moe.* keys: the architecture that model_config fits to the data.
+    # MoeConfig's architecture options, each set by the key moe.<name>.
     moe_embed_dim: int = MoeConfig.embed_dim
     moe_n_experts: int = MoeConfig.n_experts
     moe_top_k: int = MoeConfig.top_k
@@ -122,16 +122,14 @@ class ExperimentConfig:
     def model_config(self, data: Dataset | SyntheticSpec) -> MoeConfig:
         """The model that trains on data: this config's architecture with the
         data's modality dims, task and class count."""
-        return MoeConfig(
-            input_dims=data.modality_dims,
-            embed_dim=self.moe_embed_dim,
-            n_experts=self.moe_n_experts,
-            top_k=self.moe_top_k,
-            expert_hidden=self.moe_expert_hidden,
-            n_moe_layers=self.moe_n_moe_layers,
-            task=data.task,
-            n_classes=data.n_classes,
-        )
+        return MoeConfig(input_dims=data.modality_dims, task=data.task,
+                         n_classes=data.n_classes, **self.architecture)
+
+    @property
+    def architecture(self) -> dict:
+        """The moe_<name> fields' values, keyed by MoeConfig field name."""
+        return {f.name.removeprefix("moe_"): getattr(self, f.name)
+                for f in fields(self) if f.name.startswith("moe_")}
 
     @property
     def moe(self) -> MoeConfig | None:
@@ -297,14 +295,20 @@ def plan(config: ExperimentConfig) -> Dataset:
     Resolves the dataset (raising its data errors), fits the architecture to
     it (model_config: the modality dims, task and class count are the
     dataset's, so with a data path the inline data.* keys feed only gen-data),
-    and raises InvalidInputError naming the first split too small for what
-    reads it. Every variant trains on the train split, so it needs 1
-    instance; MI variants also estimate modality MI on it: KSG needs KSG_K +
-    2 instances, discrete MI 2. val and test are scored: regression metrics
-    need 2 instances, classification metrics 1.
+    rejects a model whose parameters cannot be allocated, and raises
+    InvalidInputError naming the first split too small for what reads it.
+    Every variant trains on the train split, so it needs 1 instance; MI
+    variants also estimate modality MI on it: KSG needs KSG_K + 2 instances,
+    discrete MI 2. val and test are scored: regression metrics need 2
+    instances, classification metrics 1.
     """
     dataset = resolve_dataset(config)
-    config.model_config(dataset)
+    model = config.model_config(dataset)
+    try:
+        ModelParams(model)
+    except (MemoryError, ValueError) as exc:  # ValueError: past NumPy's dimension limit
+        options = ", ".join(f"moe.{name}={value}" for name, value in config.architecture.items())
+        raise InvalidInputError(f"a model of {options} is too large to allocate") from exc
     if dataset.task == REGRESSION:
         metrics, mi = (2, "regression metrics need"), (KSG_K + 2, "KSG mutual information needs")
     else:

@@ -35,7 +35,7 @@ from btwmoe.config import (
     parse_config_text,
 )
 from btwmoe.errors import InvalidInputError, NumericOverflowError
-from btwmoe.moe import load_checkpoint, write_tensor_record
+from btwmoe.moe import MoeConfig, load_checkpoint, write_tensor_record
 from btwmoe.synthetic import generate, load_dataset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -282,17 +282,51 @@ def test_missing_config_file_exits_2(tmp_path, capsys, command):
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
-def test_unallocatable_data_spec_exits_2(tmp_path, capsys, command):
-    # 10**15 instances need more than any address space holds, so the first
-    # allocation fails at once without touching memory.
+# (n_instances, modality_dims, id suffix). 10**15 instances need more than any
+# address space holds, so the first allocation fails at once without touching
+# memory; 10**20 is past NumPy's dimension limit.
+_UNALLOCATABLE_DATA = [(10**15, (6, 6, 6), ""),
+                       (10**20, (6, 6, 6), "-n_instances-past-the-dimension-limit"),
+                       (200, (6, 6, 10**20), "-modality_dims-past-the-dimension-limit")]
+
+
+@pytest.mark.parametrize("command, n_instances, dims", [
+    pytest.param(command, n_instances, dims, id=command + suffix)
+    for command in ["gen-data", "train", "compare"]
+    for n_instances, dims, suffix in _UNALLOCATABLE_DATA])
+def test_unallocatable_data_spec_exits_2(tmp_path, capsys, command, n_instances, dims):
     cfg = tmp_path / "huge.cfg"
-    cfg.write_text(SMALL_EXPERIMENT.replace("data.n_instances=200", f"data.n_instances={10**15}"))
+    dims_text = ",".join(map(str, dims))
+    cfg.write_text(SMALL_EXPERIMENT
+                   .replace("data.n_instances=200", f"data.n_instances={n_instances}")
+                   .replace("data.modality_dims=6,6,6", f"data.modality_dims={dims_text}"))
     out = tmp_path / "out"
     assert main(command_args(command, cfg, out)) == EXIT_PARSE
     assert capsys.readouterr().err == (
-        f"error: data.n_instances={10**15} with data.modality_dims=(6, 6, 6) is too large to "
+        f"error: data.n_instances={n_instances} with data.modality_dims={dims} is too large to "
         f"allocate\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("key, value", [
+    # Each asks for at least 2**47 bytes of parameters, or a dimension past
+    # NumPy's limit, so the allocation fails at once without touching memory.
+    ("embed_dim", 10**13), ("n_experts", 10**13), ("expert_hidden", 10**13),
+    ("n_moe_layers", 10**13), ("embed_dim", 10**20),
+])
+def test_unallocatable_model_exits_2(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "huge.cfg"
+    kept = [line for line in SMALL_EXPERIMENT.splitlines() if not line.startswith(f"moe.{key}=")]
+    cfg.write_text("\n".join(kept + [f"moe.{key}={value}"]))
+    options = {"embed_dim": 8, "n_experts": 4, "top_k": 2, "expert_hidden": 16,
+               "n_moe_layers": 1, key: value}
+    out = tmp_path / "out"
+    assert main(command_args(command, cfg, out)) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: a model of {', '.join(f'moe.{k}={v}' for k, v in options.items())} is too "
+        f"large to allocate\n"
     )
     assert not out.exists()
 
@@ -861,7 +895,8 @@ class TestTrain:
         assert err.startswith("error: ") and str(data) in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("n_experts", 8), ("embed_dim", 8)])
+    @pytest.mark.parametrize("key, value", [("n_experts", 8), ("embed_dim", 8), ("top_k", 1),
+                                            ("expert_hidden", 8), ("n_moe_layers", 2)])
     def test_moe_key_with_a_data_path_trains(self, dataset_cfg, tmp_path, key, value):
         data = tmp_path / "data"
         assert main(["gen-data", "--config", str(dataset_cfg), "--out", str(data)]) == EXIT_OK
@@ -873,6 +908,16 @@ class TestTrain:
         model = load_checkpoint(out / "checkpoints" / "final.btwm").config
         assert getattr(model, key) == value
         assert model.input_dims == (5, 5)
+
+    def test_every_architecture_option_has_a_moe_key(self):
+        # Every MoeConfig field the data do not state is an option that
+        # ExperimentConfig mirrors as moe_<name>; without its mirror no
+        # config key could set it.
+        mirrors = {f.name for f in dataclasses.fields(training.ExperimentConfig)
+                   if f.name.startswith("moe_")}
+        options = {f.name for f in dataclasses.fields(MoeConfig)} - {
+            "input_dims", "task", "n_classes"}
+        assert mirrors == {f"moe_{name}" for name in options}
 
     def test_a_data_path_states_the_task_and_class_count(self, dataset_cfg, tmp_path):
         # The inline data.* keys of a data.path config feed only gen-data:
