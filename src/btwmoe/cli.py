@@ -5,9 +5,10 @@ usable core, seed-major, and closes them once their cells are done; there
 is no knob for the core count.
 
 Exit codes: 0 success, 2 input the run cannot use (InvalidInputError, or a
-malformed command line), 3 output-safety refusal, 4 training failure
-(TrainingFailureError), 5 partial comparison failure. Exits 2 to 4 print one
-`error:` line to stderr, after argparse's usage for a malformed command line.
+malformed command line), 3 output refusal (an unsafe --out, or one the
+system cannot inspect or write), 4 training failure (TrainingFailureError),
+5 partial comparison failure. Exits 2 to 4 print one `error:` line to
+stderr, after argparse's usage for a malformed command line.
 NumPy's floating-point warnings stay silent: the checks that catch a
 non-finite value name it in that line instead.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,16 +42,27 @@ class _OutputRefused(Exception):
     """The output path is unsafe to write; exits EXIT_OUTPUT_SAFETY."""
 
 
+@contextmanager
+def _writing(out_dir):
+    """Inspect or write out_dir: an OSError there, such as a name the system
+    rejects, refuses the output, naming the path and the system's reason."""
+    try:
+        yield
+    except OSError as exc:
+        raise _OutputRefused(f"output path {out_dir}: {exc.strerror or exc}") from exc
+
+
 def _check_out_dir(out_dir: str, force: bool) -> None:
     """Refuse an output path that is or lies under a file, and a non-empty
     directory without --force. The writers create the directory, so a run
     that fails first leaves nothing behind."""
     out = Path(out_dir)
-    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
-    if blocker is not None:
-        raise _OutputRefused(f"output path {out}: {blocker} is a file, not a directory")
-    if out.exists() and any(out.iterdir()) and not force:
-        raise _OutputRefused(f"output directory {out} is not empty (use --force to overwrite)")
+    with _writing(out):
+        blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+        if blocker is not None:
+            raise _OutputRefused(f"output path {out}: {blocker} is a file, not a directory")
+        if out.exists() and any(out.iterdir()) and not force:
+            raise _OutputRefused(f"output directory {out} is not empty (use --force to overwrite)")
 
 
 def cmd_gen_data(args) -> int:
@@ -59,9 +72,10 @@ def cmd_gen_data(args) -> int:
     if fractions is not None:
         dataset = split(dataset, fractions, split_seed)
     _check_out_dir(args.out, args.force)
-    written = save_dataset(dataset, args.out)
-    write_manifest(args.out, "gen-data", config_bytes, written,
-                   {"config_file": args.config, "seed": spec.seed})
+    with _writing(args.out):
+        written = save_dataset(dataset, args.out)
+        write_manifest(args.out, "gen-data", config_bytes, written,
+                       {"config_file": args.config, "seed": spec.seed})
     print(f"wrote dataset ({dataset.n_instances} instances, "
           f"{dataset.n_modalities} modalities) to {args.out}")
     return EXIT_OK
@@ -73,9 +87,10 @@ def cmd_train(args) -> int:
     dataset = plan(config)
     _check_out_dir(args.out, args.force)
     result = run_planned(config, dataset)
-    written = export_result(result, args.out)
-    write_manifest(args.out, "train", config_bytes, written,
-                   {"config_file": args.config, "seed": config.seed, "variant": config.variant})
+    with _writing(args.out):
+        written = export_result(result, args.out)
+        write_manifest(args.out, "train", config_bytes, written,
+                       {"config_file": args.config, "seed": config.seed, "variant": config.variant})
     headline = "mae" if "mae" in result.test_bundle else "accuracy"
     print(f"{config.variant} seed {config.seed}: {len(result.records)} epochs, "
           f"test {headline} {result.test_bundle[headline]:.4f} -> {args.out}")
@@ -84,9 +99,11 @@ def cmd_train(args) -> int:
 
 def _run_cell(config, dataset, cell_dir) -> tuple[dict, list[Path]]:
     """Run one planned cell: (test bundle, paths written). export_result makes
-    the cell's directory, so a failed cell leaves none."""
+    the cell's directory, so a failed cell leaves none. A failed write
+    refuses the whole output, on whichever lane the cell ran."""
     result = run_planned(config, dataset)
-    return result.test_bundle, export_result(result, cell_dir)
+    with _writing(cell_dir):
+        return result.test_bundle, export_result(result, cell_dir)
 
 
 def cmd_compare(args) -> int:
@@ -137,11 +154,12 @@ def cmd_compare(args) -> int:
                 bundles.setdefault(cell.variant, []).append(bundle)
                 written += cell_written
 
-    out.mkdir(parents=True, exist_ok=True)
     summary_path = out / "summary.csv"
-    write_summary_csv(summary_path, variants, bundles)
-    write_manifest(args.out, "compare", config_bytes, [summary_path] + written,
-                   {"config_file": args.config, "variants": variants, "seeds": seeds})
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        write_summary_csv(summary_path, variants, bundles)
+        write_manifest(args.out, "compare", config_bytes, [summary_path] + written,
+                       {"config_file": args.config, "variants": variants, "seeds": seeds})
     print(f"summary -> {summary_path}")
     for failure in failures:
         print(failure, file=sys.stderr)
@@ -156,26 +174,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"btwmoe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
-    p_gen.add_argument("--config", required=True,
-                       help="config with an inline data spec (reads data.* and split.* keys)")
-    p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--force", action="store_true")
-    p_gen.set_defaults(func=cmd_gen_data)
+    def command(name, func, summary, config_help=None, options=()):
+        # In the order --help and usage show: --config, own options, --out, --force.
+        command_parser = sub.add_parser(name, help=summary)
+        command_parser.add_argument("--config", required=True, help=config_help)
+        for flag, flag_help in options:
+            command_parser.add_argument(flag, required=True, help=flag_help)
+        command_parser.add_argument("--out", required=True)
+        command_parser.add_argument("--force", action="store_true")
+        command_parser.set_defaults(func=func)
+        return command_parser
 
-    p_train = sub.add_parser("train", help="run one experiment variant")
-    p_train.add_argument("--config", required=True)
-    p_train.add_argument("--out", required=True)
-    p_train.add_argument("--force", action="store_true")
-    p_train.set_defaults(func=cmd_train)
-
-    p_cmp = sub.add_parser("compare", help="run a variants x seeds grid and summarize")
-    p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--variants", required=True, help="comma-separated variant names")
-    p_cmp.add_argument("--seeds", required=True, help="comma-separated integer seeds")
-    p_cmp.add_argument("--out", required=True)
-    p_cmp.add_argument("--force", action="store_true")
-    p_cmp.set_defaults(func=cmd_compare)
+    command("gen-data", cmd_gen_data, "generate a synthetic dataset directory",
+            "config with an inline data spec (reads data.* and split.* keys)")
+    command("train", cmd_train, "run one experiment variant")
+    p_cmp = command("compare", cmd_compare, "run a variants x seeds grid and summarize",
+                    options=[("--variants", "comma-separated variant names"),
+                             ("--seeds", "comma-separated integer seeds")])
     # No option of compare looks like a number, so a value such as "-1,0" is
     # the value of --seeds, which the seed check then rejects by name.
     p_cmp._negative_number_matcher = re.compile(r"-\d")

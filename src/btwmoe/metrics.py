@@ -8,7 +8,7 @@ Binning conventions for the regression accuracies:
   * Acc-2 non-zero: sign agreement restricted to instances whose target is
     non-zero.
 The two weighted-F1 variants for regression use the binary labels induced by
-the same two Acc-2 conventions.
+the same two Acc-2 conventions, and each Acc-2 is the accuracy of that F1 pass.
 """
 
 from __future__ import annotations
@@ -54,17 +54,18 @@ def pearson(predictions, targets) -> PearsonResult:
     return PearsonResult(float(np.sum(pc * tc) / denom), False)
 
 
-def _bin_scores(x: np.ndarray, bound: int) -> np.ndarray:
-    return np.clip(np.rint(x), -bound, bound)
+def _binned_accuracy(p: np.ndarray, t: np.ndarray, bound: int) -> float:
+    p_bins, t_bins = np.clip(np.rint([p, t]), -bound, bound)
+    return float(np.mean(p_bins == t_bins))
 
 
 def acc_k(predictions, targets, k) -> float:
     """Binned accuracy: k in {7, 5, "2-include-zero", "2-nonzero"}."""
     p, t = _check_regression_pair(predictions, targets)
     if k == 7:
-        return float(np.mean(_bin_scores(p, 3) == _bin_scores(t, 3)))
+        return _binned_accuracy(p, t, 3)
     if k == 5:
-        return float(np.mean(_bin_scores(p, 2) == _bin_scores(t, 2)))
+        return _binned_accuracy(p, t, 2)
     if k == "2-include-zero":
         return float(np.mean((p > 0) == (t > 0)))
     if k == "2-nonzero":
@@ -114,22 +115,21 @@ def f1_scores(predicted_labels, true_labels) -> tuple[float, float, float]:
 def regression_bundle(predictions, targets) -> dict[str, float]:
     """All regression metrics keyed by stable column names."""
     corr = pearson(predictions, targets)
-    p = np.asarray(predictions, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    wf1_incl = f1_scores((p > 0).astype(int), (t > 0).astype(int))[1]
+    p, t = _check_regression_pair(predictions, targets)
+    _, wf1_incl, acc2_incl = f1_scores((p > 0).astype(int), (t > 0).astype(int))
     keep = t != 0
     if keep.any():
-        wf1_excl = f1_scores((p[keep] > 0).astype(int), (t[keep] > 0).astype(int))[1]
+        _, wf1_excl, acc2_excl = f1_scores((p[keep] > 0).astype(int), (t[keep] > 0).astype(int))
     else:
-        wf1_excl = 0.0
+        wf1_excl = acc2_excl = 0.0
     return {
         "mae": mae(predictions, targets),
         "corr": corr.value,
         "corr_degenerate": float(corr.degenerate),
-        "acc7": acc_k(predictions, targets, 7),
-        "acc5": acc_k(predictions, targets, 5),
-        "acc2_incl_zero": acc_k(predictions, targets, "2-include-zero"),
-        "acc2_nonzero": acc_k(predictions, targets, "2-nonzero"),
+        "acc7": _binned_accuracy(p, t, 3),
+        "acc5": _binned_accuracy(p, t, 2),
+        "acc2_incl_zero": acc2_incl,
+        "acc2_nonzero": acc2_excl,
         "weighted_f1_incl_zero": wf1_incl,
         "weighted_f1_nonzero": wf1_excl,
     }

@@ -544,26 +544,18 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     return ModelParams(params.config, params.flat - lr * grads.flat)
 
 
-def mse_loss_and_grad(predictions: np.ndarray, targets: np.ndarray):
-    diff = predictions - targets
-    loss = float(np.mean(diff * diff))
-    return loss, 2.0 * diff / diff.shape[0]
-
-
-def cross_entropy_loss_and_grad(probs: np.ndarray, labels: np.ndarray):
-    b = probs.shape[0]
-    idx = np.arange(b)
-    p_true = np.clip(probs[idx, labels], 1e-12, None)
-    loss = float(-np.mean(np.log(p_true)))
-    d_probs = np.zeros_like(probs)
-    d_probs[idx, labels] = -1.0 / (p_true * b)
-    return loss, d_probs
-
-
 def loss_and_pred_grad(config: MoeConfig, predictions: np.ndarray, targets: np.ndarray):
+    """(mean loss, its gradient in the predictions): MSE for regression,
+    cross-entropy of the class probabilities for classification."""
+    b = predictions.shape[0]
     if config.task == REGRESSION:
-        return mse_loss_and_grad(predictions, targets)
-    return cross_entropy_loss_and_grad(predictions, targets.astype(np.int64))
+        diff = predictions - targets
+        return float(np.mean(diff * diff)), 2.0 * diff / b
+    idx, labels = np.arange(b), targets.astype(np.int64)
+    p_true = np.clip(predictions[idx, labels], 1e-12, None)
+    d_probs = np.zeros_like(predictions)
+    d_probs[idx, labels] = -1.0 / (p_true * b)
+    return float(-np.mean(np.log(p_true))), d_probs
 
 
 def grad_check(

@@ -253,7 +253,7 @@ def _train_one_epoch(
     cfg = params.config
     n = rows.size
     perm = rng.permutation(n)
-    total, count = 0.0, 0
+    total = 0.0
     for start in range(0, n, batch_size):
         idx = perm[start : start + batch_size]
         picked = rows[idx]
@@ -264,8 +264,7 @@ def _train_one_epoch(
         grads = backward(trace, d_pred)
         params = sgd_step(params, grads, lr)
         total += loss * idx.size
-        count += idx.size
-    mean_loss = total / count
+    mean_loss = total / n
     if not np.isfinite(mean_loss):
         raise NumericOverflowError(f"loss diverged to {mean_loss}")
     return params, mean_loss
@@ -410,12 +409,11 @@ def run_weighted_phase(
     uni_train: list[np.ndarray],
     rng: np.random.Generator,
     val_metrics: dict[str, float],
-    first_epoch: int,
     lanes: Sequence[_Lane] = (),
 ) -> tuple[ModelParams, list[EpochRecord]]:
-    """The dynamically weighted epochs, numbered from first_epoch, from params
-    and their val_metrics, on stream rng: returns the final parameters and
-    one EpochRecord per epoch.
+    """The dynamically weighted epochs, numbered on from config.epochs_warm,
+    from params and their val_metrics, on stream rng: returns the final
+    parameters and one EpochRecord per epoch.
 
     Child lanes, if given (see open_lanes), take jobs off this process's
     chain of epochs. The first scores each epoch's val split while this
@@ -448,7 +446,7 @@ def run_weighted_phase(
     # and record fields, until _settled builds its record.
     last = None
     for weighted_epoch in range(1, config.epochs_weighted + 1):
-        epoch_index = first_epoch + weighted_epoch - 1
+        epoch_index = config.epochs_warm + weighted_epoch
         started = time.perf_counter()
         with _failures_in("weighted", epoch_index):
             try:
@@ -696,7 +694,7 @@ def run_planned(config: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
         if needs_weights:
             uni_train = [outputs for _, (outputs,) in unimodal]
             params, weighted = run_weighted_phase(config, dataset, params, uni_train, rng,
-                                                  val_metrics, len(records) + 1, lanes)
+                                                  val_metrics, lanes)
             records = records + weighted
 
         # Instance weights need ground truth, so evaluation applies the last

@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, file outputs, manifests, determinism."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -19,13 +21,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from btwmoe import cli, training
+from btwmoe import cli, reports, training
 from btwmoe.cli import (
     EXIT_OK,
     EXIT_OUTPUT_SAFETY,
     EXIT_PARSE,
     EXIT_PARTIAL_COMPARE,
     EXIT_TRAINING,
+    build_parser,
     main,
 )
 from btwmoe.config import (
@@ -260,6 +263,19 @@ class TestGenData:
         assert "missing data spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, usage", [
+    ("gen-data", "usage: btwmoe gen-data [-h] --config CONFIG --out OUT [--force]\n"),
+    ("train", "usage: btwmoe train [-h] --config CONFIG --out OUT [--force]\n"),
+    ("compare", "usage: btwmoe compare [-h] --config CONFIG --variants VARIANTS --seeds SEEDS\n"
+                "                      --out OUT [--force]\n"),
+])
+def test_command_usage_pinned(monkeypatch, command, usage):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert commands.choices[command].format_usage() == usage
+
+
 @pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
 @pytest.mark.parametrize("under", ["", "sub"])  # --out is the file, or a path under it
 def test_out_at_a_file_exits_3(experiment_cfg, tmp_path, capsys, command, under):
@@ -269,6 +285,15 @@ def test_out_at_a_file_exits_3(experiment_cfg, tmp_path, capsys, command, under)
     assert main(args) == EXIT_OUTPUT_SAFETY
     assert f"{blocker} is a file, not a directory" in capsys.readouterr().err
     assert blocker.read_text() == "keep me"
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
+@pytest.mark.parametrize("deeper", [False, True], ids=["its-name", "a-parent-name"])
+def test_out_the_system_rejects_exits_3(experiment_cfg, tmp_path, capsys, command, deeper):
+    out = tmp_path / ("x" * 300) / "out" if deeper else tmp_path / ("x" * 300)
+    assert main(command_args(command, experiment_cfg, out)) == EXIT_OUTPUT_SAFETY
+    assert capsys.readouterr().err == (
+        f"error: output path {out}: {os.strerror(errno.ENAMETOOLONG)}\n")
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
@@ -755,6 +780,16 @@ class TestTrain:
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
         assert (out1 / "weights_trajectory.csv").read_bytes() == \
             (out2 / "weights_trajectory.csv").read_bytes()
+
+    def test_a_failed_write_exits_3(self, experiment_cfg, tmp_path, capsys, monkeypatch):
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(reports, "write_weight_trajectory_csv", full_disk)
+        out = tmp_path / "run"
+        assert main(command_args("train", experiment_cfg, out)) == EXIT_OUTPUT_SAFETY
+        assert capsys.readouterr().err == (
+            f"error: output path {out}: {os.strerror(errno.ENOSPC)}\n")
 
     def test_training_failure_exits_4(self, tmp_path):
         cfg = tmp_path / "diverge.cfg"
@@ -1268,6 +1303,30 @@ class TestCompare:
         assert main(args + ["--seeds", "0,1", "--out", str(tmp_path / "two")]) == EXIT_OK
         assert main(args + ["--seeds", "0", "--out", str(tmp_path / "one")]) == EXIT_OK
         assert len(forks) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(training._lane_count(2) < 2,
+                        reason="one usable core, or no safe fork: one lane")
+    def test_a_failed_write_on_a_cell_lane_exits_3(self, experiment_cfg, tmp_path,
+                                                    monkeypatch, capsys):
+        parent = os.getpid()
+        write_metrics_report = reports.write_metrics_report
+
+        def full_disk_in_a_child(*args):
+            if os.getpid() != parent:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_metrics_report(*args)
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(reports, "write_metrics_report", full_disk_in_a_child)
+        out = tmp_path / "cmp"
+        # seed 0's cell runs on the child lane, seed 1's in this process.
+        assert main(["compare", "--config", str(experiment_cfg), "--variants", "unweighted",
+                     "--seeds", "0,1", "--out", str(out)]) == EXIT_OUTPUT_SAFETY
+        assert capsys.readouterr().err == (
+            f"error: output path {out / 'unweighted' / 'seed_0'}: "
+            f"{os.strerror(errno.ENOSPC)}\n")
+        assert not (out / "summary.csv").exists()
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(training._lane_count(2) < 2,

@@ -140,3 +140,22 @@ class TestBundles:
         assert bundle["accuracy"] == 0.75
         assert 0 < bundle["macro_f1"] <= 1
         assert 0 < bundle["weighted_f1"] <= 1
+
+
+# Exact zeros, rounding ties and values past the Acc-7 clamp, drawn often.
+_SCORES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.5, -3.5, 1e-300, -1e-300]),
+                    st.floats(-5, 5, allow_nan=False))
+
+
+@given(pairs=st.lists(st.tuples(_SCORES, _SCORES), min_size=2, max_size=60),
+       zero_targets=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_regression_bundle_accuracies_equal_acc_k(pairs, zero_targets):
+    preds, targets = (np.array(column) for column in zip(*pairs))
+    if zero_targets:
+        targets = np.zeros_like(targets)
+    bundle = regression_bundle(preds, targets)
+    for key, k in [("acc7", 7), ("acc5", 5), ("acc2_incl_zero", "2-include-zero"),
+                   ("acc2_nonzero", "2-nonzero")]:
+        expected = acc_k(preds, targets, k)
+        assert bundle[key] == expected and type(bundle[key]) is type(expected), key
