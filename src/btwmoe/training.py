@@ -6,8 +6,8 @@ the reference points for every later weight computation. Phase two trains the
 multimodal model without weighting. Phase three, per epoch: predict the train
 split with the current multimodal model under the weights it last trained
 with, rebuild the raw KL matrix from the frozen unimodal predictions against
-those, estimate modality MI when the variant calls for it, combine, smooth,
-and train one epoch with the weights scaling the modality embeddings.
+those and estimate modality MI, each when the variant reads it, combine,
+smooth, and train one epoch with the weights scaling the modality embeddings.
 
 plan() decides whether a run can start before any of this; once it has,
 every package error is a training failure naming its phase and epoch.
@@ -60,8 +60,6 @@ from .moe import (
 from .synthetic import Dataset, SyntheticSpec, generate, load_dataset, split
 from .weighting import (
     ALPHA_INIT,
-    HIGHER_IS_BETTER,
-    LOWER_IS_BETTER,
     SmoothingState,
     combine_bilevel,
     combine_global_kl,
@@ -190,11 +188,10 @@ class ExperimentResult:
         return [r.weights for r in self.weighted_records]
 
 
-def improvement_direction(task: str) -> tuple[str, str]:
-    """(metric key, direction) steering the adaptive smoothing factor."""
-    if task == REGRESSION:
-        return "mae", LOWER_IS_BETTER
-    return "weighted_f1", HIGHER_IS_BETTER
+def smoothing_metric(task: str, bundle: dict[str, float]) -> float:
+    """The val metric steering the adaptive smoothing factor, lower when
+    better: MAE for regression, weighted F1 negated for classification."""
+    return bundle["mae"] if task == REGRESSION else -bundle["weighted_f1"]
 
 
 def _collect_predictions(params: ModelParams, batch: DataBatch, weights=None) -> np.ndarray:
@@ -392,13 +389,14 @@ def train_multimodal_warm(
     return params, records, rng
 
 
-def _combine(config: ExperimentConfig, raw: np.ndarray, mi: np.ndarray | None) -> np.ndarray:
+def _combine(config: ExperimentConfig, raw: np.ndarray | None, mi: np.ndarray | None,
+             n_train: int) -> np.ndarray:
     if config.variant == "btw_local":
         return combine_local(raw)
     if config.variant == "btw_global_kl":
         return combine_global_kl(raw)
     if config.variant == "btw_global_mi":
-        return combine_global_mi(mi, raw.shape[0])
+        return combine_global_mi(mi, n_train)
     return combine_bilevel(raw, mi)
 
 
@@ -426,7 +424,6 @@ def run_weighted_phase(
     """
     if config.variant == "unweighted":
         raise InvalidInputError("the unweighted variant has no weighted phase")
-    metric_key, direction = improvement_direction(dataset.task)
     train_idx = dataset.indices("train")
     train_targets = dataset.targets[train_idx]
     n_train = train_idx.size
@@ -435,7 +432,7 @@ def run_weighted_phase(
     uni = np.stack(uni_train)
     uni.flags.writeable = False
     # Smoothing metric: validation quality at the end of the previous epoch.
-    current_metric = val_metrics[metric_key]
+    current_metric = smoothing_metric(dataset.task, val_metrics)
     # The warm phase trains under implicitly uniform weights, so the EMA
     # recursion starts from the uniform matrix.
     state = SmoothingState(prev_weights=np.full((n_train, n_mod), 1.0 / n_mod))
@@ -460,7 +457,9 @@ def run_weighted_phase(
                              (uni[m : m + 1], multi, jitter_seed))
                         for m in range(n_mod)
                     ])
-                raw = instance_kl_weights(train_targets, uni, multi)
+                # btw_global_mi's weights read MI alone.
+                raw = (None if config.variant == "btw_global_mi"
+                       else instance_kl_weights(train_targets, uni, multi))
             except BtwError:
                 if last:  # the epoch before reports its own failure first
                     _settled(*last)
@@ -469,10 +468,10 @@ def run_weighted_phase(
                 # Its score went out before this epoch's MI share, and a
                 # lane's replies are read in the order they were sent.
                 records.append(_settled(*last, until=started))
-                current_metric = records[-1].val_metrics[metric_key]
+                current_metric = smoothing_metric(dataset.task, records[-1].val_metrics)
             mi = np.concatenate([part() for part in mi_parts]) if mi_parts else None
-            new_weights = _combine(config, raw, mi)
-            smoothed, state = smooth_update(state, new_weights, current_metric, direction)
+            new_weights = _combine(config, raw, mi, n_train)
+            smoothed, state = smooth_update(state, new_weights, current_metric)
             # Weights are applied at relative scale (M * W, mean scale 1): the
             # row-stochastic rows express modality proportions, and rescaling
             # by M makes uniform rows reproduce the unweighted baseline exactly.

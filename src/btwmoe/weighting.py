@@ -26,9 +26,6 @@ ALPHA_STEP = 0.1
 ALPHA_MIN = 0.1
 ALPHA_MAX = 0.9
 
-LOWER_IS_BETTER = "lower"
-HIGHER_IS_BETTER = "higher"
-
 # How far a weight matrix may stray from row-stochastic by float rounding.
 WEIGHT_ATOL = 1e-9
 
@@ -156,29 +153,20 @@ class SmoothingState:
 
 
 def smooth_update(
-    state: SmoothingState,
-    new_weights: np.ndarray,
-    current_metric: float,
-    metric_improves_when: str = LOWER_IS_BETTER,
+    state: SmoothingState, new_weights: np.ndarray, current_metric: float
 ) -> tuple[np.ndarray, SmoothingState]:
     """Blend new weights into the previous smoothed weights with adaptive alpha.
 
-    Alpha steps up by ALPHA_STEP when the metric strictly improved since the
-    last update and down by it otherwise, clamped to [ALPHA_MIN, ALPHA_MAX];
-    the blended rows are re-normalized to absorb float drift. A state with no
-    previous metric keeps its alpha.
+    current_metric is lower when better. Alpha steps up by ALPHA_STEP when it
+    fell strictly below the last update's metric and down by it otherwise,
+    clamped to [ALPHA_MIN, ALPHA_MAX]; the blended rows are re-normalized to
+    absorb float drift. A state with no previous metric keeps its alpha.
     """
-    if metric_improves_when not in (LOWER_IS_BETTER, HIGHER_IS_BETTER):
-        raise InvalidInputError(f"unknown direction {metric_improves_when!r}")
     validate_weight_matrix(new_weights)
 
     alpha = state.alpha
     if state.prev_metric is not None:
-        if metric_improves_when == LOWER_IS_BETTER:
-            improved = current_metric < state.prev_metric
-        else:
-            improved = current_metric > state.prev_metric
-        step = ALPHA_STEP if improved else -ALPHA_STEP
+        step = ALPHA_STEP if current_metric < state.prev_metric else -ALPHA_STEP
         alpha = min(max(alpha + step, ALPHA_MIN), ALPHA_MAX)
 
     if state.prev_weights.shape != new_weights.shape:

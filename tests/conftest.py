@@ -73,8 +73,8 @@ def unit_weight_smoothing(smooth_update):
     the applied weights M * (1/M) exactly one; the smoothing state, and so
     alpha, still advances from the real blend."""
 
-    def fake(state, new_weights, current_metric, direction):
-        smoothed, next_state = smooth_update(state, new_weights, current_metric, direction)
+    def fake(state, new_weights, current_metric):
+        smoothed, next_state = smooth_update(state, new_weights, current_metric)
         return np.full_like(smoothed, 1.0 / smoothed.shape[1]), next_state
 
     return fake

@@ -8,26 +8,31 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import uniform_mi, unit_weight_smoothing
+from reference import run_reference
 
 from btwmoe import training
 from btwmoe.errors import InvalidInputError, NumericOverflowError, TrainingFailureError
 from btwmoe.metrics import mae
+from btwmoe.mi import ksg_mi
 from btwmoe.moe import DataBatch, forward, init_params
 from btwmoe.reports import export_result
-from btwmoe.synthetic import SyntheticSpec
+from btwmoe.synthetic import SyntheticSpec, generate, save_dataset
 from btwmoe.training import (
+    EpochRecord,
     ExperimentConfig,
-    improvement_direction,
     plan,
     resolve_dataset,
     run_experiment,
+    smoothing_metric,
     train_unimodal_all,
 )
 from btwmoe.weighting import ALPHA_INIT, validate_weight_matrix
@@ -207,9 +212,9 @@ class TestEvaluate:
         assert set(result.test_bundle) == {"accuracy", "macro_f1", "weighted_f1"}
         assert 0 <= result.test_bundle["accuracy"] <= 1
 
-    def test_improvement_direction_per_task(self):
-        assert improvement_direction("regression") == ("mae", "lower")
-        assert improvement_direction("classification") == ("weighted_f1", "higher")
+    def test_smoothing_metric_per_task(self):
+        assert smoothing_metric("regression", {"mae": 0.3, "acc2_nonzero": 0.7}) == 0.3
+        assert smoothing_metric("classification", {"accuracy": 0.6, "weighted_f1": 0.4}) == -0.4
 
 
 class TestUnimodalModels:
@@ -321,6 +326,20 @@ class TestWeightedPhaseInputs:
             assert not uni.flags.writeable
             with pytest.raises(ValueError):
                 uni[0, 0] = 1.0
+
+    @pytest.mark.parametrize("variant", ["btw", "btw_global_mi"])
+    def test_kl_weights_only_where_the_combinator_reads_them(self, monkeypatch, variant):
+        calls = []
+        kl_weights = training.instance_kl_weights
+
+        def spying_kl_weights(targets, uni, multi):
+            calls.append(None)
+            return kl_weights(targets, uni, multi)
+
+        monkeypatch.setattr(training, "instance_kl_weights", spying_kl_weights)
+        cfg = small_config(variant=variant)
+        run_experiment(cfg)
+        assert len(calls) == (0 if variant == "btw_global_mi" else cfg.epochs_weighted)
 
 
 class TestTrainSplitInPlace:
@@ -920,3 +939,95 @@ assert loaded
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+@st.composite
+def reference_configs(draw):
+    """Small configs over every variant, both tasks and both generators:
+    M = 1-4, N = 40-160, 1-4 experts, top-k <= E, 1-2 MoE layers and 0-3
+    epochs per phase."""
+    n_mod = draw(st.integers(1, 4))
+    task = draw(st.sampled_from(["regression", "classification"]))
+    informativeness = draw(st.lists(st.sampled_from([0.0, 0.4, 0.8]), min_size=n_mod,
+                                    max_size=n_mod).filter(any))
+    spec = SyntheticSpec(
+        n_instances=draw(st.integers(40, 160)),
+        modality_dims=tuple(draw(st.lists(st.integers(1, 5), min_size=n_mod, max_size=n_mod))),
+        informativeness=tuple(informativeness),
+        noise_sigma=draw(st.sampled_from([0.1, 1.0])),
+        task=task,
+        n_classes=draw(st.integers(2, 4)) if task == "classification" else 0,
+        nonlinearity=draw(st.sampled_from(["linear", "tanh-mixed"])),
+        seed=draw(st.integers(0, 9)),
+    )
+    n_experts = draw(st.integers(1, 4))
+    epochs = st.integers(0, 3)
+    return ExperimentConfig(
+        variant=draw(st.sampled_from(training.VARIANTS)),
+        epochs_unimodal=draw(epochs),
+        epochs_warm=draw(epochs),
+        epochs_weighted=draw(epochs),
+        batch_size=draw(st.sampled_from([7, 16, 64])),
+        moe_embed_dim=4,
+        moe_expert_hidden=8,
+        moe_n_experts=n_experts,
+        moe_top_k=draw(st.integers(1, n_experts)),
+        moe_n_moe_layers=draw(st.integers(1, 2)),
+        data=spec,
+        seed=draw(st.integers(0, 9)),
+    )
+
+
+def assert_same_run(result, expected):
+    """Every record field but the wall time, the val and test bundles and
+    every model's params, compared as pickled bytes: item by item, since a
+    whole pickled list also encodes which objects it shares."""
+    assert len(result.records) == len(expected.records)
+    for got, want in zip(result.records, expected.records):
+        for field in fields(EpochRecord):
+            if field.name != "duration_s":
+                assert pickle.dumps(getattr(got, field.name)) == pickle.dumps(
+                    getattr(want, field.name)), (got.epoch, field.name)
+    for name in ("val_bundle", "test_bundle", "final_params"):
+        assert pickle.dumps(getattr(result, name)) == pickle.dumps(getattr(expected, name)), name
+    assert ([pickle.dumps(params) for params in result.unimodal_params]
+            == [pickle.dumps(params) for params in expected.unimodal_params])
+
+
+class TestReference:
+    """run_experiment against the straight-line reference (tests/reference.py),
+    bit for bit: on this machine's lanes and on one."""
+
+    @given(config=reference_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_run_matches_the_reference(self, config):
+        expected = run_reference(config)
+        assert_same_run(run_experiment(config), expected)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "_usable_cores", lambda: 1)
+            assert_same_run(run_experiment(config), expected)
+
+    @pytest.mark.parametrize("variant", ["btw", "btw_global_mi"])
+    def test_tied_outputs_read_the_mi_jitter(self, tmp_path, variant):
+        # On continuous outputs the 1e-10 jitter decides no KSG neighbour
+        # count, so its seed moves no result there. Here every instance
+        # appears six times, so the train outputs tie in blocks and the
+        # jitter seed (S + 101 + weighted epoch) decides the MI: the reference
+        # covers that rule only through this case. Blocks of KSG_K + 1 would
+        # not do, since each point's two marginal counts then sum alike
+        # however its ties break.
+        base = generate(SyntheticSpec(n_instances=20, modality_dims=(3, 3),
+                                      informativeness=(0.9, 0.3), seed=2))
+        copies = np.repeat(np.arange(base.n_instances), 6)
+        save_dataset(replace(base, features=[f[copies] for f in base.features],
+                             targets=base.targets[copies],
+                             split_tags=np.zeros(copies.size, dtype=np.int8)), tmp_path)
+        config = small_config(variant=variant, data=None, data_path=str(tmp_path))
+        result = run_experiment(config)
+        assert_same_run(result, run_reference(config))
+
+        train = result.dataset.batch("train")
+        uni = forward(result.unimodal_params[0], DataBatch(train.features[:1]))[0]
+        multi = forward(result.final_params, train)[0]
+        assert np.unique(uni).size < uni.size
+        assert ksg_mi(uni, multi, jitter_seed=1) != ksg_mi(uni, multi, jitter_seed=2)

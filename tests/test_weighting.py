@@ -230,11 +230,12 @@ class TestSmoothing:
             assert min(abs(d), abs(d - 0.1), abs(d + 0.1)) < 1e-12
         assert all(0.1 <= a <= 0.9 for a in alphas)
 
-    def test_higher_is_better_direction(self):
-        state = SmoothingState(prev_weights=np.array([[0.5, 0.5]]), prev_metric=0.5)
-        _, up = smooth_update(state, np.array([[0.5, 0.5]]), 0.6, "higher")
+    def test_negated_f1_raises_alpha_when_f1_rises(self):
+        # Classification smooths on the weighted F1 negated (lower is better).
+        state = SmoothingState(prev_weights=np.array([[0.5, 0.5]]), prev_metric=-0.5)
+        _, up = smooth_update(state, np.array([[0.5, 0.5]]), -0.6)
         assert up.alpha == pytest.approx(0.6)
-        _, down = smooth_update(state, np.array([[0.5, 0.5]]), 0.4, "higher")
+        _, down = smooth_update(state, np.array([[0.5, 0.5]]), -0.4)
         assert down.alpha == pytest.approx(0.4)
 
     def test_smoothed_entries_stay_between_old_and_new(self):
