@@ -79,7 +79,6 @@ def acc_k(predictions, targets, k) -> float:
 def f1_scores(predicted_labels, true_labels) -> tuple[float, float, float]:
     """(macro_f1, weighted_f1, accuracy) over integer class labels.
 
-    Per-class F1 is 0 for classes with neither predicted nor true positives.
     Macro averages over the classes present in the targets; weighted uses
     the target supports as weights.
     """
@@ -99,8 +98,6 @@ def f1_scores(predicted_labels, true_labels) -> tuple[float, float, float]:
         n_pred = float(np.sum(pred == c))
         n_true = float(np.sum(true == c))
         supports[idx] = n_true
-        if n_pred + n_true == 0:
-            continue
         f1_per_class[idx] = 2.0 * tp / (n_pred + n_true)
     macro = float(np.mean(f1_per_class))
     if np.all(supports == supports[0]):

@@ -65,19 +65,24 @@ def _series_jitter(x: np.ndarray, jitter_seed: int) -> np.ndarray:
     exactly symmetric: each series receives the same jitter whichever side
     it is passed on.
 
-    The draw is per position, so on a series with ties the estimate depends
-    on row order: the same sample in another order breaks its ties another
-    way. With values rounded to 0.1 (N=20-400), permuting the rows of (x, y)
-    together moved ksg_mi in about 85 of 100 cases, by up to 0.08 nats. On
-    continuous series it moves only by float rounding (below 1e-14).
+    Hashing the sorted values and drawing by rank makes each value's jitter
+    follow it, so on a series without ties ksg_mi ignores row order. Tied
+    values draw in row order: the same sample in another order breaks its
+    ties another way. With values rounded to 0.1 (N=20-400), permuting the
+    rows of (x, y) together moved ksg_mi in 87 of 100 cases, by up to 0.07
+    nats.
     """
-    scale = float(np.std(x))
+    ranks = np.argsort(x, kind="stable")
+    ordered = x[ranks]
+    scale = float(np.std(ordered))
     if scale == 0.0:
         scale = max(1.0, float(np.abs(x).max()))
-    digest = zlib.crc32(np.ascontiguousarray(x, dtype=np.float64).tobytes())
+    digest = zlib.crc32(ordered.tobytes())
     rng = np.random.default_rng([jitter_seed & 0xFFFFFFFF, digest])
     amp = JITTER_RELATIVE_AMPLITUDE * scale
-    return rng.uniform(-amp, amp, size=x.shape[0])
+    jitter = np.empty(x.shape[0])
+    jitter[ranks] = rng.uniform(-amp, amp, size=x.shape[0])
+    return jitter
 
 
 def _marginal_counts(v: np.ndarray, radius: np.ndarray) -> np.ndarray:

@@ -335,13 +335,6 @@ def _experts(t, rows, spans, experts, z2, keep):
     return (z1, c, h) if keep else (None, None, None)
 
 
-def _top_k_select(logits: np.ndarray, k: int) -> np.ndarray:
-    # Stable sort on negated logits: equal logits keep index order, so the
-    # lower expert index wins ties.
-    order = np.argsort(-logits, axis=1, kind="stable")
-    return order[:, :k]
-
-
 def _forward(
     params: ModelParams,
     batch: DataBatch,
@@ -400,7 +393,9 @@ def _forward(
         if not np.isfinite(logits).all():
             m = np.flatnonzero(~np.isfinite(logits).all(axis=1))[0] // b
             raise NumericOverflowError(f"non-finite activation in router[{layer}][{m}]")
-        selected = _top_k_select(logits, k)
+        # Stable sort on negated logits: equal logits keep index order, so the
+        # lower expert index wins ties.
+        selected = np.argsort(-logits, axis=1, kind="stable")[:, :k]
         gate = _softmax_rows(logits[np.arange(n_rows)[:, None], selected])
         # Sort-based dispatch: a stable sort groups the (row, slot) pairs by
         # expert and keeps them row-major within each group.
@@ -480,7 +475,7 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
     else:
         d_probs = np.asarray(loss_grad, dtype=np.float64)
         p = trace.probs
-        d_scores = p * (d_probs - np.sum(d_probs * p, axis=1, keepdims=True))
+        d_scores = p * (d_probs - (d_probs * p).sum(axis=1, keepdims=True))
 
     grads.head_w[...] = trace.pooled.T @ d_scores
     grads.head_b[...] = d_scores.sum(axis=0)
@@ -495,7 +490,7 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
         spans = _expert_spans(cache.bounds)
         d_rows = d_t[cache.rows]
         d_gate = np.empty(cache.gate.size)
-        d_gate[cache.order] = np.sum(d_rows * cache.z2, axis=1)
+        d_gate[cache.order] = (d_rows * cache.z2).sum(axis=1)
         d_gate = d_gate.reshape(cache.gate.shape)
         d_z2 = d_rows
         d_z2 *= cache.gates[:, None]
@@ -503,7 +498,7 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
         for e, lo, hi in spans:
             block = d_z2[lo:hi]
             np.matmul(cache.h[lo:hi].T, block, out=grads.exp_w2[layer, e])
-            np.sum(block, axis=0, out=grads.exp_b2[layer, e])
+            block.sum(axis=0, out=grads.exp_b2[layer, e])
             np.matmul(block, params.exp_w2[layer, e].T, out=d_z1[lo:hi])
         d_z1 *= _gelu_grad(cache.z1, cache.c)
         x = cache.t_in[cache.rows]
@@ -511,12 +506,12 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
         for e, lo, hi in spans:
             block = d_z1[lo:hi]
             np.matmul(x[lo:hi].T, block, out=grads.exp_w1[layer, e])
-            np.sum(block, axis=0, out=grads.exp_b1[layer, e])
+            block.sum(axis=0, out=grads.exp_b1[layer, e])
             np.matmul(block, params.exp_w1[layer, e].T, out=d_x[lo:hi])
         d_t_in = _gather_add(d_t.copy(), d_x, cache.positions)  # residual path plus experts
         # Gate softmax over the selected logits only.
         d_sel_logits = cache.gate * (
-            d_gate - np.sum(d_gate * cache.gate, axis=1, keepdims=True)
+            d_gate - (d_gate * cache.gate).sum(axis=1, keepdims=True)
         )
         d_logits = np.zeros_like(cache.logits)
         d_logits[np.arange(d_logits.shape[0])[:, None], cache.selected] = d_sel_logits

@@ -5,7 +5,6 @@ records.csv."""
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from itertools import product
@@ -37,22 +36,21 @@ def write_records_csv(result: ExperimentResult, path) -> None:
         + [f"mean_weight_{m}" for m in range(n_mod)]
     )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for rec in result.records:
-            row = [rec.epoch, rec.phase, repr(rec.train_loss), repr(rec.val_loss)]
+            row = [str(rec.epoch), rec.phase, repr(rec.train_loss), repr(rec.val_loss)]
             row += [repr(float(rec.val_metrics[c])) for c in cols]
             row += [repr(float(rec.alpha))]
             row += [repr(float(w)) for w in rec.mean_weights]
-            writer.writerow(row)
+            fh.write(",".join(row) + "\r\n")
 
 
 def write_weight_trajectory_csv(path, epochs, matrices) -> None:
     """Write per-epoch weight matrices as rows of (epoch, instance, modality, weight).
 
-    The bytes are those csv.writer gives (no field needs quoting, every row
-    ends in CRLF); the ",instance,modality," cells are built once per shape
-    and each matrix is written as one string.
+    Rows are comma-joined and end in CRLF, as in records.csv (no field needs
+    quoting); the ",instance,modality," cells are built once per shape and
+    each matrix is written as one string.
     """
     shape, cells = None, []
     with open(path, "w", newline="") as fh:

@@ -116,13 +116,12 @@ def combine_bilevel(raw: np.ndarray, mi: np.ndarray) -> np.ndarray:
 
 
 def combine_global_kl(raw: np.ndarray) -> np.ndarray:
-    """Dataset-averaged KL weights: every row is the normalized column mean."""
+    """Dataset-averaged KL weights: combine_global_mi of raw's column means,
+    one row per instance."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] == 0:
         raise InvalidInputError(f"expected a non-empty (N, M) matrix, got shape {raw.shape}")
-    means = raw.mean(axis=0, keepdims=True)
-    row = _normalize_rows(means)
-    return np.repeat(row, raw.shape[0], axis=0)
+    return combine_global_mi(raw.mean(axis=0), raw.shape[0])
 
 
 def combine_global_mi(mi: np.ndarray, n: int) -> np.ndarray:

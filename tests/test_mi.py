@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -16,6 +16,7 @@ from conftest import empirical_entropy
 from btwmoe.errors import InvalidInputError
 from btwmoe.mi import (
     _marginal_counts,
+    _series_jitter,
     discrete_mi,
     gaussian_mi_analytic,
     ksg_mi,
@@ -168,6 +169,7 @@ def test_marginal_counts_match_kd_tree_ball_counts(case):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 400),
        rho=st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True))
 @settings(max_examples=100, deadline=None)
+@example(seed=400, n=400, rho=-0.2570655705182129)
 def test_ksg_mi_ignores_the_row_order_of_continuous_series(seed, n, rho):
     # Permuting the rows of (x, y) together changes only the order in which
     # the digamma terms are summed (2.7e-15 was seen). On tied series the
@@ -175,6 +177,17 @@ def test_ksg_mi_ignores_the_row_order_of_continuous_series(seed, n, rho):
     x, y = bivariate_normal(rho, n, seed)
     perm = np.random.default_rng(seed).permutation(n)
     assert abs(ksg_mi(x[perm], y[perm]) - ksg_mi(x, y)) <= 1e-12
+
+
+@given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200, unique=True),
+       perm_seed=st.integers(0, 2**32 - 1), jitter_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_series_jitter_follows_each_value_of_a_tie_free_series(values, perm_seed, jitter_seed):
+    x = np.array(values)
+    perm = np.random.default_rng(perm_seed).permutation(x.shape[0])
+    np.testing.assert_array_equal(
+        _series_jitter(x[perm], jitter_seed), _series_jitter(x, jitter_seed)[perm]
+    )
 
 
 class TestGaussianMiAnalytic:
