@@ -91,14 +91,9 @@ def f1_scores(predicted_labels, true_labels) -> tuple[float, float, float]:
 
     accuracy = float(np.mean(pred == true))
     classes = np.unique(true)
-    f1_per_class = np.zeros(classes.shape[0])
-    supports = np.zeros(classes.shape[0])
-    for idx, c in enumerate(classes):
-        tp = float(np.sum((pred == c) & (true == c)))
-        n_pred = float(np.sum(pred == c))
-        n_true = float(np.sum(true == c))
-        supports[idx] = n_true
-        f1_per_class[idx] = 2.0 * tp / (n_pred + n_true)
+    is_pred, is_true = pred == classes[:, None], true == classes[:, None]
+    supports = is_true.sum(axis=1).astype(np.float64)
+    f1_per_class = 2.0 * (is_pred & is_true).sum(axis=1) / (is_pred.sum(axis=1) + supports)
     macro = float(np.mean(f1_per_class))
     if np.all(supports == supports[0]):
         # Equal supports make the weighted mean identical to the macro mean;

@@ -373,10 +373,10 @@ def _forward(
         if not np.isfinite(weights).all():
             raise InvalidInputError("weights have non-finite entries")
 
-    blocks = [slice(m * b, (m + 1) * b) for m in range(n_mod)]
     t = np.empty((n_mod * b, cfg.embed_dim))
     for m in range(n_mod):
-        e0 = np.matmul(batch.features[m], params.enc_w[m], out=t[blocks[m]])
+        e0 = np.matmul(batch.features[m], params.enc_w[m],
+                       out=t.reshape(n_mod, b, cfg.embed_dim)[m])
         e0 += params.enc_b[m]
         _check_finite(e0, f"encoder[{m}]")
         if weights is not None:
@@ -483,7 +483,6 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
 
     n_mod = cfg.n_modalities
     b = d_pooled.shape[0]
-    blocks = [slice(m * b, (m + 1) * b) for m in range(n_mod)]
     d_t = np.tile(d_pooled / n_mod, (n_mod, 1))
     for layer in reversed(range(cfg.n_moe_layers)):
         cache = trace.layer_caches[layer]
@@ -521,7 +520,7 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> ModelParams:
         d_t_in.reshape(stacked)[...] += d_logits @ params.router_w[layer].transpose(0, 2, 1)
         d_t = d_t_in
     for m in range(n_mod):
-        d_e0 = d_t[blocks[m]]
+        d_e0 = d_t.reshape(n_mod, b, cfg.embed_dim)[m]
         if trace.weights is not None:
             d_e0 = d_e0 * trace.weights[:, m : m + 1]
         grads.enc_w[m] += trace.features[m].T @ d_e0

@@ -79,10 +79,6 @@ class SyntheticSpec:
             del d["class_priors"]
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        return cls(**d)  # __post_init__ turns the JSON lists back into tuples
-
 
 @dataclass
 class Dataset:
@@ -252,7 +248,7 @@ def load_dataset(in_dir) -> Dataset:
         paths = [src / name for name in [*meta["modality_files"], meta["targets_file"]]]
         task, n_classes = meta["task"], int(meta["n_classes"])
         split_tags = np.asarray(meta["split_tags"])
-        spec = SyntheticSpec.from_dict(meta["spec"]) if meta.get("spec") else None
+        spec = SyntheticSpec(**meta["spec"]) if meta.get("spec") else None
         split_fractions = tuple(meta["split_fractions"]) if meta.get("split_fractions") else None
     except KeyError as exc:
         raise InvalidInputError(f"dataset metadata {meta_path} has no key {exc}") from exc

@@ -431,8 +431,6 @@ def run_weighted_phase(
     # The unimodal outputs are the fixed reference point of every epoch.
     uni = np.stack(uni_train)
     uni.flags.writeable = False
-    # Smoothing metric: validation quality at the end of the previous epoch.
-    current_metric = smoothing_metric(dataset.task, val_metrics)
     # The warm phase trains under implicitly uniform weights, so the EMA
     # recursion starts from the uniform matrix.
     state = SmoothingState(prev_weights=np.full((n_train, n_mod), 1.0 / n_mod))
@@ -468,10 +466,11 @@ def run_weighted_phase(
                 # Its score went out before this epoch's MI share, and a
                 # lane's replies are read in the order they were sent.
                 records.append(_settled(*last, until=started))
-                current_metric = smoothing_metric(dataset.task, records[-1].val_metrics)
             mi = np.concatenate([part() for part in mi_parts]) if mi_parts else None
             new_weights = _combine(config, raw, mi, n_train)
-            smoothed, state = smooth_update(state, new_weights, current_metric)
+            # Smoothing metric: validation quality at the end of the previous epoch.
+            val = records[-1].val_metrics if records else val_metrics
+            smoothed, state = smooth_update(state, new_weights, smoothing_metric(dataset.task, val))
             # Weights are applied at relative scale (M * W, mean scale 1): the
             # row-stochastic rows express modality proportions, and rescaling
             # by M makes uniform rows reproduce the unweighted baseline exactly.

@@ -19,9 +19,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG_PATH = REPO_ROOT / "configs" / "noise_default.cfg"
 CLASSIFICATION_CONFIG_PATH = REPO_ROOT / "configs" / "classification_4class.cfg"
 
-# The environment every byte pin and digest in tests/ was recorded on:
-# matmul results differ in the last ulp between OpenBLAS kernels.
-PINNED_ENVIRONMENT = "NumPy 2.4.6, SciPy 1.17.1, OpenBLAS core SkylakeX"
+# The environment every byte pin and digest in tests/ was recorded on.
+# Matmul results differ in the last ulp between OpenBLAS kernels, so a pin
+# downstream of a matmul holds one entry per kernel (assert_pinned).
+PINNED_ENVIRONMENT = "NumPy 2.4.6, SciPy 1.17.1, OpenBLAS core SkylakeX, Haswell or Sandybridge"
 
 # Populated by tests/test_acceptance.py; echoed after the run so the
 # per-criterion verdicts are visible without -s.
@@ -37,6 +38,16 @@ def openblas_core() -> str:
         return corename().decode()
     except Exception:  # another BLAS build, or none found: name it, never fail
         return "unknown"
+
+
+def assert_pinned(got, pins: dict):
+    """Check got against pins' entry for the running OpenBLAS kernel. A kernel
+    with no entry fails, naming itself, the recorded kernels and got."""
+    core = openblas_core()
+    if core not in pins:
+        pytest.fail(f"no byte pin recorded on OpenBLAS core {core} (recorded on "
+                    f"{', '.join(pins)}); this run gives {got!r}", pytrace=False)
+    assert got == pins[core]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

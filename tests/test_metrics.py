@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btwmoe.errors import InvalidInputError
@@ -103,6 +103,38 @@ class TestF1Scores:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError, match="label series must be aligned"):
             f1_scores([0, 1], [0, 1, 2])
+
+
+def f1_scores_per_class(pred, true):
+    """f1_scores by its definition: one class of the targets at a time."""
+    accuracy = float(np.mean(pred == true))
+    classes = np.unique(true)
+    f1_per_class = np.zeros(classes.shape[0])
+    supports = np.zeros(classes.shape[0])
+    for idx, c in enumerate(classes):
+        tp = float(np.sum((pred == c) & (true == c)))
+        n_pred = float(np.sum(pred == c))
+        n_true = float(np.sum(true == c))
+        supports[idx] = n_true
+        f1_per_class[idx] = 2.0 * tp / (n_pred + n_true)
+    macro = float(np.mean(f1_per_class))
+    if np.all(supports == supports[0]):
+        weighted = macro
+    else:
+        weighted = float(np.sum(f1_per_class * supports) / supports.sum())
+    return macro, weighted, accuracy
+
+
+# (predicted, target) label pairs: a predicted label may be missing from the
+# targets, the targets may hold one class, and supports may tie or differ.
+@given(pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=60))
+@example(pairs=[(4, 1), (0, 1), (1, 1)])
+@example(pairs=[(0, 0), (1, 1), (1, 0), (2, 1)])
+@example(pairs=[(5, 0), (0, 2), (2, 2), (3, 0), (2, 0)])
+@settings(max_examples=300, deadline=None)
+def test_f1_scores_equal_their_per_class_definition(pairs):
+    pred, true = np.array(pairs).T
+    assert f1_scores(pred, true) == f1_scores_per_class(pred, true)
 
 
 @given(seed=st.integers(0, 1000))

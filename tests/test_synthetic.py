@@ -92,7 +92,7 @@ class TestSpecValidation:
 
     def test_round_trips_through_dict(self):
         spec = base_spec(task="classification", n_classes=4, class_priors=(0.4, 0.3, 0.2, 0.1))
-        assert SyntheticSpec.from_dict(spec.to_dict()) == spec
+        assert SyntheticSpec(**spec.to_dict()) == spec
 
 
 class TestGenerate:

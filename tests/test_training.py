@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import uniform_mi, unit_weight_smoothing
+from conftest import assert_pinned, uniform_mi, unit_weight_smoothing
 from reference import run_reference
 
 from btwmoe import training
@@ -218,19 +218,29 @@ class TestEvaluate:
 
 
 class TestUnimodalModels:
-    # sha256 of the stacked train outputs, computed with each unimodal model
-    # trained as a stream subset of the full multimodal model: the slice must
-    # keep that model's random draws and batch order.
-    @pytest.mark.parametrize("spec, digest", [
-        ({}, "e61569aa85899be879906ebae6e78973faa93ef689b4df32b3aed832f82cb6ac"),
-        (dict(task="classification", n_classes=3),
-         "fa930deba5e48647f50e52dfbe7cd15e3852836f9ab4d10dda759792603c8f73"),
-    ])
-    def test_train_outputs_pinned(self, spec, digest):
+    # sha256 of the stacked train outputs per OpenBLAS kernel, the SkylakeX
+    # one computed with each unimodal model trained as a stream subset of the
+    # full multimodal model: the slice must keep that model's random draws and
+    # batch order.
+    @pytest.mark.parametrize("spec, digests", [
+        ({}, {
+            "SkylakeX": "e61569aa85899be879906ebae6e78973faa93ef689b4df32b3aed832f82cb6ac",
+            "Haswell": "2f81368a21db3fea3c685709f727ded71ffb96e1abf80726ea30f12c012b112b",
+            "Sandybridge": "4c65e167170a95817b5ac7148cc7dfc88373deaaa838b905bb0d032d59c3a2af",
+        }),
+        (dict(task="classification", n_classes=3), {
+            "SkylakeX": "fa930deba5e48647f50e52dfbe7cd15e3852836f9ab4d10dda759792603c8f73",
+            "Haswell": "772267c8fc646ab68379bf39f458bc8bdf0667504507b56195d7b784d2fb4b01",
+            "Sandybridge": "9732ea15b271bf9ade514908a3be9622eb19ee32692b6d3e38e5f6e3504e9e84",
+        }),
+        # Test ids read spec0-<SkylakeX digest>: a spec has no such key, so
+        # pytest names it by position.
+    ], ids=lambda value: value.get("SkylakeX"))
+    def test_train_outputs_pinned(self, spec, digests):
         cfg = small_config(spec=spec)
         models, uni_train = train_unimodal_all(cfg, resolve_dataset(cfg))
         assert [model.config.input_dims for model in models] == [(8,), (8,), (8,)]
-        assert hashlib.sha256(np.stack(uni_train).tobytes()).hexdigest() == digest
+        assert_pinned(hashlib.sha256(np.stack(uni_train).tobytes()).hexdigest(), digests)
 
 
 class TestFinalBundles:
@@ -394,74 +404,216 @@ class TestPredictionPassMemory:
 
 class TestExportBytes:
     # sha256 of the three data files export_result writes for every variant
-    # on a small regression and a small 3-class classification run. A change
-    # to how a run is planned or recorded must leave these bytes alone.
+    # on a small regression and a small 3-class classification run, per
+    # OpenBLAS kernel. A change to how a run is planned or recorded must
+    # leave these bytes alone.
     @pytest.mark.parametrize("overrides, digests", [
         (dict(variant="btw"), {
-            "records.csv": "74c100552723919ff6ed4e078431f60ca112d56aa4bc48853e33fbd28077658a",
-            "weights_trajectory.csv":
-                "bb415d2ca9b024907dc0bab4c4a4cc38c2451ea9d5fda013d2687b159693e236",
-            "metrics.json": "8f2363c2a4b2b4ad9aa14a9336e9c670b28b70abcf7417620c432214e83cee31",
+            "SkylakeX": {
+                "records.csv": "74c100552723919ff6ed4e078431f60ca112d56aa4bc48853e33fbd28077658a",
+                "weights_trajectory.csv":
+                    "bb415d2ca9b024907dc0bab4c4a4cc38c2451ea9d5fda013d2687b159693e236",
+                "metrics.json": "8f2363c2a4b2b4ad9aa14a9336e9c670b28b70abcf7417620c432214e83cee31",
+            },
+            "Haswell": {
+                "records.csv": "fdec5b3f4e70e162161987059e60a210cce4275cdad5746819198a0a8ed06b82",
+                "weights_trajectory.csv":
+                    "38695c5bcd7f800533599577fdeb8e8d4f85e4e565102a5ff8d987c4071837fb",
+                "metrics.json": "4bf20a40929332372a1aa7356029439e7eb0fee5dfdad1e6893f40c640664c26",
+            },
+            "Sandybridge": {
+                "records.csv": "8921dc7ed3bb431844cf5336038c65b318a35c6c9cb4bc7bc78a84999bec7461",
+                "weights_trajectory.csv":
+                    "fd7913b2924442a4b15326d100fbc0e75c89160635640250a4a1489235175465",
+                "metrics.json": "b4e0203d9759229f44ed35f229411a79d237536782f8a8636f30c02a754dfea2",
+            },
         }),
         (dict(variant="btw_global_mi", spec=CLASSIFICATION_3), {
-            "records.csv": "26f0d7a4593a6e4bfa672ca2cf2d58160b4a9e27136ebaaf6407258c64997e21",
-            "weights_trajectory.csv":
-                "fe031f776a8e4592e8245800daec86db5cc5c700e0fb4509a7164c0b4660036b",
-            "metrics.json": "d70b7254452d69c0ec239fe145f4195f70b82ba07308f52a64e115fedff31dd4",
+            "SkylakeX": {
+                "records.csv": "26f0d7a4593a6e4bfa672ca2cf2d58160b4a9e27136ebaaf6407258c64997e21",
+                "weights_trajectory.csv":
+                    "fe031f776a8e4592e8245800daec86db5cc5c700e0fb4509a7164c0b4660036b",
+                "metrics.json": "d70b7254452d69c0ec239fe145f4195f70b82ba07308f52a64e115fedff31dd4",
+            },
+            "Haswell": {
+                "records.csv": "08d2b70be1539f387cbae79ac019db8a5ebef3f5218adcce1f93a74d8c5305ac",
+                "weights_trajectory.csv":
+                    "fe031f776a8e4592e8245800daec86db5cc5c700e0fb4509a7164c0b4660036b",
+                "metrics.json": "d70b7254452d69c0ec239fe145f4195f70b82ba07308f52a64e115fedff31dd4",
+            },
+            "Sandybridge": {
+                "records.csv": "c94dac2dc56de2d8f351c2af0485e8e7c60a92aa25ffec18503191a3a25fee51",
+                "weights_trajectory.csv":
+                    "fe031f776a8e4592e8245800daec86db5cc5c700e0fb4509a7164c0b4660036b",
+                "metrics.json": "d70b7254452d69c0ec239fe145f4195f70b82ba07308f52a64e115fedff31dd4",
+            },
         }),
         (dict(variant="unweighted"), {
-            "records.csv": "2d0ecd2021b265055e6a8204b63025cd581ba4711e0b1c5ac4c4e06a490967da",
-            "weights_trajectory.csv":
-                "1c1927afa82089ebda70b2837e7ac98046d1b254410b23c8a420b35dcc484f80",
-            "metrics.json": "4b1113ca18ca586e7b53e7ca16d1db3f8eac655ea3d035cb9e026495a2145564",
+            "SkylakeX": {
+                "records.csv": "2d0ecd2021b265055e6a8204b63025cd581ba4711e0b1c5ac4c4e06a490967da",
+                "weights_trajectory.csv":
+                    "1c1927afa82089ebda70b2837e7ac98046d1b254410b23c8a420b35dcc484f80",
+                "metrics.json": "4b1113ca18ca586e7b53e7ca16d1db3f8eac655ea3d035cb9e026495a2145564",
+            },
+            "Haswell": {
+                "records.csv": "794e272f6dce949dd448169267609cc969b7c71b25e0a08dfdf5e6df4118d67d",
+                "weights_trajectory.csv":
+                    "1c1927afa82089ebda70b2837e7ac98046d1b254410b23c8a420b35dcc484f80",
+                "metrics.json": "9261cbf78af08d9b9152634d2e728e99c3d7780c39eb3185919b31139185b556",
+            },
+            "Sandybridge": {
+                "records.csv": "d926ade00fb5debfbb4bbd33b998183d706328b0fd4f4b5cce59b0afbb88f91f",
+                "weights_trajectory.csv":
+                    "1c1927afa82089ebda70b2837e7ac98046d1b254410b23c8a420b35dcc484f80",
+                "metrics.json": "ecb59ab23eb349617f3cf409fd23212413a42cf542932a96eb1cce01127e9b93",
+            },
         }),
         (dict(variant="btw_local"), {
-            "records.csv": "aae2f878fbe42f7856465a73cc531a69d1524840c87eba3bfc4514b1f0c4e211",
-            "weights_trajectory.csv":
-                "583d5e3886201d4f41554577ccf1afe74134b21a24c0e8cf512a797ff89edd62",
-            "metrics.json": "304203505a2913352e5abd91344897a8eda0fd3bef02d18d514a1de1e6423140",
+            "SkylakeX": {
+                "records.csv": "aae2f878fbe42f7856465a73cc531a69d1524840c87eba3bfc4514b1f0c4e211",
+                "weights_trajectory.csv":
+                    "583d5e3886201d4f41554577ccf1afe74134b21a24c0e8cf512a797ff89edd62",
+                "metrics.json": "304203505a2913352e5abd91344897a8eda0fd3bef02d18d514a1de1e6423140",
+            },
+            "Haswell": {
+                "records.csv": "98991fa46144b004b16daef1ae6a031e7f7630f7284abfb71367dc69c889033c",
+                "weights_trajectory.csv":
+                    "250161c7f7dee88a25db3ce6b3ab6cea092ecc16f4cc8ebb41ec728edac9d5ec",
+                "metrics.json": "3258e78d5a82ce710a7b5827eff995f6c1ba04d806fb4c1842bfee5fd95b141e",
+            },
+            "Sandybridge": {
+                "records.csv": "feabfcc23e4fa7623b694aae8d0fa9a83e504fb8908bf5a42adda67b9e9fe8ea",
+                "weights_trajectory.csv":
+                    "0fc11364c40b2d7a3aa3f41454646cc10b401a10a24b80724cc11dcd10335e28",
+                "metrics.json": "09e644c769bdf73beb787737ab02dce369422576a45d68412796fc07f658f6d4",
+            },
         }),
         (dict(variant="btw_global_kl"), {
-            "records.csv": "c3059f609b6d68f5a61d98e1bdfc950344da5f5555487bcc79048b035264549f",
-            "weights_trajectory.csv":
-                "1c6dca3d8843c167f06f9b087c03a1493856b942401c816a43890e432c480020",
-            "metrics.json": "4144f5dd6dbe7591da51617a825902ab49b3eaaf942a0d37c50970ac4d4aaa4d",
+            "SkylakeX": {
+                "records.csv": "c3059f609b6d68f5a61d98e1bdfc950344da5f5555487bcc79048b035264549f",
+                "weights_trajectory.csv":
+                    "1c6dca3d8843c167f06f9b087c03a1493856b942401c816a43890e432c480020",
+                "metrics.json": "4144f5dd6dbe7591da51617a825902ab49b3eaaf942a0d37c50970ac4d4aaa4d",
+            },
+            "Haswell": {
+                "records.csv": "1af15daf2e61541a420bd6ea9ad089ab06ca0a133e350912353510f9a6e92fcf",
+                "weights_trajectory.csv":
+                    "e0f1b8be3083918deca4cd5c95e26cbfffb50b957db338a4580b743854b2a49b",
+                "metrics.json": "e322ebe37b2dac4ecdadaaa958236bd7a12aa2b003097897cd73da3826f35641",
+            },
+            "Sandybridge": {
+                "records.csv": "a270e8f59a1a703c4aeb40a1448aa5b21549200a584b1515bc70a63615b9a398",
+                "weights_trajectory.csv":
+                    "64fe24ee089f8e1ef3895b9b800494e1b14256c7acd772989347fcb7d47432e9",
+                "metrics.json": "3a7af50a8de54df2eb98c9beb69ab8c6966a87a4ab52851516302088efb6eaf9",
+            },
         }),
         (dict(variant="btw_global_mi"), {
-            "records.csv": "455c0a83010c0851f1a722eaabe1db08240bf3b097927dc1b27207a50d1360eb",
-            "weights_trajectory.csv":
-                "47cf62cf263d523ab1794b67c08d871b2587ef056ee3ebb885e6cfebb27ec188",
-            "metrics.json": "96ffa6a41eab33c7632266c07e408fc35961cda00b48a012ce79fd9cd28ed4f1",
+            "SkylakeX": {
+                "records.csv": "455c0a83010c0851f1a722eaabe1db08240bf3b097927dc1b27207a50d1360eb",
+                "weights_trajectory.csv":
+                    "47cf62cf263d523ab1794b67c08d871b2587ef056ee3ebb885e6cfebb27ec188",
+                "metrics.json": "96ffa6a41eab33c7632266c07e408fc35961cda00b48a012ce79fd9cd28ed4f1",
+            },
+            "Haswell": {
+                "records.csv": "a2f6b01dc17ae2d6302ddab37a402ad71a509573510e86e3b80ef29172744e20",
+                "weights_trajectory.csv":
+                    "47cf62cf263d523ab1794b67c08d871b2587ef056ee3ebb885e6cfebb27ec188",
+                "metrics.json": "ff787cd4dfc85c12031524b0545fe25b3ee7266d8b388fa08156e94874fd7b6e",
+            },
+            "Sandybridge": {
+                "records.csv": "1b148a7036170df595f4e890445b706e78a8d75779479b60881f337b02685586",
+                "weights_trajectory.csv":
+                    "47cf62cf263d523ab1794b67c08d871b2587ef056ee3ebb885e6cfebb27ec188",
+                "metrics.json": "17891997c620bc3a3402a957a6841b33e4ff27907593174f9dbc47287689ce98",
+            },
         }),
         (dict(variant="unweighted", spec=CLASSIFICATION_3), {
-            "records.csv": "c4923eab01972bcd35c6090eb0d9daa30fda43108c2671730febf4403d72ae9a",
-            "weights_trajectory.csv":
-                "1c1927afa82089ebda70b2837e7ac98046d1b254410b23c8a420b35dcc484f80",
-            "metrics.json": "6d9a89b506ed84968aca71cd07cbb5bf684c5609ead381e5504e726e4d12b6d9",
+            "SkylakeX": {
+                "records.csv": "c4923eab01972bcd35c6090eb0d9daa30fda43108c2671730febf4403d72ae9a",
+                "weights_trajectory.csv":
+                    "1c1927afa82089ebda70b2837e7ac98046d1b254410b23c8a420b35dcc484f80",
+                "metrics.json": "6d9a89b506ed84968aca71cd07cbb5bf684c5609ead381e5504e726e4d12b6d9",
+            },
+            "Haswell": {
+                "records.csv": "c4923eab01972bcd35c6090eb0d9daa30fda43108c2671730febf4403d72ae9a",
+                "weights_trajectory.csv":
+                    "1c1927afa82089ebda70b2837e7ac98046d1b254410b23c8a420b35dcc484f80",
+                "metrics.json": "6d9a89b506ed84968aca71cd07cbb5bf684c5609ead381e5504e726e4d12b6d9",
+            },
+            "Sandybridge": {
+                "records.csv": "3ff50014ee9647e29de4043841c1a9af2f0532ab47752e8f208a04cca974f2fe",
+                "weights_trajectory.csv":
+                    "1c1927afa82089ebda70b2837e7ac98046d1b254410b23c8a420b35dcc484f80",
+                "metrics.json": "6d9a89b506ed84968aca71cd07cbb5bf684c5609ead381e5504e726e4d12b6d9",
+            },
         }),
         (dict(variant="btw_local", spec=CLASSIFICATION_3), {
-            "records.csv": "49fc6348968db9747bebcccbcd666306e283235ddfabf0ad5edce9a7b0566ca5",
-            "weights_trajectory.csv":
-                "5f2dc03ce4f0f234e8caa61c565bc473035613c9517a7374b94b3c0deda999b1",
-            "metrics.json": "ee197420f925a6f73078f9a146ada5f2cf3a7169d046ec932fd51d6b952d59d5",
+            "SkylakeX": {
+                "records.csv": "49fc6348968db9747bebcccbcd666306e283235ddfabf0ad5edce9a7b0566ca5",
+                "weights_trajectory.csv":
+                    "5f2dc03ce4f0f234e8caa61c565bc473035613c9517a7374b94b3c0deda999b1",
+                "metrics.json": "ee197420f925a6f73078f9a146ada5f2cf3a7169d046ec932fd51d6b952d59d5",
+            },
+            "Haswell": {
+                "records.csv": "6ac0d73238a5f9564a52310eee3fb6c8d1690aa788bcb55d77ab8d596d27e81e",
+                "weights_trajectory.csv":
+                    "2b85ee8c3c2522cf62b2973e2ff511347947a10272111f89d300802471582a29",
+                "metrics.json": "061f4da6bd22732c10e3bea80fcb8123a1a6907a13d7bfe6f77973c286a5e503",
+            },
+            "Sandybridge": {
+                "records.csv": "a9976a513f98a2475784196fd350c8532ef7d64b6b39a789458e946cfee2bf72",
+                "weights_trajectory.csv":
+                    "3ee18072101ce5309a1c58ecb2a1a3d418a92a8a172d5512e388f19f9b4ab070",
+                "metrics.json": "1dee454154582bb9fe9552b628e4033f89a2cb0260d6423c39f8dfc20e9dba81",
+            },
         }),
         (dict(variant="btw_global_kl", spec=CLASSIFICATION_3), {
-            "records.csv": "5a95fcb17853858dff3e13156d6c94222d851cb89c918f6895324bbad3949e7c",
-            "weights_trajectory.csv":
-                "9a4a676385de9504fdb8e9644517e6c51e1060e43a51afb63eb34d52a49cfed4",
-            "metrics.json": "c68164dfa74ff704a1442eb1471093ec4418c058315df2c470113b5d4cd6fd44",
+            "SkylakeX": {
+                "records.csv": "5a95fcb17853858dff3e13156d6c94222d851cb89c918f6895324bbad3949e7c",
+                "weights_trajectory.csv":
+                    "9a4a676385de9504fdb8e9644517e6c51e1060e43a51afb63eb34d52a49cfed4",
+                "metrics.json": "c68164dfa74ff704a1442eb1471093ec4418c058315df2c470113b5d4cd6fd44",
+            },
+            "Haswell": {
+                "records.csv": "c0f399d61847e87a60641afad2e50a96b864036e3062f8599213bb1d33d44eeb",
+                "weights_trajectory.csv":
+                    "fb06f47ee928c59f9f3b080fddab15b7328b7094907a554e1bc672a4b75880f0",
+                "metrics.json": "0d04a46d36d5a01c809ba22ec35827b542417d497e357ab56c35f8a499195fc2",
+            },
+            "Sandybridge": {
+                "records.csv": "3156e1641be3e610cc41852e3a1a696341ad0a5735f63301ea6b2bf02cc0fa2d",
+                "weights_trajectory.csv":
+                    "fd88d6785acfd62f1d02d1c63128fb48bf85f1b2022a3d5c0e62948e498125cc",
+                "metrics.json": "c68164dfa74ff704a1442eb1471093ec4418c058315df2c470113b5d4cd6fd44",
+            },
         }),
         (dict(variant="btw", spec=CLASSIFICATION_3), {
-            "records.csv": "9348738705ac02ddc7db832fa8cfaf94fd54e82c6ddd5140962b895c83014764",
-            "weights_trajectory.csv":
-                "ebe12b41569fd113cc1560ae6a2f6ef115a74ecfd6a394c713c895650cfafd19",
-            "metrics.json": "20a1708a93cfeee1ba763c5bf8298762f9cdd287b2fa9fc906721ac387464e28",
+            "SkylakeX": {
+                "records.csv": "9348738705ac02ddc7db832fa8cfaf94fd54e82c6ddd5140962b895c83014764",
+                "weights_trajectory.csv":
+                    "ebe12b41569fd113cc1560ae6a2f6ef115a74ecfd6a394c713c895650cfafd19",
+                "metrics.json": "20a1708a93cfeee1ba763c5bf8298762f9cdd287b2fa9fc906721ac387464e28",
+            },
+            "Haswell": {
+                "records.csv": "52c01b64b1737319fada3e5751b23626002174e16c12f696809fdedeb779fcee",
+                "weights_trajectory.csv":
+                    "55ff2f9e38ddd920ae2e0f44a8a86019a04f37204c24a464fc15c936c97de028",
+                "metrics.json": "6b3f49c3ff720fb1a473099ebe7f5aa4f2baa0d17d2d0a8429cf60863aaa5c59",
+            },
+            "Sandybridge": {
+                "records.csv": "8b555b10d30b0baacb4d504bed22ce3d14eeaebcc6d7822320ffe871574acc8e",
+                "weights_trajectory.csv":
+                    "0d32a72c5578ef997200d84d363850c0ff649bcb129d7e27c297526b3edaa564",
+                "metrics.json": "e487cac56f76d2944da05678dcd8b5c45421cbb2db846af699bd13ec4bbd35ca",
+            },
         }),
     ])
     def test_exported_files_pinned(self, tmp_path, overrides, digests):
         export_result(run_experiment(small_config(**overrides)), tmp_path)
-        for name, digest in digests.items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        assert_pinned({name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                       for name in ("records.csv", "weights_trajectory.csv", "metrics.json")},
+                      digests)
 
 
 class TestUnimodalOrdering:
